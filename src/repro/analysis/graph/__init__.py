@@ -1,28 +1,25 @@
-"""Whole-program analysis: import graph, call graph, scope propagation.
+"""Whole-program analysis: module facts, import graph, call graph, scopes.
 
-The per-file lint pass (:mod:`repro.analysis.lint`) classifies modules by
-*path* — ``kernels/`` is deterministic, ``service/`` is threaded — which
-is exactly right for code that lives where its invariant binds, and
-exactly wrong for the helper one directory over.  A serialiser in
-``analysis/tables.py`` that a solver calls is solver code; a mutation
-helper the service's executor thread reaches is threaded code.  This
-package parses the source tree **once**, builds a module import graph and
-a name-resolved call graph over per-function summaries, and propagates
-the lint scopes transitively along call edges, so the interprocedural
-checkers (WIRE001, DET101, CONC101, MPC001) judge code by what *reaches*
-it, not by where it sits.
+Lint scopes classify modules by *path* — ``kernels/`` is deterministic,
+``service/`` is threaded — which is exactly right for code that lives
+where its invariant binds, and exactly wrong for the helper one directory
+over.  A serialiser in ``analysis/tables.py`` that a solver calls is
+solver code; a mutation helper the service's executor thread reaches is
+threaded code.  This package parses the source tree **once**, builds a
+module import graph and a name-resolved call graph over per-function
+summaries, and propagates the lint scopes transitively along call edges.
+Every lint rule reads it: a module-scoped rule (DET001) takes a module's
+own facts, a whole-program rule (DET101) follows them to what *reaches*
+the code.
 
-Layering: :mod:`~repro.analysis.graph.summary` extracts one cacheable
-:class:`ModuleSummary` per file (imports, exports, functions, per-function
-facts); :mod:`~repro.analysis.graph.callgraph` resolves call sites to
-function ids across aliased imports, re-exports and ``import *``;
-:mod:`~repro.analysis.graph.program` assembles the
-:class:`ProgramGraph` — reachability, scope propagation, call chains;
-:mod:`~repro.analysis.graph.cache` persists summaries keyed by content
-sha256 so warm lint runs skip parsing entirely.
+Layering: :mod:`~repro.analysis.graph.summary` extracts one
+:class:`ModuleSummary` per file (imports, exports, functions, classes,
+per-function facts); :mod:`~repro.analysis.graph.callgraph` resolves call
+sites to function ids across aliased imports, re-exports and
+``import *``; :mod:`~repro.analysis.graph.program` assembles the
+:class:`ProgramGraph` — reachability, scope propagation, call chains.
 """
 
-from .cache import SummaryCache, cache_fingerprint
 from .program import ProgramGraph, build_program
 from .summary import FunctionSummary, ModuleSummary, summarize_module
 
@@ -30,8 +27,6 @@ __all__ = [
     "FunctionSummary",
     "ModuleSummary",
     "ProgramGraph",
-    "SummaryCache",
     "build_program",
-    "cache_fingerprint",
     "summarize_module",
 ]

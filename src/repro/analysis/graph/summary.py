@@ -1,13 +1,13 @@
-"""Per-module summaries: the cacheable unit of whole-program analysis.
+"""Per-module summaries: the facts every lint rule is computed from.
 
 One structured pass over a module's AST produces a :class:`ModuleSummary`
-holding everything the program graph and the interprocedural checkers
-need — import bindings, the export table, per-function call sites with
-held-lock context, determinism facts, serialization flow, wire-sink
-writes, round-callable arguments, and attribute mutations.  Summaries are
-plain data (``to_dict``/``from_dict`` round-trip through JSON), which is
-what lets the incremental runner cache them by content sha256 and skip
-re-parsing unchanged files entirely.
+holding everything the program graph and the rules need — import
+bindings, the export table, per-function call sites with held-lock
+context, determinism facts, serialization flow, wire-sink writes,
+round-callable arguments, attribute mutations, non-canonical encodings
+and registration defects.  This is the only AST pass of a lint run: a
+rule that judges a module by its own path scope reads the same facts as
+its whole-program counterpart, with zero call hops.
 
 Conventions:
 
@@ -27,31 +27,38 @@ Conventions:
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import asdict, dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass, field
 
-from ..lint.checkers._imports import ImportMap, build_import_map, resolve_call_target
+from ..lint.checkers._imports import (
+    ImportMap,
+    build_import_map,
+    dotted_name,
+    resolve_call_target,
+)
 from ..lint.checkers.determinism import (
+    WRITE_SINKS,
     iter_global_rng,
+    iter_noncanonical_json,
     iter_set_order,
+    iter_stringified_writes,
     iter_wall_clock,
     json_dump_canonicality,
 )
+from ..lint.checkers.registry_conformance import iter_registration_defects
 from ..lint.scopes import classify, scope_override
 from .modules import module_name, resolve_relative_import
 
 __all__ = [
     "CallSite",
     "ClassSummary",
-    "DetFact",
+    "Fact",
     "FunctionSummary",
     "GlobalMutation",
+    "LocalClass",
     "ModuleSummary",
     "Mutation",
     "RoundFact",
     "SinkWrite",
-    "content_sha",
     "summarize_module",
 ]
 
@@ -84,16 +91,8 @@ _MUTABLE_FACTORIES = frozenset(
      "collections.OrderedDict", "collections.Counter"}
 )
 
-#: Attribute calls that put bytes on a wire or into a saved trace.
-_WRITE_SINKS = frozenset({"write", "sendall", "send", "sendto"})
-
 #: APIs whose callable argument ships by import path (MPC001 surface).
 _ROUND_APIS = frozenset({"map_round", "run_round"})
-
-
-def content_sha(source: str) -> str:
-    """The cache key of one file's content."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 # --------------------------------------------------------------------------- #
@@ -116,6 +115,10 @@ class CallSite:
     ``attr``    bare method name on an unresolvable receiver (matched
                 only when globally unique)
     ========== ==========================================================
+
+    ``under_lock`` is set when any recognised lock is held (a lock
+    attribute of the enclosing class or a module-level lock);
+    ``class_locked`` only when one of the class's own lock attributes is.
     """
 
     target: str
@@ -124,13 +127,14 @@ class CallSite:
     col: int
     under_lock: bool = False
     via_thread: bool = False
+    class_locked: bool = False
 
 
 @dataclass
-class DetFact:
-    """One determinism hazard inside a function (DET101 raw material)."""
+class Fact:
+    """One pattern occurrence a rule judges, with the message it reports."""
 
-    kind: str  # "rng" | "clock" | "set-order"
+    kind: str  # "rng" | "clock" | "set-order" | "encoding" | "registration"
     message: str
     line: int
     col: int
@@ -159,22 +163,28 @@ class RoundFact:
 
 @dataclass
 class Mutation:
-    """One ``self.<attr>`` mutation inside a method."""
+    """One ``self.<attr>`` mutation inside a method (locks as in CallSite)."""
 
     attr: str
     line: int
     col: int
     under_lock: bool
+    class_locked: bool = False
 
 
 @dataclass
 class GlobalMutation:
-    """One mutation of a module-level mutable from a function body."""
+    """One mutation of a module-level mutable from a function body.
+
+    ``under_lock`` counts any recognised lock; ``module_locked`` only a
+    module-level one.
+    """
 
     name: str
     line: int
     col: int
     under_lock: bool
+    module_locked: bool = False
 
 
 @dataclass
@@ -185,7 +195,7 @@ class FunctionSummary:
     line: int
     cls: str = ""  # enclosing class name, "" for module functions
     calls: list[CallSite] = field(default_factory=list)
-    det_facts: list[DetFact] = field(default_factory=list)
+    det_facts: list[Fact] = field(default_factory=list)
     serial_direct: str = ""  # "canonical" | "noncanonical" | "stringified" | ""
     serial_callees: list[str] = field(default_factory=list)
     sinks: list[SinkWrite] = field(default_factory=list)
@@ -207,12 +217,25 @@ class ClassSummary:
 
 
 @dataclass
+class LocalClass:
+    """A class defined inside a function or another class body.
+
+    The call graph folds its methods into the enclosing frame like any
+    closure; this record keeps them per method, against the class's own
+    lock attributes, which is the view CONC001 judges a class by.
+    ``functions`` is keyed ``"<Class>.<method>"`` like module methods.
+    """
+
+    cls: ClassSummary
+    functions: dict[str, FunctionSummary] = field(default_factory=dict)
+
+
+@dataclass
 class ModuleSummary:
-    """The complete, cacheable analysis record of one source file."""
+    """The complete analysis record of one source file."""
 
     relpath: str
     module: str
-    sha: str
     scopes: list[str] = field(default_factory=list)
     scope_overridden: bool = False
     imported_modules: list[str] = field(default_factory=list)
@@ -221,71 +244,16 @@ class ModuleSummary:
     all_names: list[str] | None = None
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)
+    local_classes: list[LocalClass] = field(default_factory=list)
     mutable_globals: list[str] = field(default_factory=list)
     module_locks: list[str] = field(default_factory=list)
     global_mutations: list[GlobalMutation] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ModuleSummary":
-        summary = cls(
-            relpath=payload["relpath"],
-            module=payload["module"],
-            sha=payload["sha"],
-            scopes=list(payload.get("scopes", [])),
-            scope_overridden=bool(payload.get("scope_overridden", False)),
-            imported_modules=list(payload.get("imported_modules", [])),
-            exports=dict(payload.get("exports", {})),
-            star_from=list(payload.get("star_from", [])),
-            all_names=payload.get("all_names"),
-            mutable_globals=list(payload.get("mutable_globals", [])),
-            module_locks=list(payload.get("module_locks", [])),
-            global_mutations=[
-                GlobalMutation(**m) for m in payload.get("global_mutations", [])
-            ],
-        )
-        for qualname, fn in payload.get("functions", {}).items():
-            summary.functions[qualname] = FunctionSummary(
-                qualname=fn["qualname"],
-                line=fn["line"],
-                cls=fn.get("cls", ""),
-                calls=[CallSite(**c) for c in fn.get("calls", [])],
-                det_facts=[DetFact(**f) for f in fn.get("det_facts", [])],
-                serial_direct=fn.get("serial_direct", ""),
-                serial_callees=list(fn.get("serial_callees", [])),
-                sinks=[SinkWrite(**s) for s in fn.get("sinks", [])],
-                rounds=[RoundFact(**r) for r in fn.get("rounds", [])],
-                mutations=[Mutation(**m) for m in fn.get("mutations", [])],
-                var_types=dict(fn.get("var_types", {})),
-            )
-        for name, cl in payload.get("classes", {}).items():
-            summary.classes[name] = ClassSummary(
-                name=cl["name"],
-                line=cl["line"],
-                bases=list(cl.get("bases", [])),
-                methods=list(cl.get("methods", [])),
-                lock_attrs=list(cl.get("lock_attrs", [])),
-                attr_types=dict(cl.get("attr_types", {})),
-            )
-        return summary
+    facts: list[Fact] = field(default_factory=list)  # encodings, registrations
 
 
 # --------------------------------------------------------------------------- #
 # Expression helpers
 # --------------------------------------------------------------------------- #
-def _dotted(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _self_attr(node: ast.AST) -> str | None:
     """``X`` when ``node`` is (a chain rooted at) ``self.X``."""
     while isinstance(node, (ast.Subscript, ast.Attribute)):
@@ -316,6 +284,15 @@ def _combine_serial(parts: list[tuple[str, set[str]]]) -> tuple[str, set[str]]:
 # --------------------------------------------------------------------------- #
 # The structured extraction visitor
 # --------------------------------------------------------------------------- #
+@dataclass
+class _LocalScan:
+    """Extraction state of one enclosing nested class."""
+
+    local: LocalClass
+    method: FunctionSummary | None = None  # the method being visited
+    locks: int = 0  # held `with self.<lock attr of this class>`
+
+
 class _Extractor(ast.NodeVisitor):
     """One pass over a module collecting every per-function record."""
 
@@ -325,7 +302,9 @@ class _Extractor(ast.NodeVisitor):
         self.frame: FunctionSummary | None = None
         self.frame_class: ClassSummary | None = None
         self.cls: ClassSummary | None = None
-        self.lock_depth = 0
+        self.class_locks = 0  # held `with self.<lock attr of frame_class>`
+        self.module_locks = 0  # held `with <module-level lock>`
+        self.local_scans: list[_LocalScan] = []
         self.fn_depth = 0
         self.nested_names: set[str] = set()
         self.serial_env: dict[str, tuple[str, set[str]]] = {}
@@ -337,6 +316,10 @@ class _Extractor(ast.NodeVisitor):
     @property
     def current(self) -> FunctionSummary:
         return self.frame if self.frame is not None else self.module_fn
+
+    @property
+    def locked(self) -> bool:
+        return self.class_locks > 0 or self.module_locks > 0
 
     def _resolve_name(self, name: str) -> str:
         """Resolve a bare name through function-local then module imports."""
@@ -368,7 +351,7 @@ class _Extractor(ast.NodeVisitor):
                 self.current.calls.append(
                     CallSite(
                         alias.name, "plain", node.lineno, node.col_offset + 1,
-                        self.lock_depth > 0,
+                        self.locked,
                     )
                 )
 
@@ -386,28 +369,28 @@ class _Extractor(ast.NodeVisitor):
             self.current.calls.append(
                 CallSite(
                     target, "plain", node.lineno, node.col_offset + 1,
-                    self.lock_depth > 0,
+                    self.locked,
                 )
             )
-
-    def _is_lock_expr(self, expr: ast.expr) -> bool:
-        attr = _self_attr(expr)
-        if (
-            attr is not None
-            and self.frame_class is not None
-            and attr in self.frame_class.lock_attrs
-        ):
-            return True
-        return (
-            isinstance(expr, ast.Name) and expr.id in self.summary.module_locks
-        )
 
     # -- structure ------------------------------------------------------ #
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if self.fn_depth or self.cls is not None:
-            # Nested classes fold into the enclosing frame like closures.
+            # Nested classes fold into the enclosing frame like closures;
+            # their own per-method lock view is kept on the side.
+            local = LocalClass(
+                ClassSummary(
+                    name=node.name,
+                    line=node.lineno,
+                    methods=_method_names(node),
+                    lock_attrs=_lock_attrs(node, self.imports),
+                )
+            )
+            self.summary.local_classes.append(local)
+            self.local_scans.append(_LocalScan(local))
             for stmt in node.body:
                 self.visit(stmt)
+            self.local_scans.pop()
             return
         cls = self.summary.classes[node.name]
         previous, self.cls = self.cls, cls
@@ -416,6 +399,21 @@ class _Extractor(ast.NodeVisitor):
         self.cls = previous
 
     def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        scan = self.local_scans[-1] if self.local_scans else None
+        if scan is not None and scan.method is None:
+            # A method of the innermost nested class.
+            qualname = f"{scan.local.cls.name}.{node.name}"
+            scan.method = scan.local.functions.setdefault(
+                qualname,
+                FunctionSummary(qualname=qualname, line=node.lineno, cls=scan.local.cls.name),
+            )
+            saved_locks, scan.locks = scan.locks, 0
+            self._visit_frame(node)
+            scan.method, scan.locks = None, saved_locks
+        else:
+            self._visit_frame(node)
+
+    def _visit_frame(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         if self.fn_depth:
             # Nested def: flatten into the enclosing frame.
             self.nested_names.add(node.name)
@@ -425,24 +423,28 @@ class _Extractor(ast.NodeVisitor):
             self.fn_depth -= 1
             return
         qualname = f"{self.cls.name}.{node.name}" if self.cls is not None else node.name
-        frame = FunctionSummary(
-            qualname=qualname,
-            line=node.lineno,
-            cls=self.cls.name if self.cls is not None else "",
+        # A redefinition (property setter, conditional def) extends the frame.
+        frame = self.summary.functions.setdefault(
+            qualname,
+            FunctionSummary(
+                qualname=qualname,
+                cls=self.cls.name if self.cls is not None else "",
+                line=node.lineno,
+            ),
         )
-        self.summary.functions[qualname] = frame
+        frame.line = node.lineno
         self.frame = frame
         self.frame_class = self.cls
         self.nested_names = set()
         self.serial_env = {}
         self.frame_imports = {}
-        saved_lock = self.lock_depth
-        self.lock_depth = 0
+        saved_locks = self.class_locks, self.module_locks
+        self.class_locks = self.module_locks = 0
         self.fn_depth = 1
         for stmt in node.body:
             self.visit(stmt)
         self.fn_depth = 0
-        self.lock_depth = saved_lock
+        self.class_locks, self.module_locks = saved_locks
         self.frame = None
         self.frame_class = None
 
@@ -450,14 +452,43 @@ class _Extractor(ast.NodeVisitor):
     visit_AsyncFunctionDef = _visit_function  # type: ignore[assignment]
 
     def visit_With(self, node: ast.With) -> None:
-        holds = any(self._is_lock_expr(item.context_expr) for item in node.items)
-        if holds:
-            self.lock_depth += 1
+        exprs = [item.context_expr for item in node.items]
+        attrs = {_self_attr(expr) for expr in exprs}
+        class_held = self.frame_class is not None and bool(
+            attrs & set(self.frame_class.lock_attrs)
+        )
+        module_held = any(
+            isinstance(expr, ast.Name) and expr.id in self.summary.module_locks
+            for expr in exprs
+        )
+        scans = [s for s in self.local_scans if attrs & set(s.local.cls.lock_attrs)]
+        self.class_locks += class_held
+        self.module_locks += module_held
+        for scan in scans:
+            scan.locks += 1
         self.generic_visit(node)
-        if holds:
-            self.lock_depth -= 1
+        self.class_locks -= class_held
+        self.module_locks -= module_held
+        for scan in scans:
+            scan.locks -= 1
 
     visit_AsyncWith = visit_With  # type: ignore[assignment]
+
+    # -- lock-discipline records ----------------------------------------- #
+    def _mutation(self, attr: str | None, line: int, col: int) -> None:
+        """Record a ``self.<attr>`` mutation in every class view of it."""
+        if attr is None:
+            return
+        if self.frame_class is not None:
+            self.current.mutations.append(
+                Mutation(attr, line, col, self.locked, self.class_locks > 0)
+            )
+        for scan in self.local_scans:
+            if scan.method is not None:
+                held = scan.locks > 0
+                scan.method.mutations.append(
+                    Mutation(attr, line, col, held or self.module_locks > 0, held)
+                )
 
     # -- serialization classification ----------------------------------- #
     def _classify(self, expr: ast.expr) -> tuple[str, set[str]]:
@@ -481,7 +512,7 @@ class _Extractor(ast.NodeVisitor):
                 return (
                     self._classify(expr.args[0]) if expr.args else ("none", set())
                 )
-            dotted = _dotted(func)
+            dotted = dotted_name(func)
             if dotted is not None:
                 return "none", {self._resolve_dotted_spelling(dotted)}
             return "other", set()
@@ -507,7 +538,7 @@ class _Extractor(ast.NodeVisitor):
         value = node.value
         # Local type inference: x = ClassName(...)
         if isinstance(value, ast.Call):
-            spelled = _dotted(value.func)
+            spelled = dotted_name(value.func)
             dotted = self._resolve_dotted_spelling(spelled) if spelled else None
             if dotted is not None:
                 for target in node.targets:
@@ -530,39 +561,25 @@ class _Extractor(ast.NodeVisitor):
                     else:
                         self.serial_env[target.id] = self._classify(value)
         # Instance-attribute mutations (methods only).
-        if self.frame_class is not None:
-            for target in node.targets:
-                attr = _self_attr(target)
-                if attr is not None:
-                    self.current.mutations.append(
-                        Mutation(attr, node.lineno, node.col_offset + 1, self.lock_depth > 0)
-                    )
+        for target in node.targets:
+            self._mutation(_self_attr(target), node.lineno, node.col_offset + 1)
         self._record_global_mutation_targets(node.targets, node)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
-            if self.frame_class is not None:
-                attr = _self_attr(node.target)
-                if attr is not None:
-                    self.current.mutations.append(
-                        Mutation(attr, node.lineno, node.col_offset + 1, self.lock_depth > 0)
-                    )
+            self._mutation(_self_attr(node.target), node.lineno, node.col_offset + 1)
             self._record_global_mutation_targets([node.target], node)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if self.frame_class is not None:
-            attr = _self_attr(node.target)
-            if attr is not None:
-                self.current.mutations.append(
-                    Mutation(attr, node.lineno, node.col_offset + 1, self.lock_depth > 0)
-                )
-        self._record_global_mutation_targets([node.target], node)
+        self._mutation(_self_attr(node.target), node.lineno, node.col_offset + 1)
+        # ``CACHE += [...]`` (under ``global``) extends the list in place.
+        self._record_global_mutation_targets([node.target], node, augmented=True)
         self.generic_visit(node)
 
     def _record_global_mutation_targets(
-        self, targets: list[ast.expr], node: ast.stmt
+        self, targets: list[ast.expr], node: ast.stmt, *, augmented: bool = False
     ) -> None:
         if not self.fn_depth:
             return
@@ -572,14 +589,15 @@ class _Extractor(ast.NodeVisitor):
                 base = base.value
             if (
                 isinstance(base, ast.Name)
-                and base is not target
+                and (augmented or base is not target)
                 and base.id in self.summary.mutable_globals
             ):
-                self.summary.global_mutations.append(
-                    GlobalMutation(
-                        base.id, node.lineno, node.col_offset + 1, self.lock_depth > 0
-                    )
-                )
+                self._global_mutation(base.id, node.lineno, node.col_offset + 1)
+
+    def _global_mutation(self, name: str, line: int, col: int) -> None:
+        self.summary.global_mutations.append(
+            GlobalMutation(name, line, col, self.locked, self.module_locks > 0)
+        )
 
     def visit_Return(self, node: ast.Return) -> None:
         if node.value is not None and self.frame is not None:
@@ -606,7 +624,7 @@ class _Extractor(ast.NodeVisitor):
                 "plain",
                 node.lineno,
                 node.col_offset + 1,
-                self.lock_depth > 0,
+                self.locked,
                 via_thread,
             )
         if isinstance(expr, ast.Attribute):
@@ -614,22 +632,22 @@ class _Extractor(ast.NodeVisitor):
             if isinstance(base, ast.Name) and base.id == "self":
                 return CallSite(
                     expr.attr, "self", node.lineno, node.col_offset + 1,
-                    self.lock_depth > 0, via_thread,
+                    self.locked, via_thread,
                 )
             attr = _self_attr(base)
             if attr is not None:
                 return CallSite(
                     f"{attr}.{expr.attr}", "selfattr", node.lineno,
-                    node.col_offset + 1, self.lock_depth > 0, via_thread,
+                    node.col_offset + 1, self.locked, via_thread,
                 )
             if isinstance(base, ast.Name):
                 return CallSite(
                     f"{base.id}.{expr.attr}", "var", node.lineno,
-                    node.col_offset + 1, self.lock_depth > 0, via_thread,
+                    node.col_offset + 1, self.locked, via_thread,
                 )
             return CallSite(
                 expr.attr, "attr", node.lineno, node.col_offset + 1,
-                self.lock_depth > 0, via_thread,
+                self.locked, via_thread,
             )
         return None
 
@@ -637,7 +655,7 @@ class _Extractor(ast.NodeVisitor):
         func = node.func
         current = self.current
         line, col = node.lineno, node.col_offset + 1
-        locked = self.lock_depth > 0
+        locked = self.locked
 
         # Outgoing call edge.
         if isinstance(func, ast.Name):
@@ -647,10 +665,24 @@ class _Extractor(ast.NodeVisitor):
         elif isinstance(func, ast.Attribute):
             base = func.value
             if isinstance(base, ast.Name) and base.id == "self":
-                current.calls.append(CallSite(func.attr, "self", line, col, locked))
+                current.calls.append(
+                    CallSite(
+                        func.attr, "self", line, col, locked,
+                        class_locked=self.class_locks > 0,
+                    )
+                )
+                for scan in self.local_scans:
+                    if scan.method is not None:
+                        scan.method.calls.append(
+                            CallSite(
+                                func.attr, "self", line, col,
+                                scan.locks > 0 or self.module_locks > 0,
+                                class_locked=scan.locks > 0,
+                            )
+                        )
             else:
                 attr = _self_attr(base)
-                dotted = _dotted(func)
+                dotted = dotted_name(func)
                 if attr is not None:
                     current.calls.append(
                         CallSite(f"{attr}.{func.attr}", "selfattr", line, col, locked)
@@ -674,14 +706,8 @@ class _Extractor(ast.NodeVisitor):
                     current.calls.append(CallSite(func.attr, "attr", line, col, locked))
 
         # Instance-mutator calls (self.X.append(...)).
-        if (
-            self.frame_class is not None
-            and isinstance(func, ast.Attribute)
-            and func.attr in _MUTATORS
-        ):
-            attr = _self_attr(func.value)
-            if attr is not None:
-                current.mutations.append(Mutation(attr, line, col, locked))
+        if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
+            self._mutation(_self_attr(func.value), line, col)
 
         # Module-global mutator calls (CACHE.setdefault(...)).
         if (
@@ -691,14 +717,12 @@ class _Extractor(ast.NodeVisitor):
             and isinstance(func.value, ast.Name)
             and func.value.id in self.summary.mutable_globals
         ):
-            self.summary.global_mutations.append(
-                GlobalMutation(func.value.id, line, col, locked)
-            )
+            self._global_mutation(func.value.id, line, col)
 
         # Wire/trace sinks.
         if (
             isinstance(func, ast.Attribute)
-            and func.attr in _WRITE_SINKS
+            and func.attr in WRITE_SINKS
             and node.args
         ):
             verdict, calls = self._classify(node.args[0])
@@ -748,7 +772,7 @@ class _Extractor(ast.NodeVisitor):
         elif isinstance(arg, ast.Call):
             current.rounds.append(RoundFact(api, "constructed", "", line, col))
         elif isinstance(arg, ast.Attribute):
-            dotted = _dotted(arg)
+            dotted = dotted_name(arg)
             if isinstance(arg.value, ast.Name) and arg.value.id == "self":
                 current.rounds.append(RoundFact(api, "boundmethod", dotted or "", line, col))
             elif dotted is not None:
@@ -793,15 +817,19 @@ def _collect_module_level(
             summary.exports[stmt.name] = f"{summary.module}.{stmt.name}"
         elif isinstance(stmt, ast.ClassDef):
             summary.exports[stmt.name] = f"{summary.module}.{stmt.name}"
-            cls = ClassSummary(name=stmt.name, line=stmt.lineno)
+            # A redefinition (try/except fallback) extends the record, as
+            # its methods share the ``Class.method`` frames.
+            cls = summary.classes.setdefault(
+                stmt.name, ClassSummary(name=stmt.name, line=stmt.lineno)
+            )
+            cls.methods += _method_names(stmt)
+            cls.lock_attrs += [
+                attr for attr in _lock_attrs(stmt, imports) if attr not in cls.lock_attrs
+            ]
             for base in stmt.bases:
-                dotted = _dotted(base)
+                dotted = dotted_name(base)
                 if dotted is not None:
                     cls.bases.append(imports.resolve(dotted))
-            for member in stmt.body:
-                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    cls.methods.append(member.name)
-            summary.classes[stmt.name] = cls
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             value = stmt.value
@@ -814,7 +842,6 @@ def _collect_module_level(
                     for e in value.elts
                     if isinstance(e, ast.Constant) and isinstance(e.value, str)
                 ]
-                continue
             is_mutable = isinstance(value, (ast.Dict, ast.List, ast.Set))
             if isinstance(value, ast.Call):
                 dotted = resolve_call_target(value, imports)
@@ -827,40 +854,54 @@ def _collect_module_level(
             for name in names:
                 summary.exports.setdefault(name, f"{summary.module}.{name}")
 
-    # Lock attributes per class: any `self.X = threading.Lock()` anywhere.
-    for cls_summary in summary.classes.values():
-        node = next(
-            (
-                n
-                for n in tree.body
-                if isinstance(n, ast.ClassDef) and n.name == cls_summary.name
-            ),
-            None,
-        )
-        if node is None:
+
+def _method_names(node: ast.ClassDef) -> list[str]:
+    return [
+        member.name
+        for member in node.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def _lock_attrs(node: ast.ClassDef, imports: ImportMap) -> list[str]:
+    """Lock attributes of a class: any ``self.X = threading.Lock()`` in it."""
+    attrs: list[str] = []
+    for inner in ast.walk(node):
+        if not isinstance(inner, ast.Assign) or not isinstance(inner.value, ast.Call):
             continue
-        for inner in ast.walk(node):
-            if not isinstance(inner, ast.Assign):
-                continue
-            if not isinstance(inner.value, ast.Call):
-                continue
-            if resolve_call_target(inner.value, imports) not in _LOCK_FACTORIES:
-                continue
-            for target in inner.targets:
-                attr = _self_attr(target)
-                if attr is not None and attr not in cls_summary.lock_attrs:
-                    cls_summary.lock_attrs.append(attr)
+        if resolve_call_target(inner.value, imports) not in _LOCK_FACTORIES:
+            continue
+        for target in inner.targets:
+            attr = _self_attr(target)
+            if attr is not None and attr not in attrs:
+                attrs.append(attr)
+    return attrs
 
 
-def _bucket_det_facts(
-    summary: ModuleSummary, tree: ast.Module, imports: ImportMap
-) -> None:
-    """Attribute DET-pattern facts to their enclosing top-level frame."""
+def _fact(kind: str, node: ast.AST, message: str) -> Fact:
+    return Fact(kind, message, getattr(node, "lineno", 1), getattr(node, "col_offset", 0) + 1)
+
+
+def _walk(tree: ast.Module) -> tuple[list[ast.AST], dict[ast.AST, ast.AST]]:
+    """Every node in :func:`ast.walk` order, and child → parent."""
+    nodes: list[ast.AST] = [tree]
     parents: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
+    for node in nodes:  # appending while iterating: breadth-first
         for child in ast.iter_child_nodes(node):
             parents[child] = node
+            nodes.append(child)
+    return nodes, parents
 
+
+def _record_facts(
+    summary: ModuleSummary,
+    tree: ast.Module,
+    nodes: list[ast.AST],
+    parents: dict[ast.AST, ast.AST],
+    imports: ImportMap,
+) -> None:
+    """Record the pattern facts: determinism hazards per enclosing top-level
+    frame, encodings and registration defects per module."""
     owner_cache: dict[ast.AST, str] = {}
 
     def owner(node: ast.AST) -> str:
@@ -889,35 +930,46 @@ def _bucket_det_facts(
         return qualname
 
     facts: list[tuple[str, ast.AST, str]] = []
-    facts.extend(("rng", node, message) for node, message in iter_global_rng(tree, imports))
-    facts.extend(("clock", node, message) for node, message in iter_wall_clock(tree, imports))
-    facts.extend(("set-order", node, message) for node, message in iter_set_order(tree))
+    facts.extend(("rng", node, message) for node, message in iter_global_rng(nodes, imports))
+    facts.extend(("clock", node, message) for node, message in iter_wall_clock(nodes, imports))
+    facts.extend(
+        ("set-order", node, message) for node, message in iter_set_order(nodes, parents)
+    )
     for kind, node, message in facts:
         qualname = owner(node)
         frame = summary.functions.get(qualname)
         if frame is None:
             frame = summary.functions[MODULE_FUNCTION]
-        frame.det_facts.append(
-            DetFact(
-                kind,
-                message,
-                getattr(node, "lineno", 1),
-                getattr(node, "col_offset", 0) + 1,
-            )
-        )
+        frame.det_facts.append(_fact(kind, node, message))
+
+    summary.facts = [
+        _fact("encoding", node, message)
+        for node, message in iter_noncanonical_json(nodes, imports)
+    ]
+    summary.facts += [
+        _fact("encoding", node, message) for node, message in iter_stringified_writes(nodes)
+    ]
+    summary.facts += [
+        _fact("registration", node, message)
+        for node, message in iter_registration_defects(nodes)
+    ]
 
 
-def summarize_module(relpath: str, source: str, tree: ast.Module | None = None) -> ModuleSummary:
-    """Build the :class:`ModuleSummary` of one source file."""
-    if tree is None:
-        tree = ast.parse(source, filename=relpath)
+def summarize_module(relpath: str, source: str) -> ModuleSummary:
+    """Build the :class:`ModuleSummary` of one source file.
+
+    Raises :class:`SyntaxError` (or :class:`ValueError` for null bytes)
+    on unparsable source and :class:`ValueError` on an unknown scope in a
+    ``# repro-lint: scope=`` comment.
+    """
+    tree = ast.parse(source, filename=relpath)
     override = scope_override(source)
     scopes = override if override is not None else classify(relpath)
-    imports = build_import_map(tree)
+    nodes, parents = _walk(tree)
+    imports = build_import_map(nodes)
     summary = ModuleSummary(
         relpath=relpath,
         module=module_name(relpath),
-        sha=content_sha(source),
         scopes=sorted(scopes),
         scope_overridden=override is not None,
     )
@@ -925,9 +977,5 @@ def summarize_module(relpath: str, source: str, tree: ast.Module | None = None) 
     extractor = _Extractor(summary, imports)
     for stmt in tree.body:
         extractor.visit(stmt)
-    _bucket_det_facts(summary, tree, imports)
+    _record_facts(summary, tree, nodes, parents, imports)
     return summary
-
-
-def iter_functions(summary: ModuleSummary) -> Iterator[FunctionSummary]:
-    yield from summary.functions.values()

@@ -4,9 +4,10 @@ Every execution surface in this repository — backends, kernels, the
 solver service, the distributed coordinator — stakes its correctness on
 *byte-identical* outputs across execution modes.  The runtime test suite
 can only sample that invariant (a handful of configurations per CI run);
-this package proves whole classes of it at review time by walking the
-AST of every source module and rejecting the patterns that historically
-break reproducibility:
+this package proves whole classes of it at review time.  One pass per
+module records its facts (:mod:`repro.analysis.graph.summary`); the rules
+below report the facts of modules that carry a scope themselves, the
+patterns that historically break reproducibility:
 
 ========  ==============================================================
 DET001    unseeded global RNG (``random.*`` / ``np.random.*`` module
@@ -24,9 +25,9 @@ REG001    ``@register_algorithm`` specs missing kind/bounds or with
           non-derivable parameters
 ========  ==============================================================
 
-A second, whole-program tier (``repro.analysis.graph``) parses the tree
-once, builds import and call graphs, propagates scopes transitively, and
-runs the interprocedural checkers:
+The same engine runs the whole-program rules over the import and call
+graphs (``repro.analysis.graph``), judging a function by what *reaches*
+it rather than where it sits:
 
 ========  ==============================================================
 WIRE001   non-canonical serialization reaching a wire/trace sink through
@@ -51,13 +52,7 @@ See ``docs/ANALYSIS.md`` for the checker catalogue and workflows.
 
 from .baseline import Baseline, load_baseline, missing_files, write_baseline
 from .findings import Finding, FindingStatus
-from .registry import (
-    all_checkers,
-    all_program_checkers,
-    get_checker,
-    register_checker,
-    register_program_checker,
-)
+from .registry import all_program_checkers, register_program_checker
 from .reporting import render_json, render_sarif, render_text
 from .runner import LintReport, lint_paths, lint_source, lint_sources
 
@@ -66,22 +61,15 @@ __all__ = [
     "Finding",
     "FindingStatus",
     "LintReport",
-    "all_checkers",
     "all_program_checkers",
-    "get_checker",
     "lint_paths",
     "lint_source",
     "lint_sources",
     "load_baseline",
     "missing_files",
-    "register_checker",
     "register_program_checker",
     "render_json",
     "render_sarif",
     "render_text",
     "write_baseline",
 ]
-
-# Importing the checker modules registers them; keep this after the
-# framework imports so the registry exists when the decorators run.
-from . import checkers as _checkers  # noqa: E402,F401  (registration side effect)

@@ -1,12 +1,7 @@
-"""Checker implementations; importing this package registers them all.
+"""Rule implementations and the fact iterators the summariser records.
 
-Import order matters: :mod:`.interprocedural` pulls in
-:mod:`repro.analysis.graph`, whose summarizer imports back from
-:mod:`.determinism` — keeping it last means the re-entrant package import
-finds the per-module checkers already initialized.
+Nothing is imported eagerly here: :func:`repro.analysis.lint.registry.
+all_program_checkers` imports the rule modules (registering them) on
+first use, and :mod:`repro.analysis.graph.summary` imports the fact
+iterators from :mod:`.determinism` and :mod:`.registry_conformance`.
 """
-
-from . import concurrency, determinism, registry_conformance  # noqa: F401
-from . import interprocedural  # noqa: F401  (must stay last — see above)
-
-__all__ = ["concurrency", "determinism", "interprocedural", "registry_conformance"]

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import Iterable
 
-__all__ = ["ImportMap", "build_import_map", "resolve_call_target"]
+__all__ = ["ImportMap", "build_import_map", "dotted_name", "resolve_call_target"]
 
 
 @dataclass
@@ -35,10 +36,11 @@ class ImportMap:
         return target + sep + rest if rest else target
 
 
-def build_import_map(tree: ast.Module) -> ImportMap:
-    """Collect every module-level and function-level import binding."""
+def build_import_map(nodes: Iterable[ast.AST]) -> ImportMap:
+    """Collect every module-level and function-level import binding
+    among a module's ``nodes``."""
     imports = ImportMap()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 name = alias.asname or alias.name.partition(".")[0]
@@ -53,7 +55,7 @@ def build_import_map(tree: ast.Module) -> ImportMap:
     return imports
 
 
-def _dotted_name(node: ast.AST) -> str | None:
+def dotted_name(node: ast.AST) -> str | None:
     """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
@@ -67,7 +69,7 @@ def _dotted_name(node: ast.AST) -> str | None:
 
 def resolve_call_target(call: ast.Call, imports: ImportMap) -> str | None:
     """The canonical dotted target of a call, or None if not a plain chain."""
-    dotted = _dotted_name(call.func)
+    dotted = dotted_name(call.func)
     if dotted is None:
         return None
     return imports.resolve(dotted)

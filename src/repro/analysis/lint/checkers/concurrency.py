@@ -5,8 +5,8 @@ threads (the asyncio event loop vs. executor threads, the worker's
 request handlers vs. its executor).  The repo's discipline is simple:
 state that is ever mutated under a lock is *lock-guarded*, and every
 other mutation of it must hold the same lock.  This checker derives the
-guarded set per class from the code itself — no annotations required —
-and flags the violations:
+guarded set per class from the summarized facts — no annotations
+required — and flags the violations:
 
 * a ``self.X = threading.Lock()/RLock()/Condition()`` assignment marks
   ``X`` as a lock attribute (``Condition(self._lock)`` counts);
@@ -18,6 +18,11 @@ and flags the violations:
 * module-level mutable containers mutated from function bodies are
   findings unless the mutation holds a module-level lock.
 
+Only a class's own lock attributes count for its attributes, and only
+module locks for module globals.  Classes nested in a function or class
+are judged on their own (:class:`~repro.analysis.graph.summary.LocalClass`).
+CONC101 extends the same discipline across modules.
+
 Attributes with a genuinely single-threaded lifecycle the AST cannot
 prove are declared in :data:`repro.analysis.lint.scopes.LOCK_DISCIPLINE`
 with their rationale.
@@ -25,192 +30,56 @@ with their rationale.
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..findings import Finding
-from ..registry import Checker, ModuleContext, register_checker
+from ..registry import ProgramChecker, ProgramContext, register_program_checker
 from ..scopes import LOCK_DISCIPLINE, module_tail
-from ._imports import ImportMap, build_import_map, resolve_call_target
 
-_LOCK_FACTORIES = frozenset(
-    {
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-        "asyncio.Lock",
-        "asyncio.Condition",
-    }
-)
-
-#: Method calls that mutate the receiver in place.
-_MUTATORS = frozenset(
-    {
-        "add", "append", "appendleft", "clear", "discard", "extend",
-        "extendleft", "insert", "pop", "popitem", "popleft", "remove",
-        "reverse", "rotate", "setdefault", "sort", "update",
-    }
-)
-
-_MUTABLE_FACTORIES = frozenset(
-    {"dict", "list", "set", "collections.deque", "collections.defaultdict",
-     "collections.OrderedDict", "collections.Counter"}
-)
+if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from ...graph.summary import ClassSummary, FunctionSummary, ModuleSummary
 
 
-def _self_attr(node: ast.AST) -> str | None:
-    """``X`` when ``node`` is (a chain rooted at) ``self.X``."""
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return node.attr
-        node = node.value
-    return None
-
-
-@dataclass
-class _Mutation:
-    attr: str
-    node: ast.AST
-    method: str
-    under_lock: bool
-
-
-@dataclass
-class _CallSite:
-    method: str  # callee
-    caller: str
-    under_lock: bool
-
-
-@dataclass
-class _ClassScan:
-    lock_attrs: set[str] = field(default_factory=set)
-    mutations: list[_Mutation] = field(default_factory=list)
-    call_sites: list[_CallSite] = field(default_factory=list)
-    method_names: set[str] = field(default_factory=set)
-
-
-class _MethodVisitor(ast.NodeVisitor):
-    """Walk one method body tracking held-lock regions."""
-
-    def __init__(self, scan: _ClassScan, method: str) -> None:
-        self.scan = scan
-        self.method = method
-        self.lock_depth = 0
-
-    # -- lock regions -------------------------------------------------- #
-    def visit_With(self, node: ast.With) -> None:
-        holds = any(
-            _self_attr(item.context_expr) in self.scan.lock_attrs
-            for item in node.items
-        )
-        if holds:
-            self.lock_depth += 1
-        self.generic_visit(node)
-        if holds:
-            self.lock_depth -= 1
-
-    visit_AsyncWith = visit_With  # type: ignore[assignment]
-
-    # -- mutations ----------------------------------------------------- #
-    def _record(self, attr: str | None, node: ast.AST) -> None:
-        if attr is not None:
-            self.scan.mutations.append(
-                _Mutation(attr, node, self.method, self.lock_depth > 0)
-            )
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._record(_self_attr(target), node)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._record(_self_attr(node.target), node)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._record(_self_attr(node.target), node)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            if (
-                isinstance(func.value, ast.Name)
-                and func.value.id == "self"
-                and func.attr in self.scan.method_names
-            ):
-                self.scan.call_sites.append(
-                    _CallSite(func.attr, self.method, self.lock_depth > 0)
-                )
-            elif func.attr in _MUTATORS:
-                self._record(_self_attr(func.value), node)
-        self.generic_visit(node)
-
-
-def _scan_class(cls: ast.ClassDef, imports: ImportMap) -> _ClassScan:
-    scan = _ClassScan()
-    methods = [
-        stmt
-        for stmt in cls.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    scan.method_names = {m.name for m in methods}
-    # Pass 1: lock attributes (anywhere in the class, usually __init__).
-    for method in methods:
-        for node in ast.walk(method):
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            if not isinstance(value, ast.Call):
-                continue
-            target_path = resolve_call_target(value, imports)
-            if target_path not in _LOCK_FACTORIES:
-                continue
-            for target in node.targets:
-                attr = _self_attr(target)
-                if attr is not None:
-                    scan.lock_attrs.add(attr)
-    # Pass 2: mutations and intra-class call sites, lock-region aware.
-    for method in methods:
-        visitor = _MethodVisitor(scan, method.name)
-        for stmt in method.body:
-            visitor.visit(stmt)
-    return scan
-
-
-def _always_locked_methods(scan: _ClassScan) -> set[str]:
+def _always_locked_methods(sites: list[tuple[str, str, bool]]) -> set[str]:
     """Helpers whose every intra-class call site holds the lock.
 
-    Fixpoint over the call graph so a lock-held helper calling another
-    helper extends the held region one level at a time.
+    ``sites`` holds ``(callee, caller, locked)`` triples.  Fixpoint over
+    the call graph so a lock-held helper calling another helper extends
+    the held region one level at a time.
     """
+    by_callee: dict[str, list[tuple[str, bool]]] = {}
+    for callee, caller, locked in sites:
+        by_callee.setdefault(callee, []).append((caller, locked))
     always: set[str] = set()
     while True:
         changed = False
-        by_callee: dict[str, list[_CallSite]] = {}
-        for site in scan.call_sites:
-            by_callee.setdefault(site.method, []).append(site)
-        for callee, sites in by_callee.items():
+        for callee, callers in by_callee.items():
             if callee in always or callee == "__init__":
                 continue
-            if all(site.under_lock or site.caller in always for site in sites):
+            if all(locked or caller in always for caller, locked in callers):
                 always.add(callee)
                 changed = True
         if not changed:
             return always
 
 
-@register_checker
-class UnlockedSharedState(Checker):
+def _classes(
+    summary: ModuleSummary,
+) -> Iterator[tuple[ClassSummary, list[tuple[str, FunctionSummary]]]]:
+    """Every class with its ``(method name, frame)`` pairs."""
+    records = [(cls, summary.functions) for cls in summary.classes.values()]
+    records += [(local.cls, local.functions) for local in summary.local_classes]
+    for cls, functions in records:
+        frames = [
+            (method, functions[f"{cls.name}.{method}"])
+            for method in dict.fromkeys(cls.methods)
+            if f"{cls.name}.{method}" in functions
+        ]
+        yield cls, frames
+
+
+@register_program_checker
+class UnlockedSharedState(ProgramChecker):
     """CONC001 — guarded state mutated outside a held-lock region."""
 
     code = "CONC001"
@@ -218,158 +87,69 @@ class UnlockedSharedState(Checker):
     description = "lock-guarded mutable state mutated without holding the lock"
     scopes = frozenset({"threaded"})
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        imports = build_import_map(ctx.tree)
-        discipline = LOCK_DISCIPLINE.get(module_tail(ctx.relpath), {})
-        yield from self._module_globals(ctx, imports, discipline)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(ctx, node, imports, discipline)
+    def check(self, ctx: ProgramContext) -> Iterator[Finding]:
+        for relpath, summary in ctx.files.items():
+            if not self.applies(summary):
+                continue
+            discipline = LOCK_DISCIPLINE.get(module_tail(relpath), {})
+            mutable = set(summary.mutable_globals) - discipline.get("<module>", frozenset())
+            for mutation in summary.global_mutations:
+                if mutation.name in mutable and not mutation.module_locked:
+                    yield ctx.finding(
+                        self.code,
+                        f"module-level mutable '{mutation.name}' mutated from a "
+                        "function in a threaded module — guard with a module lock "
+                        "or move the state into an instance",
+                        relpath,
+                        mutation.line,
+                        mutation.col,
+                    )
+            for cls, frames in _classes(summary):
+                yield from self._check_class(ctx, relpath, cls, frames, discipline)
 
-    # -- classes ------------------------------------------------------- #
     def _check_class(
         self,
-        ctx: ModuleContext,
-        cls: ast.ClassDef,
-        imports: ImportMap,
+        ctx: ProgramContext,
+        relpath: str,
+        cls: ClassSummary,
+        frames: list[tuple[str, FunctionSummary]],
         discipline: dict[str, frozenset[str]],
     ) -> Iterator[Finding]:
-        scan = _scan_class(cls, imports)
-        if not scan.lock_attrs:
+        if not cls.lock_attrs:
             return
-        exempt = discipline.get(cls.name, frozenset())
         guarded = {
-            m.attr for m in scan.mutations if m.under_lock and m.method != "__init__"
+            m.attr
+            for method, fn in frames
+            if method != "__init__"
+            for m in fn.mutations
+            if m.class_locked
         }
-        guarded -= scan.lock_attrs
-        guarded -= set(exempt)
+        guarded -= set(cls.lock_attrs)
+        guarded -= discipline.get(cls.name, frozenset())
         if not guarded:
             return
-        always_locked = _always_locked_methods(scan)
-        for mutation in scan.mutations:
-            if (
-                mutation.attr in guarded
-                and not mutation.under_lock
-                and mutation.method not in ("__init__", "__new__")
-                and mutation.method not in always_locked
-            ):
-                yield ctx.finding(
-                    self.code,
-                    f"'{cls.name}.{mutation.attr}' is lock-guarded (mutated under "
-                    f"a held lock elsewhere) but mutated in '{mutation.method}' "
-                    "without holding the lock",
-                    mutation.node,
-                )
-
-    # -- module-level globals ------------------------------------------ #
-    def _module_globals(
-        self,
-        ctx: ModuleContext,
-        imports: ImportMap,
-        discipline: dict[str, frozenset[str]],
-    ) -> Iterator[Finding]:
-        mutable: set[str] = set()
-        module_locks: set[str] = set()
-        for stmt in ctx.tree.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None:
+        always_locked = _always_locked_methods(
+            [
+                (site.target, method, site.class_locked)
+                for method, fn in frames
+                for site in fn.calls
+                if site.kind == "self" and not site.via_thread and site.target in cls.methods
+            ]
+        )
+        for method, fn in frames:
+            if method in ("__init__", "__new__") or method in always_locked:
                 continue
-            is_mutable = isinstance(value, (ast.Dict, ast.List, ast.Set))
-            if isinstance(value, ast.Call):
-                path = resolve_call_target(value, imports)
-                if path in _LOCK_FACTORIES:
-                    for target in targets:
-                        if isinstance(target, ast.Name):
-                            module_locks.add(target.id)
-                    continue
-                is_mutable = is_mutable or path in _MUTABLE_FACTORIES
-            if not is_mutable:
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    mutable.add(target.id)
-        exempt = discipline.get("<module>", frozenset())
-        mutable -= set(exempt)
-        if not mutable:
-            return
-
-        checker = self
-
-        class GlobalVisitor(ast.NodeVisitor):
-            def __init__(self) -> None:
-                self.lock_depth = 0
-                self.findings: list[Finding] = []
-                self.in_function = 0
-
-            def visit_With(self, node: ast.With) -> None:
-                holds = any(
-                    isinstance(item.context_expr, ast.Name)
-                    and item.context_expr.id in module_locks
-                    for item in node.items
-                )
-                if holds:
-                    self.lock_depth += 1
-                self.generic_visit(node)
-                if holds:
-                    self.lock_depth -= 1
-
-            visit_AsyncWith = visit_With  # type: ignore[assignment]
-
-            def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-                self.in_function += 1
-                self.generic_visit(node)
-                self.in_function -= 1
-
-            visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-            def _flag(self, name: str, node: ast.AST) -> None:
-                if self.in_function and not self.lock_depth:
-                    self.findings.append(
-                        ctx.finding(
-                            checker.code,
-                            f"module-level mutable '{name}' mutated from a function "
-                            "in a threaded module — guard with a module lock or move "
-                            "the state into an instance",
-                            node,
-                        )
+            for mutation in fn.mutations:
+                if mutation.attr in guarded and not mutation.class_locked:
+                    yield ctx.finding(
+                        self.code,
+                        f"'{cls.name}.{mutation.attr}' is lock-guarded (mutated under "
+                        f"a held lock elsewhere) but mutated in '{method}' "
+                        "without holding the lock",
+                        relpath,
+                        mutation.line,
+                        mutation.col,
                     )
-
-            def visit_Call(self, node: ast.Call) -> None:
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _MUTATORS
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in mutable
-                ):
-                    self._flag(func.value.id, node)
-                self.generic_visit(node)
-
-            def visit_Assign(self, node: ast.Assign) -> None:
-                for target in node.targets:
-                    base = target
-                    while isinstance(base, (ast.Subscript, ast.Attribute)):
-                        base = base.value
-                    if isinstance(base, ast.Name) and base.id in mutable and base is not target:
-                        self._flag(base.id, node)
-                self.generic_visit(node)
-
-            def visit_AugAssign(self, node: ast.AugAssign) -> None:
-                base = node.target
-                while isinstance(base, (ast.Subscript, ast.Attribute)):
-                    base = base.value
-                if isinstance(base, ast.Name) and base.id in mutable:
-                    self._flag(base.id, node)
-                self.generic_visit(node)
-
-        visitor = GlobalVisitor()
-        visitor.visit(ctx.tree)
-        yield from visitor.findings
 
 
 __all__ = ["UnlockedSharedState"]

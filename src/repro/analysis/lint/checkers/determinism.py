@@ -5,21 +5,21 @@ byte-identity contract: global RNG state, non-canonical JSON on wire
 paths, order-leaking set iteration, and wall-clock reads inside the
 algorithmic tier.
 
-The detection logic lives in module-level ``iter_*`` generators (yielding
-``(node, message)`` pairs) so the whole-program summariser
-(:mod:`repro.analysis.graph.summary`) can collect the same facts
-per-function for the interprocedural DET101 checker without duplicating
-a single pattern table.
+The detection logic lives in module-level ``iter_*`` generators over a
+module's nodes in ``ast.walk`` order (yielding ``(node, message)``
+pairs) that the summariser
+(:mod:`repro.analysis.graph.summary`) records as facts.  The rules here
+report the facts of modules that carry the scope themselves; DET101
+reports the same facts in helpers that inherit the scope over call edges.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..findings import Finding
-from ..registry import Checker, ModuleContext, parent_map, register_checker
-from ._imports import ImportMap, build_import_map, resolve_call_target
+from ..registry import LocalFactChecker, register_program_checker
+from ._imports import ImportMap, resolve_call_target
 
 #: ``random`` module functions that mutate/read the hidden global state.
 _PY_GLOBAL_RNG = frozenset(
@@ -57,15 +57,17 @@ _ORDER_INSENSITIVE = frozenset(
 )
 
 #: Attribute calls that put bytes on a wire or into a saved trace.
-_WRITE_SINKS = frozenset({"write", "sendall", "send", "sendto"})
+WRITE_SINKS = frozenset({"write", "sendall", "send", "sendto"})
 
 
 # --------------------------------------------------------------------------- #
 # Reusable fact iterators (shared with the whole-program summariser)
 # --------------------------------------------------------------------------- #
-def iter_global_rng(tree: ast.AST, imports: ImportMap) -> Iterator[tuple[ast.AST, str]]:
+def iter_global_rng(
+    nodes: Iterable[ast.AST], imports: ImportMap
+) -> Iterator[tuple[ast.AST, str]]:
     """Every call into ``random``/``numpy.random`` global state."""
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         target = resolve_call_target(node, imports)
@@ -87,9 +89,11 @@ def iter_global_rng(tree: ast.AST, imports: ImportMap) -> Iterator[tuple[ast.AST
                 )
 
 
-def iter_wall_clock(tree: ast.AST, imports: ImportMap) -> Iterator[tuple[ast.AST, str]]:
+def iter_wall_clock(
+    nodes: Iterable[ast.AST], imports: ImportMap
+) -> Iterator[tuple[ast.AST, str]]:
     """Every wall-clock read (monotonic measurement clocks excluded)."""
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         target = resolve_call_target(node, imports)
@@ -138,10 +142,10 @@ def json_dump_canonicality(node: ast.Call, imports: ImportMap) -> str | None:
 
 
 def iter_noncanonical_json(
-    tree: ast.AST, imports: ImportMap
+    nodes: Iterable[ast.AST], imports: ImportMap
 ) -> Iterator[tuple[ast.AST, str]]:
     """Every ``json.dumps``/``json.dump`` call that is not canonical."""
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         target = resolve_call_target(node, imports)
@@ -184,9 +188,7 @@ def _stringified_receiver(node: ast.expr) -> str | None:
     return None
 
 
-def iter_stringified_writes(
-    tree: ast.AST, imports: ImportMap
-) -> Iterator[tuple[ast.AST, str]]:
+def iter_stringified_writes(nodes: Iterable[ast.AST]) -> Iterator[tuple[ast.AST, str]]:
     """``.write()``/``.sendall()`` of ``str(obj)``/``repr(obj)`` bytes.
 
     ``handle.write(str(payload).encode())`` renders Python ``repr`` —
@@ -194,12 +196,11 @@ def iter_stringified_writes(
     surface.  Only direct stringification is flagged here; values that
     arrive through helper calls are the interprocedural WIRE001's job.
     """
-    del imports
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr in _WRITE_SINKS):
+        if not (isinstance(func, ast.Attribute) and func.attr in WRITE_SINKS):
             continue
         if not node.args:
             continue
@@ -233,11 +234,11 @@ def _is_setlike(node: ast.expr, setlike_names: frozenset[str]) -> bool:
     return isinstance(node, ast.Name) and node.id in setlike_names
 
 
-def _setlike_names(tree: ast.AST) -> frozenset[str]:
+def _setlike_names(nodes: Iterable[ast.AST]) -> frozenset[str]:
     """Names only ever assigned set-typed expressions (conservative)."""
     setlike: set[str] = set()
     other: set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         targets: list[ast.expr] = []
         value: ast.expr | None = None
         if isinstance(node, ast.Assign):
@@ -262,10 +263,14 @@ def _setlike_names(tree: ast.AST) -> frozenset[str]:
     return frozenset(setlike - other)
 
 
-def iter_set_order(tree: ast.AST) -> Iterator[tuple[ast.AST, str]]:
-    """Every set iteration whose order can escape into outputs."""
-    parents = parent_map(tree)
-    setlike = _setlike_names(tree)
+def iter_set_order(
+    nodes: Sequence[ast.AST], parents: Mapping[ast.AST, ast.AST]
+) -> Iterator[tuple[ast.AST, str]]:
+    """Every set iteration whose order can escape into outputs.
+
+    ``parents`` maps each node to its parent.
+    """
+    setlike = _setlike_names(nodes)
     message = (
         "iteration over a set has nondeterministic order — iterate "
         "sorted(...) or an ordered container before the order can escape"
@@ -280,7 +285,7 @@ def iter_set_order(tree: ast.AST) -> Iterator[tuple[ast.AST, str]]:
             and node in parent.args
         )
 
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.For) and _is_setlike(node.iter, setlike):
             yield node.iter, message
         elif isinstance(node, (ast.ListComp, ast.DictComp, ast.GeneratorExp)):
@@ -303,10 +308,10 @@ def iter_set_order(tree: ast.AST) -> Iterator[tuple[ast.AST, str]]:
 
 
 # --------------------------------------------------------------------------- #
-# The registered per-module checkers
+# The rules: the facts of modules that carry the scope themselves
 # --------------------------------------------------------------------------- #
-@register_checker
-class UnseededGlobalRNG(Checker):
+@register_program_checker
+class UnseededGlobalRNG(LocalFactChecker):
     """DET001 — ``random.*`` / ``np.random.*`` global state in solver code.
 
     Global RNG state is shared across every caller in the process: a
@@ -320,15 +325,11 @@ class UnseededGlobalRNG(Checker):
     name = "unseeded-global-rng"
     description = "global RNG state reachable from solver/kernel/backend code"
     scopes = frozenset({"deterministic"})
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        imports = build_import_map(ctx.tree)
-        for node, message in iter_global_rng(ctx.tree, imports):
-            yield ctx.finding(self.code, message, node)
+    kind = "rng"
 
 
-@register_checker
-class NonCanonicalJSON(Checker):
+@register_program_checker
+class NonCanonicalJSON(LocalFactChecker):
     """DET002 — non-canonical encodings on wire/trace surfaces.
 
     Wire payloads, cache signatures, and CLI JSON are byte-compared
@@ -343,17 +344,11 @@ class NonCanonicalJSON(Checker):
     name = "non-canonical-json"
     description = "non-canonical json.dumps/json.dump or stringified write on a wire path"
     scopes = frozenset({"canonical"})
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        imports = build_import_map(ctx.tree)
-        for node, message in iter_noncanonical_json(ctx.tree, imports):
-            yield ctx.finding(self.code, message, node)
-        for node, message in iter_stringified_writes(ctx.tree, imports):
-            yield ctx.finding(self.code, message, node)
+    kind = "encoding"
 
 
-@register_checker
-class SetIterationOrder(Checker):
+@register_program_checker
+class SetIterationOrder(LocalFactChecker):
     """DET003 — iterating a ``set`` where the order can escape.
 
     Python set iteration order depends on insertion history and element
@@ -367,14 +362,11 @@ class SetIterationOrder(Checker):
     name = "set-iteration-order"
     description = "set iteration whose order can escape into outputs"
     scopes = frozenset({"deterministic"})
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node, message in iter_set_order(ctx.tree):
-            yield ctx.finding(self.code, message, node)
+    kind = "set-order"
 
 
-@register_checker
-class WallClockInSolver(Checker):
+@register_program_checker
+class WallClockInSolver(LocalFactChecker):
     """DET004 — wall-clock reads inside solver/mapreduce/kernel modules.
 
     ``time.time()`` / ``datetime.now()`` inside the algorithmic tier
@@ -388,14 +380,11 @@ class WallClockInSolver(Checker):
     name = "wall-clock-in-solver"
     description = "wall-clock call inside a deterministic module"
     scopes = frozenset({"clockfree"})
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        imports = build_import_map(ctx.tree)
-        for node, message in iter_wall_clock(ctx.tree, imports):
-            yield ctx.finding(self.code, message, node)
+    kind = "clock"
 
 
 __all__ = [
+    "WRITE_SINKS",
     "NonCanonicalJSON",
     "SetIterationOrder",
     "UnseededGlobalRNG",

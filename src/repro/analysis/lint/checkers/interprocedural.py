@@ -1,10 +1,10 @@
 """Interprocedural checkers over the whole-program graph.
 
-These run after the per-file pass, against the
-:class:`~repro.analysis.lint.registry.ProgramContext` assembled by the
-runner.  Where DET001–DET004 and CONC001 judge a module by where it
-*sits* (its path-tail scope), these judge a function by what *reaches*
-it along the import/call graph:
+These run against the same
+:class:`~repro.analysis.lint.registry.ProgramContext` as every other rule.
+Where DET001–DET004 and CONC001 judge a module by where it *sits* (its
+path-tail scope), these judge a function by what *reaches* it along the
+import/call graph:
 
 WIRE001   values flowing into wire/trace write sinks must pass through a
           canonical serializer even when the encoding happens in a

@@ -11,10 +11,9 @@ touches it first — this checker fails it at review time instead.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from ..findings import Finding
-from ..registry import Checker, ModuleContext, register_checker
+from ..registry import LocalFactChecker, register_program_checker
 
 _KINDS = ("graph", "setcover")
 
@@ -28,81 +27,81 @@ def _decorator_call(node: ast.expr) -> ast.Call | None:
     return node if name == "register_algorithm" else None
 
 
-@register_checker
-class RegistryConformance(Checker):
+def iter_registration_defects(
+    nodes: Iterable[ast.AST],
+) -> Iterator[tuple[ast.AST, str]]:
+    """Every defect of every ``@register_algorithm`` registration."""
+    for node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            call = _decorator_call(decorator)
+            if call is not None:
+                yield from _registration_defects(call, node)
+
+
+def _registration_defects(
+    call: ast.Call, fn: ast.FunctionDef | ast.AsyncFunctionDef
+) -> Iterator[tuple[ast.AST, str]]:
+    keywords = {kw.arg: kw.value for kw in call.keywords if kw.arg is not None}
+
+    if not call.args or not (
+        isinstance(call.args[0], ast.Constant) and isinstance(call.args[0].value, str)
+    ):
+        yield (
+            call,
+            f"registration of '{fn.name}' must pass the algorithm name as a "
+            "string literal (it is the cache-key identity)",
+        )
+
+    kind = keywords.get("kind")
+    if kind is None:
+        yield (
+            call,
+            f"registration of '{fn.name}' has no kind= — every spec must "
+            f"declare its workload kind ({' or '.join(_KINDS)})",
+        )
+    elif not (isinstance(kind, ast.Constant) and kind.value in _KINDS):
+        yield (
+            kind,
+            f"registration of '{fn.name}' has a non-literal or unknown kind= — "
+            f"use one of {_KINDS}",
+        )
+
+    bounds = keywords.get("bounds")
+    if bounds is None or (isinstance(bounds, ast.Constant) and bounds.value is None):
+        yield (
+            call,
+            f"registration of '{fn.name}' has no bounds= hook — every row "
+            "needs its theorem bound for the guarantee check",
+        )
+
+    args = fn.args
+    positional = len(args.posonlyargs) + len(args.args)
+    if positional != 1 or args.vararg is not None:
+        yield (
+            fn,
+            f"solver '{fn.name}' must take exactly one positional parameter "
+            "(the trial RNG) with every tunable keyword-only, so the spec "
+            "derives params from the signature",
+        )
+    if args.kwarg is not None:
+        yield (
+            fn,
+            f"solver '{fn.name}' takes **{args.kwarg.arg} — a catch-all hides "
+            "the accepted parameters from the spec derivation",
+        )
+
+
+@register_program_checker
+class RegistryConformance(LocalFactChecker):
     """REG001 — every registration must be fully specified and derivable."""
 
     code = "REG001"
     name = "registry-conformance"
     description = "@register_algorithm spec missing kind/bounds or non-derivable params"
     scopes = None  # registrations may appear anywhere
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for decorator in node.decorator_list:
-                call = _decorator_call(decorator)
-                if call is not None:
-                    yield from self._check_registration(ctx, call, node)
-
-    def _check_registration(
-        self, ctx: ModuleContext, call: ast.Call, fn: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[Finding]:
-        keywords = {kw.arg: kw.value for kw in call.keywords if kw.arg is not None}
-
-        if not call.args or not (
-            isinstance(call.args[0], ast.Constant) and isinstance(call.args[0].value, str)
-        ):
-            yield ctx.finding(
-                self.code,
-                f"registration of '{fn.name}' must pass the algorithm name as a "
-                "string literal (it is the cache-key identity)",
-                call,
-            )
-
-        kind = keywords.get("kind")
-        if kind is None:
-            yield ctx.finding(
-                self.code,
-                f"registration of '{fn.name}' has no kind= — every spec must "
-                f"declare its workload kind ({' or '.join(_KINDS)})",
-                call,
-            )
-        elif not (isinstance(kind, ast.Constant) and kind.value in _KINDS):
-            yield ctx.finding(
-                self.code,
-                f"registration of '{fn.name}' has a non-literal or unknown kind= — "
-                f"use one of {_KINDS}",
-                kind,
-            )
-
-        bounds = keywords.get("bounds")
-        if bounds is None or (isinstance(bounds, ast.Constant) and bounds.value is None):
-            yield ctx.finding(
-                self.code,
-                f"registration of '{fn.name}' has no bounds= hook — every row "
-                "needs its theorem bound for the guarantee check",
-                call,
-            )
-
-        args = fn.args
-        positional = len(args.posonlyargs) + len(args.args)
-        if positional != 1 or args.vararg is not None:
-            yield ctx.finding(
-                self.code,
-                f"solver '{fn.name}' must take exactly one positional parameter "
-                "(the trial RNG) with every tunable keyword-only, so the spec "
-                "derives params from the signature",
-                fn,
-            )
-        if args.kwarg is not None:
-            yield ctx.finding(
-                self.code,
-                f"solver '{fn.name}' takes **{args.kwarg.arg} — a catch-all hides "
-                "the accepted parameters from the spec derivation",
-                fn,
-            )
+    kind = "registration"
 
 
-__all__ = ["RegistryConformance"]
+__all__ = ["RegistryConformance", "iter_registration_defects"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -61,13 +61,3 @@ class Finding:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.column}: {self.code} {self.message}"
-
-
-@dataclass
-class CheckerInfo:
-    """Static metadata describing one registered checker (for listings)."""
-
-    code: str
-    name: str
-    description: str
-    scopes: frozenset[str] | None = field(default=None)

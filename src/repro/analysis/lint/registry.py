@@ -1,95 +1,41 @@
-"""Checker registry and the per-module context checkers run against."""
+"""The checker registry and the program context every rule runs against."""
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Type
+from typing import TYPE_CHECKING, Iterator, Type
 
 from .findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from ..graph.program import ProgramGraph
+    from ..graph.summary import ModuleSummary
 
 __all__ = [
-    "Checker",
-    "ModuleContext",
+    "LocalFactChecker",
     "ProgramChecker",
     "ProgramContext",
-    "all_checkers",
     "all_program_checkers",
-    "get_checker",
-    "register_checker",
     "register_program_checker",
 ]
 
 
 @dataclass
-class ModuleContext:
-    """Everything one checker needs to examine one parsed module."""
-
-    relpath: str
-    source: str
-    tree: ast.Module
-    scopes: frozenset[str]
-    lines: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            self.lines = self.source.splitlines()
-
-    def snippet(self, line: int) -> str:
-        """The stripped source text of a 1-indexed line ('' out of range)."""
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
-    def finding(self, code: str, message: str, node: ast.AST) -> Finding:
-        """Build a finding anchored at ``node``'s location."""
-        line = getattr(node, "lineno", 1)
-        column = getattr(node, "col_offset", 0) + 1
-        return Finding(
-            code=code,
-            message=message,
-            path=self.relpath,
-            line=line,
-            column=column,
-            snippet=self.snippet(line),
-        )
-
-
-class Checker:
-    """Base class: subclass, set the class attributes, yield findings.
-
-    ``scopes`` limits where the checker runs: ``None`` means every file;
-    otherwise the file must carry at least one of the named scopes.
-    """
-
-    code: str = ""
-    name: str = ""
-    description: str = ""
-    scopes: frozenset[str] | None = None
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:  # pragma: no cover
-        raise NotImplementedError
-
-    def applies(self, scopes: frozenset[str]) -> bool:
-        return self.scopes is None or bool(self.scopes & scopes)
-
-
-@dataclass
 class ProgramContext:
-    """The whole-program view interprocedural checkers run against.
+    """The whole-program view every checker runs against.
 
-    ``sources`` maps every summarized relpath to its source lines, so
-    findings can carry the snippet the baseline keys on — same contract
-    as :meth:`ModuleContext.finding`.
+    ``files`` maps every summarized relpath to its summary (including a
+    file whose module name another file shadows in ``graph``);
+    ``sources`` maps it to its source lines, so findings can carry the
+    snippet the baseline keys on.
     """
 
     graph: "ProgramGraph"
+    files: dict[str, "ModuleSummary"] = field(default_factory=dict)
     sources: dict[str, list[str]] = field(default_factory=dict)
 
     def snippet(self, relpath: str, line: int) -> str:
+        """The stripped source text of a 1-indexed line ('' out of range)."""
         lines = self.sources.get(relpath, [])
         if 1 <= line <= len(lines):
             return lines[line - 1].strip()
@@ -109,42 +55,49 @@ class ProgramContext:
 
 
 class ProgramChecker:
-    """Base class for checkers that examine the whole program graph.
+    """Base class: subclass, set the class attributes, yield findings.
 
-    Unlike :class:`Checker`, a program checker sees every module at once
-    and decides applicability itself from each function's *effective*
-    (propagated) scopes — there is no per-file ``applies`` gate.
+    A checker sees every module at once.  ``scopes`` names the module
+    scopes a rule polices in the module itself (``None``: every module,
+    or a rule that decides from each function's propagated scopes).
     """
 
     code: str = ""
     name: str = ""
     description: str = ""
+    scopes: frozenset[str] | None = None
 
     def check(self, ctx: ProgramContext) -> Iterator[Finding]:  # pragma: no cover
         raise NotImplementedError
 
+    def applies(self, summary: "ModuleSummary") -> bool:
+        return self.scopes is None or bool(self.scopes & set(summary.scopes))
 
-_CHECKERS: dict[str, Type[Checker]] = {}
-_PROGRAM_CHECKERS: dict[str, Type[ProgramChecker]] = {}
+
+class LocalFactChecker(ProgramChecker):
+    """A rule over a module's own recorded facts: the zero-hop case.
+
+    Reports every fact of ``kind`` in each module that itself carries one
+    of ``scopes`` — the same facts the whole-program rules follow along
+    call edges into helpers.
+    """
+
+    kind: str = ""
+
+    def check(self, ctx: ProgramContext) -> Iterator[Finding]:
+        for relpath, summary in ctx.files.items():
+            if not self.applies(summary):
+                continue
+            frame_facts = [f for fn in summary.functions.values() for f in fn.det_facts]
+            for fact in frame_facts + summary.facts:
+                if fact.kind == self.kind:
+                    yield ctx.finding(self.code, fact.message, relpath, fact.line, fact.col)
+
+
+_CHECKERS: dict[str, Type[ProgramChecker]] = {}
 
 
 def register_program_checker(cls: Type[ProgramChecker]) -> Type[ProgramChecker]:
-    """Class decorator adding a whole-program checker to the registry."""
-    if not cls.code:
-        raise ValueError(f"checker {cls.__name__} declares no code")
-    existing = _PROGRAM_CHECKERS.get(cls.code)
-    if existing is not None and existing is not cls:
-        raise ValueError(f"checker code {cls.code!r} already registered by {existing.__name__}")
-    _PROGRAM_CHECKERS[cls.code] = cls
-    return cls
-
-
-def all_program_checkers() -> list[ProgramChecker]:
-    """One instance of every registered program checker, sorted by code."""
-    return [_PROGRAM_CHECKERS[code]() for code in sorted(_PROGRAM_CHECKERS)]
-
-
-def register_checker(cls: Type[Checker]) -> Type[Checker]:
     """Class decorator adding a checker to the registry (code must be unique)."""
     if not cls.code:
         raise ValueError(f"checker {cls.__name__} declares no code")
@@ -155,25 +108,11 @@ def register_checker(cls: Type[Checker]) -> Type[Checker]:
     return cls
 
 
-def all_checkers() -> list[Checker]:
+def all_program_checkers() -> list[ProgramChecker]:
     """One instance of every registered checker, sorted by code."""
+    # Importing the rule modules registers them.  Deferred to first use:
+    # the rules import the graph package, whose summariser imports the
+    # fact iterators from the checkers package.
+    from .checkers import concurrency, determinism, interprocedural, registry_conformance  # noqa: F401
+
     return [_CHECKERS[code]() for code in sorted(_CHECKERS)]
-
-
-def get_checker(code: str) -> Checker:
-    try:
-        return _CHECKERS[code]()
-    except KeyError:
-        raise KeyError(f"unknown checker {code!r}; known: {sorted(_CHECKERS)}") from None
-
-
-def parent_map(tree: ast.AST) -> dict[ast.AST, ast.AST]:
-    """child → parent for every node (several checkers need ancestry)."""
-    parents: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-CheckFn = Callable[[ModuleContext], Iterator[Finding]]

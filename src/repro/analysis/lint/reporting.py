@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 
 from .findings import Finding, FindingStatus
+from .registry import all_program_checkers
 from .runner import LintReport
 
 __all__ = ["render_json", "render_sarif", "render_text"]
@@ -102,8 +103,6 @@ def render_sarif(report: LintReport) -> str:
     catalogue is visible in scanning UIs; parse errors surface as tool
     execution notifications.
     """
-    from .registry import all_checkers, all_program_checkers
-
     rules = [
         {
             "id": checker.code,
@@ -112,9 +111,7 @@ def render_sarif(report: LintReport) -> str:
             "fullDescription": {"text": checker.description},
             "defaultConfiguration": {"level": "error"},
         }
-        for checker in sorted(
-            [*all_checkers(), *all_program_checkers()], key=lambda c: c.code
-        )
+        for checker in all_program_checkers()
     ]
     notifications = [
         {"level": "error", "message": {"text": error}} for error in report.parse_errors
@@ -155,9 +152,6 @@ def render_json(report: LintReport) -> str:
         "findings": [f.to_dict() for f in report.findings],
         "parse_errors": list(report.parse_errors),
         "stale_baseline": dict(sorted(report.stale_baseline.items())),
-        # Cache hit/miss counts are deliberately absent: the JSON report
-        # is a pure function of the tree, identical across cold and warm
-        # runs (the invariant the lint pass itself enforces elsewhere).
         "baseline_missing_files": list(report.baseline_missing_files),
         "totals": {
             "new": len(report.new),

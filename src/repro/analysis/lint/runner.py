@@ -1,40 +1,27 @@
-"""Walk paths, parse modules, run checkers, apply suppressions + baseline.
+"""Walk paths, summarize modules, run the rules, apply suppressions + baseline.
 
-Two tiers run in one ``lint_paths`` call:
-
-1. the **per-file** pass — parse, classify scopes, run every registered
-   :class:`~repro.analysis.lint.registry.Checker`, and build the module's
-   :class:`~repro.analysis.graph.summary.ModuleSummary`.  This pass is
-   incremental (summaries + findings are served from a content-sha cache)
-   and parallel (``jobs > 1`` fans files out over a fork-preferred
-   process pool, mirroring the mp sweep backend);
-2. the **whole-program** pass — assemble the
-   :class:`~repro.analysis.graph.program.ProgramGraph` from the summaries
-   (always rebuilt: graph-level invalidation falls out of per-file
-   re-summarizing) and run every registered
-   :class:`~repro.analysis.lint.registry.ProgramChecker`.
-
-Suppression comments apply to both tiers; the baseline is consumed once,
-over the merged finding list.
+One engine: each file is parsed and summarized once
+(:func:`~repro.analysis.graph.summary.summarize_module`), the summaries
+are assembled into the :class:`~repro.analysis.graph.program.ProgramGraph`,
+and every registered :class:`~repro.analysis.lint.registry.ProgramChecker`
+runs over it.  A rule that judges a module by its own scope (DET001) reads
+the same facts as the one that follows them along call edges (DET101).
+Suppression comments apply to every finding; the baseline is consumed
+once, over the whole list.
 """
 
 from __future__ import annotations
 
-import ast
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .baseline import Baseline, missing_files
 from .findings import Finding, FindingStatus
-from .registry import Checker, ModuleContext, ProgramChecker, all_checkers
-from .scopes import classify, scope_override
-from .suppressions import parse_suppressions
+from .registry import ProgramContext, all_program_checkers
+from .suppressions import Suppressions, parse_suppressions
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import is lazy (cycle)
-    from ..graph.cache import SummaryCache
     from ..graph.summary import ModuleSummary
 
 __all__ = ["LintReport", "lint_paths", "lint_source", "lint_sources"]
@@ -56,8 +43,6 @@ class LintReport:
     parse_errors: list[str] = field(default_factory=list)
     stale_baseline: dict[str, int] = field(default_factory=dict)
     baseline_missing_files: list[str] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def new(self) -> list[Finding]:
@@ -116,197 +101,55 @@ def _relpath(file: Path, root: Path) -> str:
         return file.as_posix()
 
 
-def lint_source(
-    source: str,
-    relpath: str,
-    *,
-    checkers: Sequence[Checker] | None = None,
-) -> list[Finding]:
-    """Lint one in-memory module; suppressions applied, no baseline.
-
-    The building block the path runner and the fixture tests share.
-    Raises :class:`SyntaxError` on unparsable source.
+def lint_source(source: str, relpath: str) -> list[Finding]:
+    """Lint one in-memory module as a one-file program; suppressions
+    applied, no baseline.  Parse errors are reported by :func:`lint_sources`.
     """
-    tree = ast.parse(source, filename=relpath)
-    scopes = scope_override(source)
-    if scopes is None:
-        scopes = classify(relpath)
-    ctx = ModuleContext(relpath=relpath, source=source, tree=tree, scopes=scopes)
-    suppressions = parse_suppressions(source)
-    findings: list[Finding] = []
-    for checker in checkers if checkers is not None else all_checkers():
-        if not checker.applies(scopes):
-            continue
-        for finding in checker.check(ctx):
-            if suppressions.matches(finding):
-                finding.status = FindingStatus.SUPPRESSED
-            findings.append(finding)
-    findings.sort(key=Finding.sort_key)
-    return findings
+    return lint_sources({relpath: source}).findings
 
 
-# --------------------------------------------------------------------------- #
-# Per-file pass (serial / parallel / cached)
-# --------------------------------------------------------------------------- #
-def _analyze_one(
-    relpath: str, source: str, checkers: Sequence[Checker] | None
-) -> tuple[list[Finding], "ModuleSummary"]:
-    """Findings + summary of one module (one parse shared by both)."""
-    from ..graph.summary import summarize_module
-
-    tree = ast.parse(source, filename=relpath)
-    scopes = scope_override(source)
-    if scopes is None:
-        scopes = classify(relpath)
-    ctx = ModuleContext(relpath=relpath, source=source, tree=tree, scopes=scopes)
-    suppressions = parse_suppressions(source)
-    findings: list[Finding] = []
-    for checker in checkers if checkers is not None else all_checkers():
-        if not checker.applies(scopes):
-            continue
-        for finding in checker.check(ctx):
-            if suppressions.matches(finding):
-                finding.status = FindingStatus.SUPPRESSED
-            findings.append(finding)
-    findings.sort(key=Finding.sort_key)
-    summary = summarize_module(relpath, source, tree)
-    return findings, summary
-
-
-def _parse_worker(item: tuple[str, str]) -> tuple[str, dict[str, Any] | None, list[dict[str, Any]], str]:
-    """Process-pool worker: analyze one file with the full registry.
-
-    Returns ``(relpath, summary_dict, finding_dicts, error)``; dict form
-    keeps the wire format identical to the on-disk cache entries.
-    """
-    from ..graph.cache import _finding_to_dict
-
-    relpath, source = item
-    try:
-        findings, summary = _analyze_one(relpath, source, None)
-    except SyntaxError as exc:
-        return relpath, None, [], f"{relpath}: {exc}"
-    return relpath, summary.to_dict(), [_finding_to_dict(f) for f in findings], ""
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Fork when available (shares the warm interpreter), spawn otherwise."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
-def _run_per_file(
-    items: list[tuple[str, str]],
-    checkers: Sequence[Checker] | None,
-    cache: "SummaryCache | None",
-    jobs: int,
-) -> tuple[dict[str, "ModuleSummary"], list[Finding], list[str]]:
-    """Summaries + module-local findings for every (relpath, source)."""
-    from ..graph.cache import _finding_from_dict
-    from ..graph.summary import ModuleSummary, content_sha
-
-    summaries: dict[str, ModuleSummary] = {}
-    findings: list[Finding] = []
-    errors: list[str] = []
-
-    pending: list[tuple[str, str]] = []
-    for relpath, source in items:
-        if cache is not None:
-            hit = cache.get(relpath, content_sha(source))
-            if hit is not None:
-                summaries[relpath], cached_findings = hit
-                findings.extend(cached_findings)
-                continue
-        pending.append((relpath, source))
-
-    if jobs > 1 and len(pending) > 1 and checkers is None:
-        # dict round-trip keeps results identical to the serial path.
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending)), mp_context=_pool_context()
-        ) as pool:
-            results = list(pool.map(_parse_worker, pending, chunksize=4))
-        for relpath, summary_dict, finding_dicts, error in results:
-            if error:
-                errors.append(error)
-                continue
-            assert summary_dict is not None
-            summary = ModuleSummary.from_dict(summary_dict)
-            file_findings = [_finding_from_dict(f) for f in finding_dicts]
-            summaries[relpath] = summary
-            findings.extend(file_findings)
-            if cache is not None:
-                cache.put(relpath, summary.sha, summary, file_findings)
-    else:
-        for relpath, source in pending:
-            try:
-                file_findings, summary = _analyze_one(relpath, source, checkers)
-            except SyntaxError as exc:
-                errors.append(f"{relpath}: {exc}")
-                continue
-            summaries[relpath] = summary
-            findings.extend(file_findings)
-            if cache is not None:
-                cache.put(relpath, summary.sha, summary, file_findings)
-    return summaries, findings, errors
-
-
-# --------------------------------------------------------------------------- #
-# Whole-program pass
-# --------------------------------------------------------------------------- #
-def _run_program(
-    summaries: Mapping[str, "ModuleSummary"],
-    sources: Mapping[str, str],
-    program_checkers: Sequence[ProgramChecker] | None,
+def _run_rules(
+    summaries: dict[str, "ModuleSummary"], sources: Mapping[str, str]
 ) -> list[Finding]:
+    """Every registered rule over the program graph, suppressions applied."""
     from ..graph.program import build_program
-    from .registry import ProgramContext, all_program_checkers
 
     if not summaries:
         return []
-    graph = build_program(dict(summaries))
     ctx = ProgramContext(
-        graph=graph,
-        sources={relpath: source.splitlines() for relpath, source in sources.items()},
+        graph=build_program(summaries),
+        files=summaries,
+        sources={relpath: sources[relpath].splitlines() for relpath in summaries},
     )
-    instances = (
-        list(program_checkers) if program_checkers is not None else all_program_checkers()
-    )
+    suppressions: dict[str, Suppressions] = {}  # tokenized only where findings land
     findings: list[Finding] = []
-    suppression_cache: dict[str, Any] = {}
-    for checker in instances:
+    for checker in all_program_checkers():
         for finding in checker.check(ctx):
-            suppressions = suppression_cache.get(finding.path)
-            if suppressions is None and finding.path in sources:
-                suppressions = parse_suppressions(sources[finding.path])
-                suppression_cache[finding.path] = suppressions
-            if suppressions is not None and suppressions.matches(finding):
+            if finding.path not in suppressions:
+                suppressions[finding.path] = parse_suppressions(sources[finding.path])
+            if suppressions[finding.path].matches(finding):
                 finding.status = FindingStatus.SUPPRESSED
             findings.append(finding)
     return findings
 
 
-def lint_sources(
-    sources: Mapping[str, str],
-    *,
-    checkers: Sequence[Checker] | None = None,
-    program_checkers: Sequence[ProgramChecker] | None = None,
-    program: bool = True,
-) -> LintReport:
+def lint_sources(sources: Mapping[str, str]) -> LintReport:
     """Lint an in-memory multi-file tree (synthetic-package test surface).
 
-    ``sources`` maps relpath → source text.  Runs both tiers like
-    :func:`lint_paths`, minus filesystem, cache, and baseline concerns.
+    ``sources`` maps relpath → source text.  Runs the same engine as
+    :func:`lint_paths`, minus filesystem and baseline concerns.
     """
-    report = LintReport()
-    items = sorted(sources.items())
-    summaries, findings, errors = _run_per_file(items, checkers, None, jobs=1)
-    report.parse_errors.extend(errors)
-    report.files_scanned = len(summaries)
-    report.findings.extend(findings)
-    if program:
-        report.findings.extend(_run_program(summaries, dict(sources), program_checkers))
+    from ..graph.summary import summarize_module
+
+    report = LintReport(files_scanned=len(sources))
+    summaries: dict[str, "ModuleSummary"] = {}
+    for relpath, source in sorted(sources.items()):
+        try:
+            summaries[relpath] = summarize_module(relpath, source)
+        except (SyntaxError, ValueError) as exc:
+            # Unparsable source, or an unknown scope in a scope comment.
+            report.parse_errors.append(f"{relpath}: {exc}")
+    report.findings = _run_rules(summaries, sources)
     report.findings.sort(key=Finding.sort_key)
     return report
 
@@ -316,69 +159,32 @@ def lint_paths(
     *,
     root: str | Path | None = None,
     baseline: Baseline | None = None,
-    checkers: Sequence[Checker] | None = None,
-    program_checkers: Sequence[ProgramChecker] | None = None,
-    program: bool = True,
-    jobs: int = 1,
-    cache_path: str | Path | None = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths`` and assemble a report.
 
     ``root`` anchors the relative paths recorded in findings (defaults to
     the current directory), which is what makes the committed baseline
-    and the JSON report stable across machines.  ``cache_path`` enables
-    the incremental summary cache; ``jobs > 1`` parallelizes the cold
-    per-file pass.  ``program=False`` skips the whole-program tier (the
-    per-file tier is unaffected).
+    and the JSON report stable across machines.  ``files_scanned`` counts
+    every file found, readable or not.
     """
     anchor = Path(root) if root is not None else Path.cwd()
-    report = LintReport()
-
-    cache: "SummaryCache | None" = None
-    if cache_path is not None:
-        from ..graph.cache import SummaryCache, cache_fingerprint
-        from .registry import all_program_checkers
-
-        codes = [c.code for c in (checkers if checkers is not None else all_checkers())]
-        codes += [c.code for c in all_program_checkers()]
-        cache = SummaryCache.load(cache_path, cache_fingerprint(codes))
-
-    items: list[tuple[str, str]] = []
+    files = _iter_python_files(paths, anchor)
     sources: dict[str, str] = {}
-    for file in _iter_python_files(paths, anchor):
+    read_errors: list[str] = []
+    for file in files:
         relpath = _relpath(file, anchor)
         try:
-            source = file.read_text(encoding="utf-8")
+            sources[relpath] = file.read_text(encoding="utf-8")
         except (UnicodeDecodeError, OSError) as exc:
-            report.parse_errors.append(f"{relpath}: {exc}")
-            continue
-        items.append((relpath, source))
-        sources[relpath] = source
+            read_errors.append(f"{relpath}: {exc}")
 
-    summaries, findings, errors = _run_per_file(items, checkers, cache, jobs)
-    report.parse_errors.extend(errors)
-    report.files_scanned = len(summaries)
-    report.findings.extend(findings)
-    if program:
-        report.findings.extend(_run_program(summaries, sources, program_checkers))
-
-    if cache is not None and cache_path is not None:
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
-        cache.prune({relpath for relpath, _ in items})
-        cache.save(cache_path)
-
+    report = lint_sources(sources)
+    report.files_scanned = len(files)
+    report.parse_errors[:0] = read_errors
     if baseline is not None:
         for finding in report.findings:
             if finding.status is FindingStatus.NEW:
                 baseline.consume(finding)
         report.stale_baseline = baseline.unused()
         report.baseline_missing_files = missing_files(baseline, anchor)
-    report.findings.sort(key=Finding.sort_key)
     return report
-
-
-def severity_order(findings: Iterable[Finding]) -> list[Finding]:
-    """Findings sorted for display: new first, then path/line."""
-    rank = {FindingStatus.NEW: 0, FindingStatus.BASELINED: 1, FindingStatus.SUPPRESSED: 2}
-    return sorted(findings, key=lambda f: (rank[f.status], f.sort_key()))

@@ -423,20 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a SARIF 2.1.0 report to FILE ('-' for stdout)",
     )
     lint.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse files in parallel with N worker processes (default: 1)",
-    )
-    lint.add_argument(
-        "--cache",
-        metavar="FILE",
-        help="incremental summary cache file; unchanged files (by content "
-        "hash) skip re-parsing (default: no cache)",
-    )
-    lint.add_argument(
         "--baseline",
         default="lint-baseline.json",
         metavar="FILE",
@@ -800,9 +786,7 @@ def _run_lint(args: argparse.Namespace) -> int:
     if not baseline_path.is_absolute():
         baseline_path = root / baseline_path
     baseline = None if args.no_baseline else load_baseline(baseline_path)
-    report = lint_paths(
-        args.paths, root=root, baseline=baseline, jobs=args.jobs, cache_path=args.cache
-    )
+    report = lint_paths(args.paths, root=root, baseline=baseline)
     if args.update_baseline:
         before = set((baseline or load_baseline(baseline_path)).entries)
         updated = write_baseline(report.findings, baseline_path)

@@ -8,7 +8,6 @@ Every sweep here is expressed as independent, self-seeded
 
 from .ablations import sweep_epsilon, sweep_mu, sweep_sample_budget
 from .figure1 import (
-    FIGURE1_EXPERIMENTS,
     figure1_points,
     b_matching_experiment,
     edge_colouring_experiment,
@@ -30,7 +29,6 @@ __all__ = [
     "aggregate_records",
     "run_trials",
     "seeded_rngs",
-    "FIGURE1_EXPERIMENTS",
     "figure1_points",
     "run_figure1",
     "vertex_cover_experiment",

@@ -77,7 +77,6 @@ from ..graphs import (
     is_vertex_cover,
 )
 from ..registry import (
-    DeprecatedMapping,
     get_algorithm,
     iter_algorithms,
     register_algorithm,
@@ -100,8 +99,6 @@ __all__ = [
     "b_matching_experiment",
     "vertex_colouring_experiment",
     "edge_colouring_experiment",
-    "FIGURE1_EXPERIMENTS",
-    "FIGURE1_WORKLOAD_KINDS",
     "figure1_points",
     "run_figure1",
     "scenario_experiments",
@@ -688,24 +685,6 @@ def edge_colouring_experiment(
     record.metrics["misra_gries_colours"] = float(len(set(baseline.values())))
     record.valid = is_proper_edge_colouring(graph, result.colours)
     return record
-
-
-#: Deprecated: the old experiment-name → function dict, now a thin
-#: read-only view over the algorithm registry.  Resolve through
-#: :mod:`repro.registry` (or call :func:`repro.solve`) instead.
-FIGURE1_EXPERIMENTS = DeprecatedMapping(
-    "FIGURE1_EXPERIMENTS",
-    lambda: {spec.experiment: spec.solver for spec in iter_algorithms()},
-    "resolve algorithms through repro.registry (get_algorithm / repro.solve)",
-)
-
-#: Deprecated alongside it: experiment name → workload kind, also a
-#: registry view (``get_algorithm(name).kind`` is the replacement).
-FIGURE1_WORKLOAD_KINDS = DeprecatedMapping(
-    "FIGURE1_WORKLOAD_KINDS",
-    lambda: {spec.experiment: spec.kind for spec in iter_algorithms()},
-    "use repro.registry.get_algorithm(name).kind",
-)
 
 
 def scenario_experiments(scenario: str) -> list[str]:

@@ -27,7 +27,6 @@ from .solve import (
 )
 from .spec import (
     AlgorithmSpec,
-    DeprecatedMapping,
     RegistryError,
     UnknownAlgorithmError,
     UnknownParameterError,
@@ -41,7 +40,6 @@ from .spec import (
 
 __all__ = [
     "AlgorithmSpec",
-    "DeprecatedMapping",
     "REQUEST_FIELDS",
     "RegistryError",
     "SolveRequest",

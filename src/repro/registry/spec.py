@@ -35,7 +35,6 @@ what keeps sweep points picklable and cache signatures stable.
 from __future__ import annotations
 
 import inspect
-import warnings
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -45,7 +44,6 @@ from ..backends import SweepPoint
 
 __all__ = [
     "AlgorithmSpec",
-    "DeprecatedMapping",
     "RegistryError",
     "UnknownAlgorithmError",
     "UnknownParameterError",
@@ -354,43 +352,3 @@ def known_algorithm_names() -> list[str]:
     """Every accepted name — canonical and alias — sorted, de-duplicated."""
     _populate()
     return sorted(_NAMES)
-
-
-class DeprecatedMapping(MappingABC):
-    """A read-only live mapping view over the registry that warns on use.
-
-    Legacy module-level dicts (``FIGURE1_EXPERIMENTS``,
-    ``service.api.ALGORITHMS``) are replaced by instances of this class so
-    existing callers keep working — iteration, lookup, ``len`` and
-    containment all behave like the old dict — while a
-    :class:`DeprecationWarning` points them at the registry.
-    """
-
-    def __init__(self, name: str, build: Callable[[], dict[str, Any]], hint: str) -> None:
-        self._name = name
-        self._build = build
-        self._hint = hint
-
-    def _mapping(self) -> dict[str, Any]:
-        # The default warning filter de-duplicates the display per call
-        # site, so legacy loops do not spam; tests recording with
-        # ``simplefilter("always")`` still see every emission.
-        warnings.warn(
-            f"{self._name} is deprecated; {self._hint}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        _populate()
-        return self._build()
-
-    def __getitem__(self, key: str) -> Any:
-        return self._mapping()[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._mapping())
-
-    def __len__(self) -> int:
-        return len(self._mapping())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<deprecated {self._name}; {self._hint}>"

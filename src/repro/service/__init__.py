@@ -16,7 +16,6 @@ model, and cache semantics.
 """
 
 from .api import (
-    ALGORITHMS,
     ServiceError,
     SolveRequest,
     parse_solve_request,
@@ -33,7 +32,6 @@ from .metrics import ServiceMetrics
 from .server import ServiceHandle, SolverService, serve, start_in_background
 
 __all__ = [
-    "ALGORITHMS",
     "AdaptiveBatchPolicy",
     "LatencyHistogram",
     "MicroBatcher",

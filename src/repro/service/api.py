@@ -27,21 +27,18 @@ from typing import Any, Mapping
 from ..backends import execute_point
 from ..backends.base import PointResult
 from ..registry import (
-    DeprecatedMapping,
     RegistryError,
     SolveRequest,
     UnknownAlgorithmError,
     build_request,
     canonical_response,
     get_algorithm,
-    iter_algorithms,
     request_point,
     request_signature,
 )
 from ..registry.solve import REQUEST_FIELDS as _REQUEST_FIELDS
 
 __all__ = [
-    "ALGORITHMS",
     "ServiceError",
     "SolveRequest",
     "parse_solve_request",
@@ -51,15 +48,6 @@ __all__ = [
     "resolve_algorithm",
     "solve_direct",
 ]
-
-#: Deprecated: the old service-name → Figure-1 experiment dict, now a thin
-#: read-only view over the algorithm registry (canonical name → experiment).
-ALGORITHMS = DeprecatedMapping(
-    "service.api.ALGORITHMS",
-    lambda: {spec.name: spec.experiment for spec in iter_algorithms()},
-    "resolve names through repro.registry.get_algorithm",
-)
-
 
 class ServiceError(Exception):
     """A request-level failure, carrying the HTTP status it maps onto."""

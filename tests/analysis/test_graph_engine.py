@@ -374,39 +374,3 @@ class TestScopePropagation:
         assert [
             (e.caller, e.callee, e.weak, e.via_thread) for e in a.edges
         ] == [(e.caller, e.callee, e.weak, e.via_thread) for e in b.edges]
-
-
-# --------------------------------------------------------------------------- #
-# Summary serialization (the cache contract)
-# --------------------------------------------------------------------------- #
-class TestSummaryRoundtrip:
-    def test_to_dict_from_dict_identity(self):
-        from repro.analysis.graph.summary import ModuleSummary
-
-        source = textwrap.dedent(
-            """
-            import threading
-            import json
-
-            _LOCK = threading.Lock()
-            _STATE = {}
-
-            class Holder:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._items = []
-
-                def add(self, x):
-                    with self._lock:
-                        self._items.append(x)
-
-            def emit(fh, payload):
-                fh.write(json.dumps(payload, sort_keys=True))
-            """
-        )
-        summary = summarize_module("pkg/service/mod.py", source)
-        rebuilt = ModuleSummary.from_dict(summary.to_dict())
-        assert rebuilt.to_dict() == summary.to_dict()
-        assert rebuilt.module == "pkg.service.mod"
-        assert "Holder" in rebuilt.classes
-        assert "_lock" in rebuilt.classes["Holder"].lock_attrs

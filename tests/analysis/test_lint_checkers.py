@@ -389,6 +389,56 @@ class TestCONC001:
         )
         assert codes(findings) == ["CONC001"]
 
+    def test_true_negative_module_lock_does_not_guard_attributes(self):
+        # Only the class's own locks make an attribute lock-guarded; a
+        # mutation under a module-level lock guards nothing.
+        findings = run(
+            """
+            # repro-lint: scope=threaded
+            import threading
+
+            _LOCK = threading.Lock()
+
+            class Registry:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.other = []
+
+                def add(self, x):
+                    with _LOCK:
+                        self.other.append(x)
+
+                def reset(self):
+                    self.other.clear()
+            """
+        )
+        assert codes(findings) == []
+
+    def test_true_positive_class_nested_in_function(self):
+        findings = run(
+            """
+            # repro-lint: scope=threaded
+            import threading
+
+            def make_box():
+                class Box:
+                    def __init__(self):
+                        self._lock = threading.Lock()
+                        self.items = []
+
+                    def put(self, x):
+                        with self._lock:
+                            self.items.append(x)
+
+                    def reset(self):
+                        self.items.clear()
+
+                return Box()
+            """
+        )
+        assert codes(findings) == ["CONC001"]
+        assert "'Box.items'" in findings[0].message and "'reset'" in findings[0].message
+
     def test_true_positive_module_global(self):
         findings = run(
             """

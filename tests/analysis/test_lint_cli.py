@@ -73,6 +73,26 @@ class TestLintCLI:
         (tmp_path / "empty").mkdir()
         assert main(["lint", "empty", "--root", str(tmp_path)]) == 2
 
+    def test_unparsable_only_tree_exits_one_not_two(self, tmp_path, capsys):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "bad.py").write_text("def broken(:\n")
+        assert main(["lint", "pkg", "--root", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "error: pkg/bad.py:" in captured.out
+        assert "FAIL 1 files scanned" in captured.out
+        assert "no python files found" not in captured.err
+
+    def test_unknown_scope_comment_is_a_per_file_error(self, tmp_path, capsys):
+        pkg = _tree(tmp_path)
+        (pkg / "typo.py").write_text("# repro-lint: scope=determinstic\nX = 1\n")
+        assert main(["lint", "pkg", "--root", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "error: pkg/typo.py: unknown lint scope(s) ['determinstic']" in out
+        # The other files are still linted and reported.
+        assert "pkg/service/racy.py:6:5: CONC001" in out
+        assert "FAIL 3 files scanned" in out
+
     def test_explicit_baseline_path(self, tmp_path, capsys):
         _tree(tmp_path)
         root = str(tmp_path)

@@ -8,7 +8,7 @@ import textwrap
 import pytest
 
 from repro.analysis.lint import (
-    all_checkers,
+    all_program_checkers,
     lint_paths,
     lint_source,
     load_baseline,
@@ -59,7 +59,7 @@ class TestScopes:
     def test_every_checker_declares_valid_scopes(self):
         from repro.analysis.lint.scopes import ALL_SCOPES
 
-        checkers = all_checkers()
+        checkers = all_program_checkers()
         assert [c.code for c in checkers] == sorted(c.code for c in checkers)
         assert len(checkers) >= 6
         for checker in checkers:

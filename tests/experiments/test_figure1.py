@@ -13,7 +13,6 @@ import pytest
 
 from repro.analysis import within_guarantee
 from repro.experiments import (
-    FIGURE1_EXPERIMENTS,
     b_matching_experiment,
     edge_colouring_experiment,
     matching_experiment,
@@ -26,6 +25,7 @@ from repro.experiments import (
     vertex_colouring_experiment,
     vertex_cover_experiment,
 )
+from repro.registry import experiment_names
 
 
 def _rng(seed: int = 0) -> np.random.Generator:
@@ -127,8 +127,8 @@ class TestColouringExperiments:
 
 class TestRegistry:
     def test_registry_contains_all_ten_rows(self):
-        assert len(FIGURE1_EXPERIMENTS) == 10
-        assert set(FIGURE1_EXPERIMENTS) >= {
+        assert len(experiment_names()) == 10
+        assert set(experiment_names()) >= {
             "fig1-vertex-cover",
             "fig1-matching",
             "fig1-edge-colouring",

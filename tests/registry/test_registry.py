@@ -9,8 +9,6 @@ so a newly registered algorithm is covered automatically.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro
@@ -124,32 +122,16 @@ class TestConformance:
             get_algorithm("mis").validate_params([1, 2])  # type: ignore[arg-type]
 
 
-class TestDeprecatedViews:
-    def test_figure1_experiments_view_matches_registry(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            from repro.experiments.figure1 import FIGURE1_EXPERIMENTS
+class TestNameResolution:
+    def test_experiment_names_resolve_to_their_solvers(self):
+        specs = list(iter_algorithms())
+        assert len({spec.experiment for spec in specs}) == len(specs)
+        for spec in specs:
+            assert get_algorithm(spec.experiment).solver is spec.solver
 
-            assert dict(FIGURE1_EXPERIMENTS) == {
-                spec.experiment: spec.solver for spec in iter_algorithms()
-            }
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-    def test_service_algorithms_view_matches_registry(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            from repro.service.api import ALGORITHMS
-
-            assert dict(ALGORITHMS) == {
-                spec.name: spec.experiment for spec in iter_algorithms()
-            }
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-    def test_views_are_read_only(self):
-        from repro.experiments.figure1 import FIGURE1_EXPERIMENTS
-
-        with pytest.raises(TypeError):
-            FIGURE1_EXPERIMENTS["fig1-new"] = lambda rng: None  # type: ignore[index]
+    def test_canonical_names_resolve_to_their_experiments(self):
+        for spec in iter_algorithms():
+            assert get_algorithm(spec.name).experiment == spec.experiment
 
 
 class TestRegressions:

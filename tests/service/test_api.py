@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.backends import execute_point
+from repro.registry import experiment_names, iter_algorithms
 from repro.service import (
-    ALGORITHMS,
     ServiceError,
     parse_solve_request,
     render_response,
@@ -25,11 +25,10 @@ FAST = {"algorithm": "mis", "params": {"n": 40, "c": 0.35}, "seed": 5}
 
 class TestResolveAlgorithm:
     def test_every_alias_resolves_to_a_figure1_row(self):
-        from repro.experiments.figure1 import FIGURE1_EXPERIMENTS
-
-        for alias, experiment in ALGORITHMS.items():
-            assert resolve_algorithm(alias) == experiment
-            assert experiment in FIGURE1_EXPERIMENTS
+        for spec in iter_algorithms():
+            for alias in (spec.name, *spec.aliases):
+                assert resolve_algorithm(alias) == spec.experiment
+            assert spec.experiment in experiment_names()
 
     def test_raw_fig1_names_accepted(self):
         assert resolve_algorithm("fig1-matching") == "fig1-matching"
