@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..lint.checkers._imports import (
     ImportMap,
@@ -214,16 +215,20 @@ class ClassSummary:
     methods: list[str] = field(default_factory=list)
     lock_attrs: list[str] = field(default_factory=list)
     attr_types: dict[str, str] = field(default_factory=dict)
+    definitions: int = 0  # module-level ``class`` statements binding the name
 
 
 @dataclass
 class LocalClass:
-    """A class defined inside a function or another class body.
+    """A class statement CONC001 judges on its own.
 
-    The call graph folds its methods into the enclosing frame like any
-    closure; this record keeps them per method, against the class's own
-    lock attributes, which is the view CONC001 judges a class by.
-    ``functions`` is keyed ``"<Class>.<method>"`` like module methods.
+    Either a class defined inside a function or another class body — the
+    call graph folds its methods into the enclosing frame like any
+    closure — or one of several module-level definitions of a name (a
+    redefinition, a try/except fallback), whose module record merges
+    them all.  This record keeps that one statement's methods, against
+    its own lock attributes.  ``functions`` is keyed
+    ``"<Class>.<method>"`` like module methods.
     """
 
     cls: ClassSummary
@@ -378,25 +383,32 @@ class _Extractor(ast.NodeVisitor):
         if self.fn_depth or self.cls is not None:
             # Nested classes fold into the enclosing frame like closures;
             # their own per-method lock view is kept on the side.
-            local = LocalClass(
-                ClassSummary(
-                    name=node.name,
-                    line=node.lineno,
-                    methods=_method_names(node),
-                    lock_attrs=_lock_attrs(node, self.imports),
-                )
-            )
-            self.summary.local_classes.append(local)
-            self.local_scans.append(_LocalScan(local))
-            for stmt in node.body:
-                self.visit(stmt)
-            self.local_scans.pop()
+            self._visit_local_class(node)
             return
         cls = self.summary.classes[node.name]
         previous, self.cls = self.cls, cls
+        if cls.definitions > 1:
+            # The merged record's frames, plus this statement's own view.
+            self._visit_local_class(node)
+        else:
+            for stmt in node.body:
+                self.visit(stmt)
+        self.cls = previous
+
+    def _visit_local_class(self, node: ast.ClassDef) -> None:
+        local = LocalClass(
+            ClassSummary(
+                name=node.name,
+                line=node.lineno,
+                methods=_method_names(node),
+                lock_attrs=_lock_attrs(node, self.imports),
+            )
+        )
+        self.summary.local_classes.append(local)
+        self.local_scans.append(_LocalScan(local))
         for stmt in node.body:
             self.visit(stmt)
-        self.cls = previous
+        self.local_scans.pop()
 
     def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         scan = self.local_scans[-1] if self.local_scans else None
@@ -798,6 +810,8 @@ def _collect_module_level(
     summary: ModuleSummary, tree: ast.Module, imports: ImportMap
 ) -> None:
     for stmt in tree.body:
+        for node in _block_classes(stmt):
+            _record_class(summary, node, imports)
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
                 summary.imported_modules.append(alias.name)
@@ -816,20 +830,7 @@ def _collect_module_level(
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             summary.exports[stmt.name] = f"{summary.module}.{stmt.name}"
         elif isinstance(stmt, ast.ClassDef):
-            summary.exports[stmt.name] = f"{summary.module}.{stmt.name}"
-            # A redefinition (try/except fallback) extends the record, as
-            # its methods share the ``Class.method`` frames.
-            cls = summary.classes.setdefault(
-                stmt.name, ClassSummary(name=stmt.name, line=stmt.lineno)
-            )
-            cls.methods += _method_names(stmt)
-            cls.lock_attrs += [
-                attr for attr in _lock_attrs(stmt, imports) if attr not in cls.lock_attrs
-            ]
-            for base in stmt.bases:
-                dotted = dotted_name(base)
-                if dotted is not None:
-                    cls.bases.append(imports.resolve(dotted))
+            _record_class(summary, stmt, imports)
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             value = stmt.value
@@ -853,6 +854,40 @@ def _collect_module_level(
                 summary.mutable_globals.extend(names)
             for name in names:
                 summary.exports.setdefault(name, f"{summary.module}.{name}")
+
+
+def _record_class(summary: ModuleSummary, node: ast.ClassDef, imports: ImportMap) -> None:
+    """Record a class bound in the module namespace.
+
+    A redefinition (try/except fallback) extends the record, as its
+    methods share the ``Class.method`` frames.
+    """
+    summary.exports[node.name] = f"{summary.module}.{node.name}"
+    cls = summary.classes.setdefault(node.name, ClassSummary(name=node.name, line=node.lineno))
+    cls.definitions += 1
+    cls.methods += _method_names(node)
+    cls.lock_attrs += [
+        attr for attr in _lock_attrs(node, imports) if attr not in cls.lock_attrs
+    ]
+    for base in node.bases:
+        dotted = dotted_name(base)
+        if dotted is not None:
+            cls.bases.append(imports.resolve(dotted))
+
+
+def _block_classes(stmt: ast.stmt) -> Iterator[ast.ClassDef]:
+    """Classes defined inside a module-level block (``try:``, ``if``,
+    ``with``), in source order.  They bind in the module namespace, and
+    the extractor visits their methods as module methods."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return
+    for child in ast.iter_child_nodes(stmt):
+        body = child.body if isinstance(child, (ast.ExceptHandler, ast.match_case)) else [child]
+        for inner in body:
+            if isinstance(inner, ast.ClassDef):
+                yield inner
+            elif isinstance(inner, ast.stmt):
+                yield from _block_classes(inner)
 
 
 def _method_names(node: ast.ClassDef) -> list[str]:

@@ -19,8 +19,10 @@ required — and flags the violations:
   findings unless the mutation holds a module-level lock.
 
 Only a class's own lock attributes count for its attributes, and only
-module locks for module globals.  Classes nested in a function or class
-are judged on their own (:class:`~repro.analysis.graph.summary.LocalClass`).
+module locks for module globals.  Every ``class`` statement is judged on
+its own: one nested in a function or class, or one of several
+module-level definitions of a name, by its
+:class:`~repro.analysis.graph.summary.LocalClass` record.
 CONC101 extends the same discipline across modules.
 
 Attributes with a genuinely single-threaded lifecycle the AST cannot
@@ -66,8 +68,12 @@ def _always_locked_methods(sites: list[tuple[str, str, bool]]) -> set[str]:
 def _classes(
     summary: ModuleSummary,
 ) -> Iterator[tuple[ClassSummary, list[tuple[str, FunctionSummary]]]]:
-    """Every class with its ``(method name, frame)`` pairs."""
-    records = [(cls, summary.functions) for cls in summary.classes.values()]
+    """Every class statement with its ``(method name, frame)`` pairs."""
+    records = [
+        (cls, summary.functions)
+        for cls in summary.classes.values()
+        if cls.definitions == 1
+    ]
     records += [(local.cls, local.functions) for local in summary.local_classes]
     for cls, functions in records:
         frames = [

@@ -374,3 +374,129 @@ class TestScopePropagation:
         assert [
             (e.caller, e.callee, e.weak, e.via_thread) for e in a.edges
         ] == [(e.caller, e.callee, e.weak, e.via_thread) for e in b.edges]
+
+
+# --------------------------------------------------------------------------- #
+# Module summaries: the facts every rule reads
+# --------------------------------------------------------------------------- #
+class TestModuleSummary:
+    SOURCE = textwrap.dedent(
+        """
+        import json
+        import random
+        import threading
+
+        from repro.registry import register_algorithm
+
+        _LOCK = threading.Lock()
+        _STATE = {}
+        SEED = random.random()
+
+
+        class Holder:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._items = []
+                self.other = []
+
+            def add(self, x):
+                with self._lock:
+                    self._items.append(x)
+                    _STATE[x] = 1
+
+            def note(self, x):
+                with _LOCK:
+                    self.other.append(x)
+
+            def run(self, xs):
+                def pick():
+                    return random.choice(xs)
+                return pick()
+
+
+        def emit(fh, payload):
+            fh.write(json.dumps(payload))
+
+
+        @register_algorithm("thing", experiment="fig1-thing")
+        def thing_experiment(rng, *, n=10):
+            return n
+        """
+    )
+
+    def summary(self):
+        return summarize_module("pkg/service/mod.py", self.SOURCE)
+
+    def test_records_module_name_locks_and_globals(self):
+        summary = self.summary()
+        assert summary.module == "pkg.service.mod"
+        assert summary.module_locks == ["_LOCK"]
+        assert summary.mutable_globals == ["_STATE"]
+        holder = summary.classes["Holder"]
+        assert holder.lock_attrs == ["_lock"]
+        assert holder.methods == ["__init__", "add", "note", "run"]
+
+    def test_lock_views_split_class_and_module_locks(self):
+        # ``under_lock`` (CONC101) counts any recognised lock; the
+        # ``class_locked``/``module_locked`` flags (CONC001) only the lock
+        # that can guard the state.
+        summary = self.summary()
+
+        def views(qualname):
+            return [
+                (m.attr, m.under_lock, m.class_locked)
+                for m in summary.functions[qualname].mutations
+            ]
+
+        assert views("Holder.add") == [("_items", True, True)]
+        assert views("Holder.note") == [("other", True, False)]
+        assert [
+            (g.name, g.line, g.under_lock, g.module_locked)
+            for g in summary.global_mutations
+        ] == [("_STATE", 22, True, False)]
+
+    def test_det_facts_bucket_into_the_outermost_frame(self):
+        summary = self.summary()
+        assert [(f.kind, f.line) for f in summary.functions["<module>"].det_facts] == [
+            ("rng", 10)
+        ]
+        # The nested ``pick`` folds into the method that defines it.
+        assert [(f.kind, f.line) for f in summary.functions["Holder.run"].det_facts] == [
+            ("rng", 30)
+        ]
+        assert summary.functions["emit"].det_facts == []
+
+    def test_module_facts_hold_encodings_and_registrations(self):
+        facts = [(f.kind, f.line) for f in self.summary().facts]
+        assert facts == [
+            ("encoding", 35),
+            ("registration", 38),
+            ("registration", 38),
+        ]
+
+    def test_class_in_module_level_block_is_a_module_class(self):
+        summary = summarize_module(
+            "pkg/service/store.py",
+            textwrap.dedent(
+                """
+                import threading
+
+                try:
+                    from fast import Store
+                except ImportError:
+                    class Store:
+                        def __init__(self):
+                            self._lock = threading.Lock()
+
+                        def put(self, x):
+                            with self._lock:
+                                self.items = x
+                """
+            ),
+        )
+        store = summary.classes["Store"]
+        assert store.lock_attrs == ["_lock"] and store.methods == ["__init__", "put"]
+        assert [
+            (m.attr, m.class_locked) for m in summary.functions["Store.put"].mutations
+        ] == [("items", True)]
+        assert summary.local_classes == []

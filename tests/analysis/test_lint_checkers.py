@@ -439,6 +439,124 @@ class TestCONC001:
         assert codes(findings) == ["CONC001"]
         assert "'Box.items'" in findings[0].message and "'reset'" in findings[0].message
 
+    def test_true_positive_class_in_module_level_try_block(self):
+        findings = run(
+            """
+            # repro-lint: scope=threaded
+            import threading
+
+            try:
+                from fast import Store
+            except ImportError:
+                class Store:
+                    def __init__(self):
+                        self._lock = threading.Lock()
+                        self.items = []
+
+                    def put(self, x):
+                        with self._lock:
+                            self.items.append(x)
+
+                    def reset(self):
+                        self.items.clear()
+            """
+        )
+        assert codes(findings) == ["CONC001"]
+        assert (findings[0].line, findings[0].column) == (18, 13)
+        assert "'Store.items'" in findings[0].message and "'reset'" in findings[0].message
+
+    def test_each_definition_of_a_class_is_judged_on_its_own(self):
+        # Only the first ``Store`` holds a lock; the fallback's unlocked
+        # ``reset`` mutates a different class's ``items``.
+        findings = run(
+            """
+            # repro-lint: scope=threaded
+            import os
+            import threading
+
+            if os.environ.get("THREADED"):
+                class Store:
+                    def __init__(self):
+                        self._lock = threading.Lock()
+                        self.items = []
+
+                    def put(self, x):
+                        with self._lock:
+                            self.items.append(x)
+
+                    def drop(self):
+                        self.items.clear()
+            else:
+                class Store:
+                    def __init__(self):
+                        self.items = []
+
+                    def reset(self):
+                        self.items.clear()
+            """
+        )
+        assert codes(findings) == ["CONC001"]
+        assert findings[0].line == 17 and "'drop'" in findings[0].message
+
+    def test_true_positive_property_setter(self):
+        # The setter redefines ``value``; the getter's locked mutation
+        # must still mark ``_value`` as guarded.
+        findings = run(
+            """
+            # repro-lint: scope=threaded
+            import threading
+
+            class Box:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._value = 0
+
+                @property
+                def value(self):
+                    with self._lock:
+                        self._value += 0
+                        return self._value
+
+                @value.setter
+                def value(self, v):
+                    self._value = v
+            """
+        )
+        assert codes(findings) == ["CONC001"]
+        assert findings[0].line == 18
+        assert "'Box._value'" in findings[0].message
+
+    def test_true_positive_annotated_subscript_store(self):
+        findings = run(
+            """
+            # repro-lint: scope=threaded
+            _CACHE = {}
+
+            def put(key, value):
+                _CACHE[key]: int = value
+            """
+        )
+        assert codes(findings) == ["CONC001"]
+        assert findings[0].line == 6
+
+    def test_true_positive_function_defined_under_module_lock(self):
+        # The lock is held while ``put`` is defined, not when it runs.
+        findings = run(
+            """
+            # repro-lint: scope=threaded
+            import threading
+
+            _LOCK = threading.Lock()
+            _CACHE = {}
+
+            with _LOCK:
+                def put(key, value):
+                    _CACHE[key] = value
+            """
+        )
+        assert codes(findings) == ["CONC001"]
+        assert findings[0].line == 10
+
     def test_true_positive_module_global(self):
         findings = run(
             """

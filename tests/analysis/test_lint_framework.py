@@ -11,6 +11,7 @@ from repro.analysis.lint import (
     all_program_checkers,
     lint_paths,
     lint_source,
+    lint_sources,
     load_baseline,
     render_json,
     render_text,
@@ -175,6 +176,25 @@ class TestRunnerAndReporters:
         payload = json.loads(render_json(a))
         assert payload["counts"] == {"CONC001": 1}
         assert payload["findings"][0]["path"] == "service/mod.py"
+
+    def test_lint_source_is_a_one_file_program(self):
+        findings = lint_source(RACY, "service/mod.py")
+        assert [f.to_dict() for f in findings] == [
+            f.to_dict() for f in lint_sources({"service/mod.py": RACY}).findings
+        ]
+        assert [f.code for f in findings] == ["CONC001"]
+
+    def test_report_does_not_depend_on_input_order(self):
+        tree = {
+            "service/a.py": RACY,
+            "core/b.py": "# repro-lint: scope=deterministic\nimport random\nX = random.random()\n",
+            "core/c.py": "def broken(:\n",
+        }
+        forward = lint_sources(tree)
+        backward = lint_sources(dict(reversed(list(tree.items()))))
+        assert render_json(forward) == render_json(backward)
+        assert [f.code for f in forward.findings] == ["DET001", "CONC001"]
+        assert forward.parse_errors[0].startswith("core/c.py: ")
 
     def test_finding_key_stability(self):
         finding = Finding("DET001", "msg", "a/b.py", 3, 1, snippet="x = 1")
