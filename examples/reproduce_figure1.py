@@ -2,7 +2,7 @@
 """Reproduce Figure 1 of the paper on laptop-scale synthetic workloads.
 
 For every Figure-1 row attributed to the paper this script runs the
-corresponding experiment (the same ones the benchmark harness uses), prints
+corresponding experiment (the same ones the tier-1 shape tests use), prints
 a measured counterpart of the table — approximation ratio achieved, measured
 MapReduce rounds, measured maximum words per machine — next to the
 theoretical guarantee, and flags any violation.

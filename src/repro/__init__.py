@@ -29,7 +29,7 @@ This package provides:
   :func:`repro.backends.run_sweep` entry point;
 * :mod:`repro.kernels` — vectorized NumPy kernels for the algorithm hot
   paths, byte-identical to the retained pure-Python references
-  (``docs/PERFORMANCE.md``), benchmarked by ``python -m repro bench``;
+  (``docs/PERFORMANCE.md``), timed per kernel by ``perfbench/``;
 * :mod:`repro.datasets` — real-dataset ingestion (SNAP/Matrix
   Market/DIMACS/set-cover text), the ``.npz`` instance store, and the
   named workload scenario registry behind every ``--scenario`` flag

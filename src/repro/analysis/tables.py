@@ -1,8 +1,8 @@
 """Plain-text table rendering for the experiment harness.
 
-The benchmark scripts print Figure-1 style tables; keeping the formatting
-here (instead of inside each benchmark) makes every benchmark's output
-uniform and easy to diff against EXPERIMENTS.md.
+The CLI and the examples print Figure-1 style tables; keeping the
+formatting here (instead of inside each caller) makes every table uniform
+and easy to diff.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Exact and lower-bound reference solvers used to compute approximation ratios.
 
-The benchmark harness never reports an approximation ratio without a
+The experiment harness never reports an approximation ratio without a
 reference value.  Depending on instance size that reference is either
 
 * an exact optimum from brute force (tiny instances, used in unit tests), or

@@ -3,7 +3,7 @@
 * :func:`greedy_matching` — sort edges by weight and add greedily; the
   classical sequential 2-approximation for maximum weight matching.
 * :func:`exact_matching` — exact maximum weight matching via the blossom
-  algorithm (NetworkX); used by the benchmark harness to compute true
+  algorithm (NetworkX); used by the experiment harness to compute true
   approximation ratios on moderate-size graphs.
 * :func:`greedy_b_matching` — the natural greedy generalization under vertex
   capacities (also a baseline for Appendix D's algorithm).

@@ -68,8 +68,10 @@ class WorkerState:
         self._points: dict[str, SweepPoint] = {}
         self._completed: dict[str, dict[str, Any]] = {}
         self._running: str | None = None
-        self._closed = False
         self._thread: threading.Thread | None = None
+        # The running executor's own stop flag: a restart hands the new
+        # executor a fresh one, so it can never un-stop the old executor.
+        self._stop: threading.Event | None = None
         # Counters (all under the lock).
         self.points_executed = 0
         self.points_failed = 0
@@ -85,27 +87,29 @@ class WorkerState:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        # The whole check-then-spawn must hold the lock: start() runs on the
-        # event loop while close() runs on an executor thread, so an unlocked
-        # read of ``_thread`` races close() nulling it and can spawn two
-        # executors (or observe a half-joined thread).
+        # The whole check-spawn-start must hold the lock: start() runs on the
+        # event loop while close() runs on an executor thread.  Publishing
+        # the thread before starting it would let close() join a thread that
+        # was never started; the new thread blocks on the lock in ``_run``
+        # until start() returns.
         with self._work:
             if self._thread is not None and self._thread.is_alive():
                 return
-            self._closed = False
+            stop = threading.Event()
             thread = threading.Thread(
-                target=self._run, name="repro-worker-executor", daemon=True
+                target=self._run, args=(stop,), name="repro-worker-executor", daemon=True
             )
-            self._thread = thread
-        thread.start()
+            self._thread, self._stop = thread, stop
+            thread.start()
 
     def close(self) -> None:
         with self._work:
-            self._closed = True
+            if self._stop is not None:
+                self._stop.set()
             self._work.notify_all()
             thread = self._thread
-            self._thread = None
-        # Join outside the lock — ``_run`` needs it to observe ``_closed``
+            self._thread = self._stop = None
+        # Join outside the lock — ``_run`` needs it to observe its stop flag
         # and exit; joining while holding it would deadlock until timeout.
         if thread is not None:
             thread.join(timeout=30)
@@ -245,11 +249,11 @@ class WorkerState:
                 round_words += int(metrics.get("output_words", 0))
             self.round_words_total += round_words or words
 
-    def _run(self) -> None:
+    def _run(self, stop: threading.Event) -> None:
         while True:
             with self._work:
-                self._work.wait_for(lambda: self._queue or self._closed)
-                if self._closed:
+                self._work.wait_for(lambda: self._queue or stop.is_set())
+                if stop.is_set():
                     return
                 digest = self._queue.popleft()
                 point = self._points[digest]

@@ -18,9 +18,10 @@ driver below, :func:`repro.solve`, the CLI, and the HTTP service all
 dispatch through.  Registration order fixes the Figure-1 row order (and
 therefore each row's derived seed) — append new rows, never reorder.
 
-The benchmark scripts in ``benchmarks/`` simply call these functions and
-assert the "shape" claims: measured rounds within a constant factor of the
-theorem's expression, space within its budget, ratio within the guarantee.
+The tier-1 tests in ``tests/experiments/test_figure1.py`` call these
+functions and assert the "shape" claims: measured rounds within a constant
+factor of the theorem's expression, space within its budget, ratio within
+the guarantee.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Certificate checkers for graph solutions.
 
-Every algorithm result in the benchmark harness is validated with one of
+Every algorithm result in the experiment harness is validated with one of
 these independent checkers before its objective value is reported, so the
 approximation-ratio numbers in EXPERIMENTS.md are backed by feasibility
 certificates rather than trust in the algorithm under test.

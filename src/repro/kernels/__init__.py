@@ -15,9 +15,7 @@ algorithm layer (``repro.core.*``, ``repro.baselines.*``):
 * :mod:`~repro.kernels.mis` — batched greedy MIS scan and residual-degree
   maintenance;
 * :mod:`~repro.kernels.reference` — the retained pure-Python loops the
-  kernels are golden-tested and benchmarked against;
-* :mod:`~repro.kernels.bench` — the ``repro bench`` harness emitting
-  ``BENCH_kernels.json``.
+  kernels are golden-tested against.
 
 Every kernel is *byte-identical* to its reference: same floating point
 operations applied in an equivalent order, same result lists, same RNG

@@ -3,13 +3,10 @@
 Each function mirrors a kernel in :mod:`repro.kernels.local_ratio`,
 :mod:`repro.kernels.coverage` or :mod:`repro.kernels.mis` — same signature,
 same state mutations — but processes items one at a time exactly like the
-pre-kernel algorithm layer did.  They serve two purposes:
-
-* the golden-equivalence tests (``tests/kernels/``) run kernel and
-  reference side by side on randomized instances and assert byte-identical
-  outputs (chosen lists, stacks, and every mutated float array);
-* the benchmark harness (``repro bench`` / ``benchmarks/bench_kernels.py``)
-  times them as the "before" in ``BENCH_kernels.json``.
+pre-kernel algorithm layer did.  The golden-equivalence tests
+(``tests/kernels/``) run kernel and reference side by side on randomized
+instances and assert byte-identical outputs (chosen lists, stacks, and
+every mutated float array).
 
 Do not optimise these: their value is being the obviously-sequential
 specification the kernels are checked against.

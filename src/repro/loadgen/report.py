@@ -1,8 +1,8 @@
 """The load-test result: SLO percentiles, throughput, shed/error counts.
 
 One :class:`SampleReport` is the complete, JSON-ready outcome of one trace
-replay — what the CLI prints, what ``BENCH_service.json`` accumulates, and
-what the CI load-smoke job gates on.  Latency percentiles come from a
+replay — what the CLI prints and what ``repro loadtest`` gates on.
+Latency percentiles come from a
 :class:`~repro.service.histogram.LatencyHistogram` (bounded relative
 error), so a million-request replay costs constant memory.
 """
@@ -84,7 +84,7 @@ class SampleReport:
     # Rendering
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready report (the ``BENCH_service.json`` record shape)."""
+        """JSON-ready report (what ``repro loadtest --json`` prints)."""
         latency = self.latency.snapshot()
         return {
             "trace": self.trace,

@@ -32,7 +32,6 @@ node of the tree never holds more than ``fanout × payload`` words.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
@@ -52,15 +51,19 @@ def tree_rounds(num_machines: int, fanout: int) -> int:
 
     With fan-out ``f`` the tree reaches ``f^d`` machines after ``d`` rounds,
     so ``d = ceil(log_f M)``; a single machine still needs one round to
-    receive the message.
+    receive the message.  The depth is found with integer multiplication:
+    the float quotient ``log M / log f`` lands just above an integer at
+    exact powers such as ``6^3 = 216`` and would charge one round too many.
     """
     if num_machines <= 0:
         raise ValueError("num_machines must be positive")
     if fanout < 2:
         raise ValueError("fanout must be at least 2")
-    if num_machines == 1:
-        return 1
-    return max(1, math.ceil(math.log(num_machines) / math.log(fanout)))
+    depth, reach = 1, fanout
+    while reach < num_machines:
+        depth += 1
+        reach *= fanout
+    return depth
 
 
 class MPCContext:

@@ -85,7 +85,8 @@ class SolverService:
     ``read_timeout``
         Seconds a connection may take to deliver one full request (also
         the keep-alive idle timeout).  Slow-loris clients are answered
-        with a best-effort ``408`` and dropped.
+        with a best-effort ``408`` and dropped; a connection on which no
+        byte of a next request arrived is closed without a response.
     """
 
     def __init__(
@@ -298,15 +299,20 @@ class SolverService:
     ) -> None:
         try:
             while True:
+                arrived: list[bytes] = []
                 try:
                     request = await asyncio.wait_for(
-                        _read_request(reader), self.read_timeout
+                        _read_request(reader, arrived), self.read_timeout
                     )
                 except asyncio.TimeoutError:
-                    # Slow-loris (or an idle keep-alive connection): answer
-                    # best-effort and drop — the read deadline covers one
-                    # whole request, so a trickling client cannot pin a
-                    # connection open forever.
+                    if not arrived:
+                        # An idle keep-alive connection: no byte of a next
+                        # request came, so there is nothing to answer —
+                        # close without writing.
+                        break
+                    # Slow-loris: answer best-effort and drop — the read
+                    # deadline covers one whole request, so a trickling
+                    # client cannot pin a connection open forever.
                     writer.write(
                         _render_http(408, _JSON, _dumps({"error": "request timeout"}), False)
                     )
@@ -420,14 +426,21 @@ def _render_http(
 
 
 async def _read_request(
-    reader: asyncio.StreamReader,
+    reader: asyncio.StreamReader, arrived: list[bytes]
 ) -> tuple[str, str, dict[str, str], bytes] | None:
-    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed connection."""
+    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed connection.
+
+    The request's first byte is appended to ``arrived`` as soon as it is
+    read, so a caller that times the read out can tell an idle connection
+    from a partially received request.
+    """
     try:
-        line = await reader.readline()
+        first = await reader.read(1)
+        if not first:
+            return None
+        arrived.append(first)
+        line = first if first == b"\n" else first + await reader.readline()
     except (ConnectionResetError, asyncio.LimitOverrunError):
-        return None
-    if not line:
         return None
     try:
         method, target, _version = line.decode("ascii").split(None, 2)

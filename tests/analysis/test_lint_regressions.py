@@ -12,8 +12,9 @@ test_lint_checkers.py), so the defect class cannot come back silently.
    metric would serialize as a *string* on the CLI surface while the
    library/service canonical path emits a number.
 3. CONC001 @ distributed/worker.py — ``WorkerState.start`` wrote the
-   lock-guarded ``_closed`` flag without holding the lock (racy against
-   an executor observing a close() → start() restart).
+   lock-guarded stop flag without holding the lock (racy against an
+   executor observing a close() → start() restart).  Each executor now
+   owns its stop flag, and start() starts the thread under the lock.
 4. DET003 @ mapreduce/job.py — ``triangle_count_job`` fed the round its
    edge records in *set* order, tying record order (and the measured
    round accounting) to hash iteration.
@@ -86,8 +87,7 @@ class TestWorkerRestartDiscipline:
             state.pull("s", [encode_point(_point(11))])
             assert state.drain(timeout=30)
             state.close()
-            # Restart: the (now lock-guarded) _closed reset must let the
-            # new executor thread run.
+            # Restart: the new executor gets a fresh stop flag and runs.
             state.start()
             state.register("s2")
             state.pull("s2", [encode_point(_point(12))])
@@ -95,26 +95,6 @@ class TestWorkerRestartDiscipline:
             assert state.collect("s2")["completed"]
         finally:
             state.close()
-
-
-class TestBenchReportCanonical:
-    """WIRE001 @ kernels/bench.py (ISSUE 10): ``write_report`` dumped the
-    report without ``sort_keys`` — two runs with identical results could
-    write different bytes, defeating cross-machine report diffing.  The
-    defect was invisible to DET002 because ``kernels/`` is not a
-    canonical-scoped path; WIRE001 caught it through the call chain from
-    the (canonical) CLI."""
-
-    def test_write_report_bytes_independent_of_key_order(self, tmp_path):
-        from repro.kernels.bench import write_report
-
-        inner_a = {"z_metric": 1.5, "a_metric": 2.5}
-        inner_b = dict(reversed(list(inner_a.items())))
-        out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
-        write_report({"results": inner_a, "ok": True}, str(out_a))
-        write_report({"ok": True, "results": inner_b}, str(out_b))
-        assert out_a.read_bytes() == out_b.read_bytes()
-        assert json.loads(out_a.read_text())["results"] == inner_a
 
 
 class TestWorkerThreadHandleDiscipline:
@@ -153,6 +133,85 @@ class TestWorkerThreadHandleDiscipline:
         state.close()
         assert state._thread is None
         assert len(executors) <= 1
+
+    def test_restart_during_close_cannot_revive_the_old_executor(self):
+        """close() stops the executor; start() runs before that executor
+        looks at its flag.  A shared flag reset by start() left the old
+        executor waiting for work and close() blocked for its 30 s join."""
+        import threading
+
+        from repro.distributed.protocol import encode_point
+        from tests.distributed.test_worker import _point
+
+        state = WorkerState(backend="serial")
+        release = threading.Event()
+        # Hold the executor on its point until the restart has happened.
+        state._execute = lambda point: release.wait() and {"digest": "held", "error": "held"}
+        state.start()
+        old = state._thread
+        joining = threading.Event()
+        original_join = old.join
+
+        def join(timeout=None):
+            joining.set()
+            original_join(timeout)
+
+        old.join = join
+        state.register("s")
+        state.pull("s", [encode_point(_point(11))])
+        closer = threading.Thread(target=state.close)
+        closer.start()
+        try:
+            # close() has flagged the old executor, which is still busy on
+            # its point; now restart before it can look at the flag.
+            assert joining.wait(timeout=30)
+            state.start()
+            release.set()
+            closer.join(timeout=5)
+            assert not closer.is_alive(), "close() is stuck joining the old executor"
+            assert not old.is_alive()
+        finally:
+            release.set()
+            state.close()
+
+    def test_close_never_joins_an_unstarted_executor(self, monkeypatch):
+        """start() used to publish the thread under the lock but start it
+        after releasing it; a close() in that gap joined an unstarted
+        thread and raised RuntimeError in the closer."""
+        import threading
+
+        state = WorkerState(backend="serial")
+        errors: list[BaseException] = []
+        publishing = threading.Event()
+        closed = threading.Event()
+
+        def closer() -> None:
+            publishing.wait(timeout=30)
+            try:
+                state.close()
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+            closed.set()
+
+        closing = threading.Thread(target=closer)
+        closing.start()
+
+        class GatedThread(threading.Thread):
+            def start(self) -> None:
+                # Let the closer run before the executor starts.  Once
+                # start() holds the lock across the spawn, the closer
+                # blocks and this wait runs out instead.
+                publishing.set()
+                closed.wait(timeout=0.5)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", GatedThread)
+        state.start()
+        monkeypatch.undo()
+        closing.join(timeout=30)
+        state.close()
+        assert not closing.is_alive()
+        assert errors == []
 
 
 class TestTriangleRecordOrder:

@@ -32,6 +32,57 @@ def _rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+# --------------------------------------------------------------------------- #
+# Shape checks: the paper's round/space/ratio claims with documented slack
+# --------------------------------------------------------------------------- #
+#: Seed of the record each ``test_*_shape`` case asserts on.
+SHAPE_SEED = 2020
+#: Constant-factor slack applied when comparing measured rounds against the
+#: leading term of a theorem's O(·) expression.  The paper's bounds hide
+#: constants; a factor this size catches order-of-magnitude regressions while
+#: tolerating the small problem sizes a test uses.
+ROUND_SLACK = 8.0
+#: Additive slack for round comparisons (relevant when the leading term is ~1).
+ROUND_ADDITIVE_SLACK = 8.0
+#: Constant-factor slack for space comparisons.  The theorems state O(n^{1+µ})
+#: *items*; our accounting charges 3 words per edge and the sampling step may
+#: legitimately ship up to 8η incidences to the central machine (Algorithm 4's
+#: failure threshold), i.e. up to 24×n^{1+µ} words, so the slack must sit above
+#: that constant while still catching an asymptotic regression.
+SPACE_SLACK = 64.0
+
+
+def assert_round_shape(record, measured_key: str = "rounds") -> None:
+    """Measured rounds must be within a constant factor of the theorem's expression."""
+    assert record.valid, f"{record.experiment}: solution failed validation"
+    measured = record.metrics[measured_key]
+    bound = record.bounds.get("rounds")
+    if bound is not None:
+        assert measured <= ROUND_SLACK * bound + ROUND_ADDITIVE_SLACK, (
+            f"{record.experiment}: measured {measured_key}={measured} exceeds "
+            f"{ROUND_SLACK}×O-bound ({bound:.2f}) + {ROUND_ADDITIVE_SLACK}"
+        )
+
+
+def assert_space_shape(record) -> None:
+    """Measured per-machine space must respect the theorem's budget (with slack)."""
+    measured = record.metrics.get("max_space_per_machine")
+    bound = record.bounds.get("space_per_machine")
+    if measured is not None and bound is not None:
+        assert measured <= SPACE_SLACK * bound, (
+            f"{record.experiment}: space {measured} exceeds {SPACE_SLACK}×{bound:.0f}"
+        )
+
+
+def assert_approximation(record, ratio_key: str) -> None:
+    """A measured approximation ratio must respect the guarantee."""
+    ratio = record.metrics[ratio_key]
+    guarantee = record.bounds["approximation"]
+    assert ratio <= guarantee + 1e-9, (
+        f"{record.experiment}: ratio {ratio:.4f} exceeds guarantee {guarantee:.4f}"
+    )
+
+
 class TestCoverExperiments:
     def test_vertex_cover_record(self):
         record = vertex_cover_experiment(_rng(1), n=80, c=0.4, mu=0.25)
@@ -59,6 +110,49 @@ class TestCoverExperiments:
         record = set_cover_greedy_experiment(_rng(5), num_sets=120, num_elements=40)
         assert record.metrics["weight"] <= 3.0 * record.metrics["greedy_weight"]
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=150, c=0.45, mu=0.25), dict(n=120, c=0.6, mu=0.25), dict(n=150, c=0.45, mu=0.45)],
+        ids=["default", "denser-graph", "large-mu"],
+    )
+    def test_vertex_cover_shape(self, kwargs):
+        record = vertex_cover_experiment(_rng(SHAPE_SEED), **kwargs)
+        assert_approximation(record, "ratio_vs_lp")
+        assert_round_shape(record, measured_key="sampling_iterations")
+        assert_space_shape(record)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(num_sets=60, num_elements=1200, max_frequency=3),
+            dict(num_sets=60, num_elements=1200, max_frequency=5),
+            dict(num_sets=80, num_elements=3000, max_frequency=4, mu=0.3),
+        ],
+        ids=["frequency-3", "frequency-5", "many-elements"],
+    )
+    def test_set_cover_f_shape(self, kwargs):
+        record = set_cover_f_experiment(_rng(SHAPE_SEED), **kwargs)
+        assert_approximation(record, "ratio_vs_lp")
+        assert_round_shape(record)
+        assert_space_shape(record)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(num_sets=250, num_elements=60, epsilon=0.2),
+            dict(num_sets=200, num_elements=50, epsilon=0.05),
+            dict(num_sets=300, num_elements=80, density=0.15, epsilon=0.3),
+        ],
+        ids=["default", "small-epsilon", "dense"],
+    )
+    def test_set_cover_greedy_shape(self, kwargs):
+        record = set_cover_greedy_experiment(_rng(SHAPE_SEED), **kwargs)
+        assert within_guarantee(record.metrics["ratio_vs_lp"], record.bounds["approximation"])
+        assert_round_shape(record, measured_key="inner_iterations")
+        assert_space_shape(record)
+        # "Who wins": the MPC ε-greedy stays within (1+ε)·H_∆ of plain greedy.
+        assert record.metrics["weight"] <= 3.0 * record.metrics["greedy_weight"]
+
 
 class TestIndependentSetExperiments:
     def test_mis_record(self):
@@ -76,6 +170,37 @@ class TestIndependentSetExperiments:
         record = maximal_clique_experiment(_rng(8), n=70, c=0.5, mu=0.35)
         assert record.valid
         assert record.metrics["clique_size"] >= 2
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=200, c=0.45, mu=0.3), dict(n=160, c=0.6, mu=0.3), dict(n=220, c=0.5, mu=0.4)],
+        ids=["default", "dense", "vs-luby"],
+    )
+    def test_mis_shape(self, kwargs):
+        record = mis_experiment(_rng(SHAPE_SEED), **kwargs)
+        assert_round_shape(record, measured_key="sweeps")
+        assert_space_shape(record)
+        # For m = n^{1+c} the hungry-greedy sweep count is O(c/µ), comparable
+        # to (and at these sizes no more than a small factor above) Luby's
+        # O(log n) round count.
+        assert record.metrics["sweeps"] <= 3 * record.metrics["luby_rounds"] + 5
+
+    def test_mis_simple_variant_shape(self):
+        record = mis_experiment(_rng(SHAPE_SEED), n=150, c=0.45, mu=0.35, simple=True)
+        assert record.valid
+        assert_space_shape(record)
+        # O(1/µ²) sweeps for the simple variant.
+        assert record.metrics["sweeps"] <= 8.0 / (0.35**2) + 8
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=120, c=0.55, mu=0.35), dict(n=90, c=0.7, mu=0.35), dict(n=120, c=0.55, mu=0.6)],
+        ids=["default", "dense", "large-mu"],
+    )
+    def test_maximal_clique_shape(self, kwargs):
+        record = maximal_clique_experiment(_rng(SHAPE_SEED), **kwargs)
+        assert_round_shape(record, measured_key="sweeps")
+        assert_space_shape(record)
 
 
 class TestMatchingExperiments:
@@ -109,6 +234,47 @@ class TestMatchingExperiments:
         assert record.valid
         assert record.metrics["ratio_vs_greedy"] <= 2.0 * record.bounds["approximation"]
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n=150, c=0.45, mu=0.25),
+            dict(n=120, c=0.6, mu=0.25),
+            dict(n=140, c=0.45, mu=0.3, weight_range=(1.0, 10_000.0)),
+        ],
+        ids=["default", "dense", "wide-weights"],
+    )
+    def test_matching_shape(self, kwargs):
+        record = matching_experiment(_rng(SHAPE_SEED), **kwargs)
+        assert_approximation(record, "ratio_vs_optimal")
+        assert_round_shape(record, measured_key="sampling_iterations")
+        assert_space_shape(record)
+        # Weight-aware local ratio vs weight-oblivious filtering on weighted input.
+        assert record.metrics["weight"] >= 0.95 * record.metrics["filtering_weight"]
+
+    @pytest.mark.parametrize("n", [200, 320])
+    def test_matching_mu0_shape(self, n):
+        record = matching_mu0_experiment(_rng(SHAPE_SEED), n=n, c=0.4)
+        assert_approximation(record, "ratio_vs_optimal")
+        # O(log n) sampling iterations.
+        assert record.metrics["sampling_iterations"] <= 8 * np.log2(n)
+
+    def test_matching_mu0_iterations_grow_at_most_logarithmically(self):
+        small = matching_mu0_experiment(_rng(SHAPE_SEED), n=120, c=0.4)
+        large = matching_mu0_experiment(_rng(99), n=360, c=0.4)
+        ratio = large.metrics["sampling_iterations"] / max(1.0, small.metrics["sampling_iterations"])
+        assert ratio <= 4.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=110, c=0.45, b=2), dict(n=110, c=0.45, b=3), dict(n=90, c=0.45, b=5, epsilon=0.05)],
+        ids=["b2", "b3", "b5-small-epsilon"],
+    )
+    def test_b_matching_shape(self, kwargs):
+        record = b_matching_experiment(_rng(SHAPE_SEED), **kwargs)
+        assert record.metrics["ratio_vs_greedy"] <= 2.0 * record.bounds["approximation"]
+        assert_round_shape(record)
+        assert_space_shape(record)
+
 
 class TestColouringExperiments:
     def test_vertex_colouring_record(self):
@@ -123,6 +289,48 @@ class TestColouringExperiments:
         assert record.valid
         assert record.metrics["rounds"] == 3.0
         assert record.metrics["colours_used"] <= record.bounds["colours"] + 1e-9
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=300, c=0.45, mu=0.2), dict(n=220, c=0.6, mu=0.25), dict(n=260, c=0.5, mu=0.25)],
+        ids=["default", "dense", "vs-greedy"],
+    )
+    def test_vertex_colouring_shape(self, kwargs):
+        record = vertex_colouring_experiment(_rng(SHAPE_SEED), **kwargs)
+        delta = record.parameters["delta"]
+        assert record.valid
+        assert record.metrics["rounds"] == 3.0  # O(1) rounds
+        # The greedy baseline uses ≤ ∆+1 colours; the MapReduce algorithm pays
+        # a (1+o(1)) factor plus κ for its constant round count, and stays far
+        # below the trivial 2∆.
+        assert record.metrics["greedy_colours"] <= delta + 1
+        assert record.metrics["colours_used"] <= record.bounds["colours"]
+        assert record.metrics["colours_used"] <= 2 * delta
+        assert_space_shape(record)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=180, c=0.4, mu=0.2), dict(n=140, c=0.55, mu=0.25), dict(n=150, c=0.45, mu=0.25)],
+        ids=["default", "dense", "vs-misra-gries"],
+    )
+    def test_edge_colouring_shape(self, kwargs):
+        record = edge_colouring_experiment(_rng(SHAPE_SEED), **kwargs)
+        delta = record.parameters["delta"]
+        assert record.valid
+        assert record.metrics["rounds"] == 3.0
+        assert record.metrics["misra_gries_colours"] <= delta + 1
+        assert record.metrics["colours_used"] <= record.bounds["colours"]
+        assert record.metrics["colours_used"] <= 2 * delta
+        assert_space_shape(record)
+
+    def test_edge_colouring_greedy_local_variant_shape(self):
+        record = edge_colouring_experiment(
+            _rng(SHAPE_SEED), n=160, c=0.4, mu=0.2, local_algorithm="greedy"
+        )
+        assert record.valid
+        # First-fit local colouring may use up to 2∆_i − 1 per group; the overall
+        # count must still be far below the trivial 2∆ bound plus group overhead.
+        assert record.metrics["colours_used"] <= 2 * record.parameters["delta"] + record.metrics["num_groups"]
 
 
 class TestRegistry:

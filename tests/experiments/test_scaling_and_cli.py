@@ -20,11 +20,25 @@ class TestScalingSweeps:
         # O(c/µ) iterations: independent of n up to small noise.
         assert abs(records[0].metrics["iterations"] - records[1].metrics["iterations"]) <= 2
 
-    def test_rounds_vs_n_mis_records_luby(self):
+    def test_rounds_vs_n_matching_constant_round_shape(self):
         records = rounds_vs_n(
-            np.random.default_rng(1), sizes=(60, 120), c=0.4, mu=0.3, algorithm="mis"
+            np.random.default_rng(21), sizes=(80, 160, 320), c=0.45, mu=0.3, algorithm="matching"
         )
-        assert all("luby_rounds" in r.metrics for r in records)
+        iterations = [r.metrics["iterations"] for r in records]
+        # Quadrupling n must not even double the iteration count.
+        assert max(iterations) <= 2 * max(1.0, min(iterations)) + 1
+
+    @pytest.mark.parametrize(
+        "seed,sizes,c,mu", [(1, (60, 120), 0.4, 0.3), (22, (80, 240), 0.45, 0.35)]
+    )
+    def test_rounds_vs_n_mis_records_luby(self, seed, sizes, c, mu):
+        records = rounds_vs_n(
+            np.random.default_rng(seed), sizes=sizes, c=c, mu=mu, algorithm="mis"
+        )
+        for record in records:
+            # Hungry-greedy sweeps stay within a small factor of (and typically
+            # below) Luby's log n rounds on densified graphs.
+            assert record.metrics["iterations"] <= record.metrics["luby_rounds"] + 3
 
     def test_rounds_vs_n_vertex_cover(self):
         records = rounds_vs_n(
@@ -36,13 +50,19 @@ class TestScalingSweeps:
         with pytest.raises(ValueError):
             rounds_vs_n(np.random.default_rng(0), algorithm="bogus")
 
-    def test_rounds_vs_c_monotone_shape(self):
-        records = rounds_vs_c(np.random.default_rng(3), n=120, cs=(0.3, 0.6), mu=0.2)
-        assert records[0].metrics["iterations"] <= records[1].metrics["iterations"] + 1
+    @pytest.mark.parametrize(
+        "seed,n,cs", [(3, 120, (0.3, 0.6)), (23, 150, (0.3, 0.5, 0.7))]
+    )
+    def test_rounds_vs_c_monotone_shape(self, seed, n, cs):
+        records = rounds_vs_c(np.random.default_rng(seed), n=n, cs=cs, mu=0.2)
+        assert records[0].metrics["iterations"] <= records[-1].metrics["iterations"] + 1
 
-    def test_space_vs_mu_grows(self):
-        records = space_vs_mu(np.random.default_rng(4), n=120, mus=(0.15, 0.5))
-        assert records[0].metrics["peak_sample_words"] <= records[1].metrics["peak_sample_words"]
+    @pytest.mark.parametrize(
+        "seed,n,mus", [(4, 120, (0.15, 0.5)), (24, 150, (0.15, 0.3, 0.5))]
+    )
+    def test_space_vs_mu_grows(self, seed, n, mus):
+        records = space_vs_mu(np.random.default_rng(seed), n=n, mus=mus)
+        assert records[0].metrics["peak_sample_words"] <= records[-1].metrics["peak_sample_words"]
         for record in records:
             assert record.metrics["peak_sample_words"] <= record.bounds["peak_sample_words"]
 

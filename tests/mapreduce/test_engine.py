@@ -14,6 +14,15 @@ class TestTreeRounds:
     def test_exact_powers(self):
         assert tree_rounds(16, 4) == 2
         assert tree_rounds(64, 4) == 3
+        # log(M) / log(f) in floats lands just above the depth for these.
+        assert tree_rounds(125, 5) == 3
+        assert tree_rounds(216, 6) == 3
+        assert tree_rounds(5832, 18) == 3
+        assert tree_rounds(15625, 25) == 3
+        assert tree_rounds(46656, 36) == 3
+        assert tree_rounds(15625, 5) == 6
+        assert tree_rounds(46656, 6) == 6
+        assert tree_rounds(16807, 7) == 5
 
     def test_rounds_up(self):
         assert tree_rounds(17, 4) == 3

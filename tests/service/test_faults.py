@@ -92,6 +92,17 @@ class TestSlowLoris:
         assert response.startswith(b"HTTP/1.1 408 ")
         _assert_alive(server.port)
 
+    def test_idle_connection_is_closed_without_a_response(self, server):
+        # No byte of a request ever arrives: there is nothing to answer, so
+        # a 408 here would be read as the reply to the client's next request.
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            started = time.monotonic()
+            response = _recv_all(sock, timeout=10.0)
+            closed_after = time.monotonic() - started
+        assert response == b""
+        assert closed_after < 10.0, "the server never closed the idle connection"
+        _assert_alive(server.port)
+
     def test_slow_loris_does_not_starve_concurrent_requests(self, server):
         golden = solve_direct(parse_solve_request(FAST))
         with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
