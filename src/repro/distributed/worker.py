@@ -68,10 +68,9 @@ class WorkerState:
         self._points: dict[str, SweepPoint] = {}
         self._completed: dict[str, dict[str, Any]] = {}
         self._running: str | None = None
+        # The current executor; an executor that is no longer ``_thread``
+        # has been told to stop (close() clears it, a restart replaces it).
         self._thread: threading.Thread | None = None
-        # The running executor's own stop flag: a restart hands the new
-        # executor a fresh one, so it can never un-stop the old executor.
-        self._stop: threading.Event | None = None
         # Counters (all under the lock).
         self.points_executed = 0
         self.points_failed = 0
@@ -95,22 +94,20 @@ class WorkerState:
         with self._work:
             if self._thread is not None and self._thread.is_alive():
                 return
-            stop = threading.Event()
             thread = threading.Thread(
-                target=self._run, args=(stop,), name="repro-worker-executor", daemon=True
+                target=self._run, name="repro-worker-executor", daemon=True
             )
-            self._thread, self._stop = thread, stop
+            self._thread = thread
             thread.start()
 
     def close(self) -> None:
         with self._work:
-            if self._stop is not None:
-                self._stop.set()
             self._work.notify_all()
             thread = self._thread
-            self._thread = self._stop = None
-        # Join outside the lock — ``_run`` needs it to observe its stop flag
-        # and exit; joining while holding it would deadlock until timeout.
+            self._thread = None
+        # Join outside the lock — ``_run`` needs it to observe that it is no
+        # longer ``_thread`` and exit; joining while holding it would
+        # deadlock until timeout.
         if thread is not None:
             thread.join(timeout=30)
 
@@ -249,11 +246,12 @@ class WorkerState:
                 round_words += int(metrics.get("output_words", 0))
             self.round_words_total += round_words or words
 
-    def _run(self, stop: threading.Event) -> None:
+    def _run(self) -> None:
+        me = threading.current_thread()
         while True:
             with self._work:
-                self._work.wait_for(lambda: self._queue or stop.is_set())
-                if stop.is_set():
+                self._work.wait_for(lambda: self._queue or self._thread is not me)
+                if self._thread is not me:
                     return
                 digest = self._queue.popleft()
                 point = self._points[digest]

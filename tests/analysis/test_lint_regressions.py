@@ -13,8 +13,9 @@ test_lint_checkers.py), so the defect class cannot come back silently.
    library/service canonical path emits a number.
 3. CONC001 @ distributed/worker.py — ``WorkerState.start`` wrote the
    lock-guarded stop flag without holding the lock (racy against an
-   executor observing a close() → start() restart).  Each executor now
-   owns its stop flag, and start() starts the thread under the lock.
+   executor observing a close() → start() restart).  An executor now
+   stops once it is no longer the published thread, and start() starts
+   the thread under the lock.
 4. DET003 @ mapreduce/job.py — ``triangle_count_job`` fed the round its
    edge records in *set* order, tying record order (and the measured
    round accounting) to hash iteration.
@@ -87,7 +88,7 @@ class TestWorkerRestartDiscipline:
             state.pull("s", [encode_point(_point(11))])
             assert state.drain(timeout=30)
             state.close()
-            # Restart: the new executor gets a fresh stop flag and runs.
+            # Restart: the new executor is the published thread and runs.
             state.start()
             state.register("s2")
             state.pull("s2", [encode_point(_point(12))])
@@ -136,8 +137,8 @@ class TestWorkerThreadHandleDiscipline:
 
     def test_restart_during_close_cannot_revive_the_old_executor(self):
         """close() stops the executor; start() runs before that executor
-        looks at its flag.  A shared flag reset by start() left the old
-        executor waiting for work and close() blocked for its 30 s join."""
+        notices.  A shared stop flag reset by start() left the old executor
+        waiting for work and close() blocked for its 30 s join."""
         import threading
 
         from repro.distributed.protocol import encode_point
@@ -162,8 +163,8 @@ class TestWorkerThreadHandleDiscipline:
         closer = threading.Thread(target=state.close)
         closer.start()
         try:
-            # close() has flagged the old executor, which is still busy on
-            # its point; now restart before it can look at the flag.
+            # close() has dropped the old executor, which is still busy on
+            # its point; now restart before it can notice.
             assert joining.wait(timeout=30)
             state.start()
             release.set()

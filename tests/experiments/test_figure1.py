@@ -35,7 +35,7 @@ def _rng(seed: int = 0) -> np.random.Generator:
 # --------------------------------------------------------------------------- #
 # Shape checks: the paper's round/space/ratio claims with documented slack
 # --------------------------------------------------------------------------- #
-#: Seed of the record each ``test_*_shape`` case asserts on.
+#: Seed of the larger ``test_*_shape`` cases.
 SHAPE_SEED = 2020
 #: Constant-factor slack applied when comparing measured rounds against the
 #: leading term of a theorem's O(·) expression.  The paper's bounds hide
@@ -74,79 +74,59 @@ def assert_space_shape(record) -> None:
         )
 
 
-def assert_approximation(record, ratio_key: str) -> None:
-    """A measured approximation ratio must respect the guarantee."""
-    ratio = record.metrics[ratio_key]
-    guarantee = record.bounds["approximation"]
-    assert ratio <= guarantee + 1e-9, (
-        f"{record.experiment}: ratio {ratio:.4f} exceeds guarantee {guarantee:.4f}"
-    )
-
-
 class TestCoverExperiments:
-    def test_vertex_cover_record(self):
-        record = vertex_cover_experiment(_rng(1), n=80, c=0.4, mu=0.25)
+    @pytest.mark.parametrize(
+        "seed, kwargs",
+        [
+            (1, dict(n=80, c=0.4, mu=0.25)),
+            (2, dict(n=90, c=0.5, mu=0.25)),
+            (SHAPE_SEED, dict(n=150, c=0.45, mu=0.25)),
+            (SHAPE_SEED, dict(n=120, c=0.6, mu=0.25)),
+            (SHAPE_SEED, dict(n=150, c=0.45, mu=0.45)),
+        ],
+        ids=["small", "small-dense", "default", "denser-graph", "large-mu"],
+    )
+    def test_vertex_cover_shape(self, seed, kwargs):
+        record = vertex_cover_experiment(_rng(seed), **kwargs)
         assert record.valid
-        assert record.metrics["ratio_vs_lp"] <= record.bounds["approximation"] + 1e-9
+        assert within_guarantee(record.metrics["ratio_vs_lp"], record.bounds["approximation"])
         assert record.metrics["rounds"] >= 4
+        # Tighter than ROUND_SLACK / SPACE_SLACK: the iterations track the
+        # theorem's expression, and the space stays well inside its budget.
+        assert record.metrics["sampling_iterations"] <= 4 * record.bounds["rounds"] + 3
         assert record.metrics["max_space_per_machine"] <= 16 * record.bounds["space_per_machine"]
 
-    def test_vertex_cover_iterations_track_theorem(self):
-        record = vertex_cover_experiment(_rng(2), n=90, c=0.5, mu=0.25)
-        assert record.metrics["sampling_iterations"] <= 4 * record.bounds["rounds"] + 3
-
-    def test_set_cover_f_record(self):
-        record = set_cover_f_experiment(_rng(3), num_sets=40, num_elements=500, max_frequency=3)
-        assert record.valid
-        assert record.metrics["ratio_vs_lp"] <= record.parameters["f"] + 1e-9
-
-    def test_set_cover_greedy_record(self):
-        record = set_cover_greedy_experiment(_rng(4), num_sets=150, num_elements=50)
-        assert record.valid
-        # (1+ε)·H_∆ guarantee versus the LP lower bound
-        assert within_guarantee(record.metrics["ratio_vs_lp"], record.bounds["approximation"])
-
-    def test_greedy_beats_or_close_to_chvatal(self):
-        record = set_cover_greedy_experiment(_rng(5), num_sets=120, num_elements=40)
-        assert record.metrics["weight"] <= 3.0 * record.metrics["greedy_weight"]
-
     @pytest.mark.parametrize(
-        "kwargs",
-        [dict(n=150, c=0.45, mu=0.25), dict(n=120, c=0.6, mu=0.25), dict(n=150, c=0.45, mu=0.45)],
-        ids=["default", "denser-graph", "large-mu"],
-    )
-    def test_vertex_cover_shape(self, kwargs):
-        record = vertex_cover_experiment(_rng(SHAPE_SEED), **kwargs)
-        assert_approximation(record, "ratio_vs_lp")
-        assert_round_shape(record, measured_key="sampling_iterations")
-        assert_space_shape(record)
-
-    @pytest.mark.parametrize(
-        "kwargs",
+        "seed, kwargs",
         [
-            dict(num_sets=60, num_elements=1200, max_frequency=3),
-            dict(num_sets=60, num_elements=1200, max_frequency=5),
-            dict(num_sets=80, num_elements=3000, max_frequency=4, mu=0.3),
+            (3, dict(num_sets=40, num_elements=500, max_frequency=3)),
+            (SHAPE_SEED, dict(num_sets=60, num_elements=1200, max_frequency=3)),
+            (SHAPE_SEED, dict(num_sets=60, num_elements=1200, max_frequency=5)),
+            (SHAPE_SEED, dict(num_sets=80, num_elements=3000, max_frequency=4, mu=0.3)),
         ],
-        ids=["frequency-3", "frequency-5", "many-elements"],
+        ids=["small", "frequency-3", "frequency-5", "many-elements"],
     )
-    def test_set_cover_f_shape(self, kwargs):
-        record = set_cover_f_experiment(_rng(SHAPE_SEED), **kwargs)
-        assert_approximation(record, "ratio_vs_lp")
+    def test_set_cover_f_shape(self, seed, kwargs):
+        record = set_cover_f_experiment(_rng(seed), **kwargs)
+        # f-approximation versus the LP lower bound.
+        assert within_guarantee(record.metrics["ratio_vs_lp"], record.parameters["f"])
         assert_round_shape(record)
         assert_space_shape(record)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "seed, kwargs",
         [
-            dict(num_sets=250, num_elements=60, epsilon=0.2),
-            dict(num_sets=200, num_elements=50, epsilon=0.05),
-            dict(num_sets=300, num_elements=80, density=0.15, epsilon=0.3),
+            (4, dict(num_sets=150, num_elements=50)),
+            (5, dict(num_sets=120, num_elements=40)),
+            (SHAPE_SEED, dict(num_sets=250, num_elements=60, epsilon=0.2)),
+            (SHAPE_SEED, dict(num_sets=200, num_elements=50, epsilon=0.05)),
+            (SHAPE_SEED, dict(num_sets=300, num_elements=80, density=0.15, epsilon=0.3)),
         ],
-        ids=["default", "small-epsilon", "dense"],
+        ids=["small", "smaller", "default", "small-epsilon", "dense"],
     )
-    def test_set_cover_greedy_shape(self, kwargs):
-        record = set_cover_greedy_experiment(_rng(SHAPE_SEED), **kwargs)
+    def test_set_cover_greedy_shape(self, seed, kwargs):
+        record = set_cover_greedy_experiment(_rng(seed), **kwargs)
+        # (1+ε)·H_∆ guarantee versus the LP lower bound
         assert within_guarantee(record.metrics["ratio_vs_lp"], record.bounds["approximation"])
         assert_round_shape(record, measured_key="inner_iterations")
         assert_space_shape(record)
@@ -155,29 +135,20 @@ class TestCoverExperiments:
 
 
 class TestIndependentSetExperiments:
-    def test_mis_record(self):
-        record = mis_experiment(_rng(6), n=100, c=0.4, mu=0.3)
-        assert record.valid
+    @pytest.mark.parametrize(
+        "seed, kwargs",
+        [
+            (6, dict(n=100, c=0.4, mu=0.3)),
+            (SHAPE_SEED, dict(n=200, c=0.45, mu=0.3)),
+            (SHAPE_SEED, dict(n=160, c=0.6, mu=0.3)),
+            (SHAPE_SEED, dict(n=220, c=0.5, mu=0.4)),
+        ],
+        ids=["small", "default", "dense", "vs-luby"],
+    )
+    def test_mis_shape(self, seed, kwargs):
+        record = mis_experiment(_rng(seed), **kwargs)
         assert record.metrics["rounds"] > 0
         assert record.metrics["luby_rounds"] > 0
-
-    def test_mis_simple_variant(self):
-        record = mis_experiment(_rng(7), n=80, c=0.4, mu=0.3, simple=True)
-        assert record.valid
-        assert record.experiment.endswith("simple")
-
-    def test_maximal_clique_record(self):
-        record = maximal_clique_experiment(_rng(8), n=70, c=0.5, mu=0.35)
-        assert record.valid
-        assert record.metrics["clique_size"] >= 2
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(n=200, c=0.45, mu=0.3), dict(n=160, c=0.6, mu=0.3), dict(n=220, c=0.5, mu=0.4)],
-        ids=["default", "dense", "vs-luby"],
-    )
-    def test_mis_shape(self, kwargs):
-        record = mis_experiment(_rng(SHAPE_SEED), **kwargs)
         assert_round_shape(record, measured_key="sweeps")
         assert_space_shape(record)
         # For m = n^{1+c} the hungry-greedy sweep count is O(c/µ), comparable
@@ -185,32 +156,37 @@ class TestIndependentSetExperiments:
         # O(log n) round count.
         assert record.metrics["sweeps"] <= 3 * record.metrics["luby_rounds"] + 5
 
-    def test_mis_simple_variant_shape(self):
-        record = mis_experiment(_rng(SHAPE_SEED), n=150, c=0.45, mu=0.35, simple=True)
+    @pytest.mark.parametrize(
+        "seed, kwargs",
+        [(7, dict(n=80, c=0.4, mu=0.3)), (SHAPE_SEED, dict(n=150, c=0.45, mu=0.35))],
+        ids=["small", "default"],
+    )
+    def test_mis_simple_variant_shape(self, seed, kwargs):
+        record = mis_experiment(_rng(seed), simple=True, **kwargs)
         assert record.valid
+        assert record.experiment.endswith("simple")
         assert_space_shape(record)
         # O(1/µ²) sweeps for the simple variant.
-        assert record.metrics["sweeps"] <= 8.0 / (0.35**2) + 8
+        assert record.metrics["sweeps"] <= 8.0 / (kwargs["mu"] ** 2) + 8
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [dict(n=120, c=0.55, mu=0.35), dict(n=90, c=0.7, mu=0.35), dict(n=120, c=0.55, mu=0.6)],
-        ids=["default", "dense", "large-mu"],
+        "seed, kwargs",
+        [
+            (8, dict(n=70, c=0.5, mu=0.35)),
+            (SHAPE_SEED, dict(n=120, c=0.55, mu=0.35)),
+            (SHAPE_SEED, dict(n=90, c=0.7, mu=0.35)),
+            (SHAPE_SEED, dict(n=120, c=0.55, mu=0.6)),
+        ],
+        ids=["small", "default", "dense", "large-mu"],
     )
-    def test_maximal_clique_shape(self, kwargs):
-        record = maximal_clique_experiment(_rng(SHAPE_SEED), **kwargs)
+    def test_maximal_clique_shape(self, seed, kwargs):
+        record = maximal_clique_experiment(_rng(seed), **kwargs)
+        assert record.metrics["clique_size"] >= 2
         assert_round_shape(record, measured_key="sweeps")
         assert_space_shape(record)
 
 
 class TestMatchingExperiments:
-    def test_matching_record_and_guarantee(self):
-        record = matching_experiment(_rng(9), n=90, c=0.4, mu=0.25)
-        assert record.valid
-        assert within_guarantee(record.metrics["ratio_vs_optimal"], 2.0)
-        assert record.metrics["greedy_weight"] > 0
-        assert record.metrics["filtering_weight"] > 0
-
     def test_matching_beats_unweighted_filtering(self):
         """The weighted algorithm should (essentially always) beat the
         weight-oblivious filtering baseline on weighted inputs — this is the
@@ -222,41 +198,36 @@ class TestMatchingExperiments:
                 wins += 1
         assert wins >= 2
 
-    def test_matching_mu0_record(self):
-        record = matching_mu0_experiment(_rng(10), n=100, c=0.4)
-        assert record.valid
-        assert within_guarantee(record.metrics["ratio_vs_optimal"], 2.0)
-        # Space bound for the µ=0 variant is O(n); allow the documented slack.
-        assert record.metrics["max_space_per_machine"] <= 64 * record.parameters["n"] * 3
-
-    def test_b_matching_record(self):
-        record = b_matching_experiment(_rng(11), n=70, c=0.4, b=3)
-        assert record.valid
-        assert record.metrics["ratio_vs_greedy"] <= 2.0 * record.bounds["approximation"]
-
     @pytest.mark.parametrize(
-        "kwargs",
+        "seed, kwargs",
         [
-            dict(n=150, c=0.45, mu=0.25),
-            dict(n=120, c=0.6, mu=0.25),
-            dict(n=140, c=0.45, mu=0.3, weight_range=(1.0, 10_000.0)),
+            (9, dict(n=90, c=0.4, mu=0.25)),
+            (SHAPE_SEED, dict(n=150, c=0.45, mu=0.25)),
+            (SHAPE_SEED, dict(n=120, c=0.6, mu=0.25)),
+            (SHAPE_SEED, dict(n=140, c=0.45, mu=0.3, weight_range=(1.0, 10_000.0))),
         ],
-        ids=["default", "dense", "wide-weights"],
+        ids=["small", "default", "dense", "wide-weights"],
     )
-    def test_matching_shape(self, kwargs):
-        record = matching_experiment(_rng(SHAPE_SEED), **kwargs)
-        assert_approximation(record, "ratio_vs_optimal")
+    def test_matching_shape(self, seed, kwargs):
+        record = matching_experiment(_rng(seed), **kwargs)
+        assert within_guarantee(record.metrics["ratio_vs_optimal"], record.bounds["approximation"])
         assert_round_shape(record, measured_key="sampling_iterations")
         assert_space_shape(record)
+        assert record.metrics["greedy_weight"] > 0
+        assert record.metrics["filtering_weight"] > 0
         # Weight-aware local ratio vs weight-oblivious filtering on weighted input.
         assert record.metrics["weight"] >= 0.95 * record.metrics["filtering_weight"]
 
-    @pytest.mark.parametrize("n", [200, 320])
-    def test_matching_mu0_shape(self, n):
-        record = matching_mu0_experiment(_rng(SHAPE_SEED), n=n, c=0.4)
-        assert_approximation(record, "ratio_vs_optimal")
-        # O(log n) sampling iterations.
+    @pytest.mark.parametrize(
+        "seed, n", [(10, 100), (SHAPE_SEED, 200), (SHAPE_SEED, 320)], ids=["small", "200", "320"]
+    )
+    def test_matching_mu0_shape(self, seed, n):
+        record = matching_mu0_experiment(_rng(seed), n=n, c=0.4)
+        assert record.valid
+        assert within_guarantee(record.metrics["ratio_vs_optimal"], record.bounds["approximation"])
+        # O(log n) sampling iterations and O(n) space per machine.
         assert record.metrics["sampling_iterations"] <= 8 * np.log2(n)
+        assert_space_shape(record)
 
     def test_matching_mu0_iterations_grow_at_most_logarithmically(self):
         small = matching_mu0_experiment(_rng(SHAPE_SEED), n=120, c=0.4)
@@ -265,38 +236,35 @@ class TestMatchingExperiments:
         assert ratio <= 4.0
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [dict(n=110, c=0.45, b=2), dict(n=110, c=0.45, b=3), dict(n=90, c=0.45, b=5, epsilon=0.05)],
-        ids=["b2", "b3", "b5-small-epsilon"],
+        "seed, kwargs",
+        [
+            (11, dict(n=70, c=0.4, b=3)),
+            (SHAPE_SEED, dict(n=110, c=0.45, b=2)),
+            (SHAPE_SEED, dict(n=110, c=0.45, b=3)),
+            (SHAPE_SEED, dict(n=90, c=0.45, b=5, epsilon=0.05)),
+        ],
+        ids=["small", "b2", "b3", "b5-small-epsilon"],
     )
-    def test_b_matching_shape(self, kwargs):
-        record = b_matching_experiment(_rng(SHAPE_SEED), **kwargs)
+    def test_b_matching_shape(self, seed, kwargs):
+        record = b_matching_experiment(_rng(seed), **kwargs)
         assert record.metrics["ratio_vs_greedy"] <= 2.0 * record.bounds["approximation"]
         assert_round_shape(record)
         assert_space_shape(record)
 
 
 class TestColouringExperiments:
-    def test_vertex_colouring_record(self):
-        record = vertex_colouring_experiment(_rng(12), n=150, c=0.4, mu=0.2)
-        assert record.valid
-        assert record.metrics["rounds"] == 3.0
-        assert record.metrics["colours_used"] <= record.bounds["colours"] + 1e-9
-        assert record.metrics["greedy_colours"] <= record.parameters["delta"] + 1
-
-    def test_edge_colouring_record(self):
-        record = edge_colouring_experiment(_rng(13), n=100, c=0.4, mu=0.2)
-        assert record.valid
-        assert record.metrics["rounds"] == 3.0
-        assert record.metrics["colours_used"] <= record.bounds["colours"] + 1e-9
-
     @pytest.mark.parametrize(
-        "kwargs",
-        [dict(n=300, c=0.45, mu=0.2), dict(n=220, c=0.6, mu=0.25), dict(n=260, c=0.5, mu=0.25)],
-        ids=["default", "dense", "vs-greedy"],
+        "seed, kwargs",
+        [
+            (12, dict(n=150, c=0.4, mu=0.2)),
+            (SHAPE_SEED, dict(n=300, c=0.45, mu=0.2)),
+            (SHAPE_SEED, dict(n=220, c=0.6, mu=0.25)),
+            (SHAPE_SEED, dict(n=260, c=0.5, mu=0.25)),
+        ],
+        ids=["small", "default", "dense", "vs-greedy"],
     )
-    def test_vertex_colouring_shape(self, kwargs):
-        record = vertex_colouring_experiment(_rng(SHAPE_SEED), **kwargs)
+    def test_vertex_colouring_shape(self, seed, kwargs):
+        record = vertex_colouring_experiment(_rng(seed), **kwargs)
         delta = record.parameters["delta"]
         assert record.valid
         assert record.metrics["rounds"] == 3.0  # O(1) rounds
@@ -309,12 +277,17 @@ class TestColouringExperiments:
         assert_space_shape(record)
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [dict(n=180, c=0.4, mu=0.2), dict(n=140, c=0.55, mu=0.25), dict(n=150, c=0.45, mu=0.25)],
-        ids=["default", "dense", "vs-misra-gries"],
+        "seed, kwargs",
+        [
+            (13, dict(n=100, c=0.4, mu=0.2)),
+            (SHAPE_SEED, dict(n=180, c=0.4, mu=0.2)),
+            (SHAPE_SEED, dict(n=140, c=0.55, mu=0.25)),
+            (SHAPE_SEED, dict(n=150, c=0.45, mu=0.25)),
+        ],
+        ids=["small", "default", "dense", "vs-misra-gries"],
     )
-    def test_edge_colouring_shape(self, kwargs):
-        record = edge_colouring_experiment(_rng(SHAPE_SEED), **kwargs)
+    def test_edge_colouring_shape(self, seed, kwargs):
+        record = edge_colouring_experiment(_rng(seed), **kwargs)
         delta = record.parameters["delta"]
         assert record.valid
         assert record.metrics["rounds"] == 3.0
