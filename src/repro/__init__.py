@@ -165,7 +165,7 @@ from .graphs import (
     is_vertex_cover,
     power_law_graph,
 )
-from .mapreduce import Cluster, MPCContext, RunMetrics
+from .mapreduce import MPCContext, RunMetrics
 from .setcover import (
     SetCoverInstance,
     is_cover,
@@ -214,7 +214,6 @@ __all__ = [
     # substrates
     "Graph",
     "SetCoverInstance",
-    "Cluster",
     "MPCContext",
     "RunMetrics",
     "gnm_graph",

@@ -1,6 +1,9 @@
 """MapReduce (MPC) drivers for the hungry-greedy algorithms.
 
-The communication pattern shared by Algorithms 2, 6 and the maximal clique
+Each driver runs the corresponding sequential algorithm, then charges each
+iteration's rounds to :class:`~repro.mapreduce.engine.MPCContext` from the
+algorithm's trace (:class:`~repro.core.results.IterationStats`).  The
+communication pattern shared by Algorithms 2, 6 and the maximal clique
 algorithm (Theorems 3.3, A.3, Corollary B.1) is, per iteration:
 
 1. a parallel round in which vertices determine their residual degree and the
@@ -24,14 +27,11 @@ import numpy as np
 
 from ...graphs.distributed import DistributedGraph
 from ...graphs.graph import Graph
-from ...mapreduce.cluster import Cluster
 from ...mapreduce.engine import MPCContext
 from ...mapreduce.metrics import RunMetrics
 from ...setcover.instance import SetCoverInstance
-from ..local_ratio.mapreduce_impl import (
-    MPCParameters,
-    mpc_parameters_for_graph,
-)
+from ..local_ratio import mapreduce_impl as local_ratio_mpc
+from ..local_ratio.mapreduce_impl import MPCParameters, mpc_parameters_for_graph
 from ..results import CliqueResult, IndependentSetResult, SetCoverResult
 from .maximal_clique import hungry_greedy_maximal_clique
 from .mis import hungry_greedy_mis
@@ -49,7 +49,6 @@ __all__ = [
 
 def _replay_hungry_greedy_rounds(
     ctx: MPCContext,
-    cluster: Cluster,
     worker_loads: np.ndarray,
     iterations,
     num_vertices: int,
@@ -72,20 +71,17 @@ def _replay_hungry_greedy_rounds(
             phase=phase,
             max_worker_send=max_worker,
         )
-        cluster.central.clear()
         ctx.parallel_round(
             f"sweep {stats.iteration}: notify vertices of N+(I)",
             phase=phase,
             machine_loads=worker_loads,
             words_communicated=num_vertices,
-            messages=num_vertices,
         )
         ctx.parallel_round(
             f"sweep {stats.iteration}: neighbours exchange alive bits (update d_I)",
             phase=phase,
             machine_loads=worker_loads,
             words_communicated=2 * num_edges + num_machines,
-            messages=2 * num_edges + num_machines,
         )
 
 
@@ -93,20 +89,19 @@ def mpc_maximal_independent_set(
     graph: Graph,
     mu: float,
     rng: np.random.Generator,
-    *,
-    strict: bool = True,
 ) -> tuple[IndependentSetResult, RunMetrics]:
     """Theorem A.3: maximal independent set in ``O(c/µ)`` rounds, ``O(n^{1+µ})`` space."""
     params = mpc_parameters_for_graph(graph, mu)
     result = hungry_greedy_mis_improved(graph, mu, rng)
-    cluster = Cluster(params.num_machines, params.memory_per_machine)
     ctx = MPCContext(
-        cluster, algorithm="mpc-mis-improved", default_fanout=params.fanout, strict=strict
+        params.num_machines,
+        params.memory_per_machine,
+        algorithm="mpc-mis-improved",
+        default_fanout=params.fanout,
     )
-    dist = DistributedGraph(graph, cluster, rng)
+    dist = DistributedGraph(graph, params.num_machines, rng)
     _replay_hungry_greedy_rounds(
         ctx,
-        cluster,
         dist.total_loads(),
         result.iterations,
         graph.num_vertices,
@@ -129,20 +124,19 @@ def mpc_maximal_independent_set_simple(
     graph: Graph,
     mu: float,
     rng: np.random.Generator,
-    *,
-    strict: bool = True,
 ) -> tuple[IndependentSetResult, RunMetrics]:
     """Theorem 3.3: the simpler phase-by-phase MIS in ``O(1/µ²)`` rounds."""
     params = mpc_parameters_for_graph(graph, mu)
     result = hungry_greedy_mis(graph, mu, rng)
-    cluster = Cluster(params.num_machines, params.memory_per_machine)
     ctx = MPCContext(
-        cluster, algorithm="mpc-mis-simple", default_fanout=params.fanout, strict=strict
+        params.num_machines,
+        params.memory_per_machine,
+        algorithm="mpc-mis-simple",
+        default_fanout=params.fanout,
     )
-    dist = DistributedGraph(graph, cluster, rng)
+    dist = DistributedGraph(graph, params.num_machines, rng)
     _replay_hungry_greedy_rounds(
         ctx,
-        cluster,
         dist.total_loads(),
         result.iterations,
         graph.num_vertices,
@@ -165,8 +159,6 @@ def mpc_maximal_clique(
     graph: Graph,
     mu: float,
     rng: np.random.Generator,
-    *,
-    strict: bool = True,
 ) -> tuple[CliqueResult, RunMetrics]:
     """Corollary B.1: maximal clique in ``O(1/µ)`` rounds via the relabelling scheme.
 
@@ -176,11 +168,13 @@ def mpc_maximal_clique(
     """
     params = mpc_parameters_for_graph(graph, mu)
     result = hungry_greedy_maximal_clique(graph, mu, rng)
-    cluster = Cluster(params.num_machines, params.memory_per_machine)
     ctx = MPCContext(
-        cluster, algorithm="mpc-maximal-clique", default_fanout=params.fanout, strict=strict
+        params.num_machines,
+        params.memory_per_machine,
+        algorithm="mpc-maximal-clique",
+        default_fanout=params.fanout,
     )
-    dist = DistributedGraph(graph, cluster, rng)
+    dist = DistributedGraph(graph, params.num_machines, rng)
     worker_loads = dist.total_loads()
     max_worker = int(worker_loads.max()) if worker_loads.size else 0
     for stats in result.iterations:
@@ -190,7 +184,6 @@ def mpc_maximal_clique(
             phase=phase,
             machine_loads=worker_loads,
             words_communicated=graph.num_vertices + 1,
-            messages=graph.num_vertices,
         )
         ctx.parallel_round(
             f"sweep {stats.iteration}: sample heavy candidates ({stats.sampled})",
@@ -203,13 +196,11 @@ def mpc_maximal_clique(
             phase=phase,
             max_worker_send=max_worker,
         )
-        cluster.central.clear()
         ctx.parallel_round(
             f"sweep {stats.iteration}: neighbours exchange candidate bits",
             phase=phase,
             machine_loads=worker_loads,
             words_communicated=2 * graph.num_edges + params.num_machines,
-            messages=2 * graph.num_edges + params.num_machines,
         )
     metrics = ctx.finish(
         n=graph.num_vertices,
@@ -226,9 +217,7 @@ def mpc_maximal_clique(
 # --------------------------------------------------------------------------- #
 # Greedy set cover (Theorem 4.6)
 # --------------------------------------------------------------------------- #
-def mpc_parameters_for_greedy_set_cover(
-    instance: SetCoverInstance, mu: float, *, space_factor: float = 16.0
-) -> MPCParameters:
+def mpc_parameters_for_greedy_set_cover(instance: SetCoverInstance, mu: float) -> MPCParameters:
     """MPC parameters for Algorithm 3: space ``O(m^{1+µ} log n)`` per machine."""
     m = max(2, instance.num_elements)
     n = max(2, instance.num_sets)
@@ -236,7 +225,7 @@ def mpc_parameters_for_greedy_set_cover(
     c = max(mu, np.log(total) / np.log(m) - 1.0)
     eta = max(1, int(round(m ** (1.0 + mu))))
     num_machines = max(1, int(np.ceil(total / eta)))
-    memory = int(np.ceil(space_factor * eta * max(1.0, np.log(n + 1))))
+    memory = int(np.ceil(local_ratio_mpc.SPACE_SLACK * eta * max(1.0, np.log(n + 1))))
     fanout = max(2, int(round(m**mu)))
     return MPCParameters(m, mu, float(c), eta, num_machines, memory, fanout)
 
@@ -247,7 +236,6 @@ def mpc_greedy_set_cover(
     rng: np.random.Generator,
     *,
     epsilon: float = 0.2,
-    strict: bool = True,
 ) -> tuple[SetCoverResult, RunMetrics]:
     """Theorem 4.6: ``(1 + ε)·H_∆``-approximate set cover.
 
@@ -257,15 +245,18 @@ def mpc_greedy_set_cover(
     """
     params = mpc_parameters_for_greedy_set_cover(instance, mu)
     result = hungry_greedy_set_cover(instance, mu, rng, epsilon=epsilon)
-    cluster = Cluster(params.num_machines, params.memory_per_machine)
     ctx = MPCContext(
-        cluster, algorithm="mpc-greedy-set-cover", default_fanout=params.fanout, strict=strict
+        params.num_machines,
+        params.memory_per_machine,
+        algorithm="mpc-greedy-set-cover",
+        default_fanout=params.fanout,
     )
-    # Sets are distributed with ~η words per machine.
-    loads = np.zeros(params.num_machines, dtype=np.int64)
+    # Sets are dealt round-robin, ~η words per machine; a set stores its
+    # elements plus an alive bit.
     machine_of = np.arange(instance.num_sets) % params.num_machines
-    for set_id in range(instance.num_sets):
-        loads[machine_of[set_id]] += int(instance.set_sizes[set_id]) + 1
+    loads = np.bincount(
+        machine_of, weights=instance.set_sizes + 1, minlength=params.num_machines
+    ).astype(np.int64)
     covered_total = 0
     for stats in result.iterations:
         phase = stats.phase or f"iteration-{stats.iteration}"
@@ -280,7 +271,6 @@ def mpc_greedy_set_cover(
             phase=phase,
             max_worker_send=int(loads.max()) if loads.size else 0,
         )
-        cluster.central.clear()
         covered_total = min(instance.num_elements, covered_total + stats.alive)
         ctx.broadcast(
             max(1, min(instance.num_elements, covered_total)),

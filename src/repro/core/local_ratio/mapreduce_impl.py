@@ -1,32 +1,31 @@
 """MapReduce (MPC) drivers for the randomized local ratio algorithms.
 
-Each driver runs the corresponding algorithm and *executes its communication
-pattern* on the simulated cluster (:mod:`repro.mapreduce`): the input is
-placed on worker machines with the paper's placement rule, each sampling
+Each driver runs the corresponding sequential algorithm, then charges each
+iteration's rounds to :class:`~repro.mapreduce.engine.MPCContext` from the
+algorithm's trace (:class:`~repro.core.results.IterationStats`).  The
+input's per-machine loads follow the paper's placement rule; each sampling
 iteration becomes a gather-to-central round, and the redistribution of the
 central machine's results becomes either direct rounds (vertex cover,
 matching — Theorems 2.4 / 5.6) or broadcast/aggregation trees of fan-out
 ``n^µ`` (general set cover).  The returned
-:class:`~repro.mapreduce.metrics.RunMetrics` therefore contains the exact
-quantities of Figure 1: number of rounds, maximum words per machine, and
-total communication.
+:class:`~repro.mapreduce.metrics.RunMetrics` therefore holds the quantities
+of Figure 1: number of rounds, maximum words per machine, and total
+communication.
 
-Memory budgets are enforced, not just measured: if an algorithm ever needs
-more space on a machine than its theorem allows (up to the stated constant
-factors), the driver raises
-:class:`~repro.mapreduce.exceptions.MemoryExceededError` and the benchmark
-fails loudly.
+Memory budgets are enforced, not just measured: if a round declares more
+space on a machine than its theorem allows (up to :data:`SPACE_SLACK`),
+the driver raises :class:`~repro.mapreduce.exceptions.MemoryExceededError`
+and the benchmark fails loudly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ...graphs.distributed import EDGE_WORDS, DistributedGraph
 from ...graphs.graph import Graph
-from ...mapreduce.cluster import Cluster
 from ...mapreduce.engine import MPCContext
 from ...mapreduce.metrics import RunMetrics
 from ...setcover.instance import SetCoverInstance
@@ -47,6 +46,8 @@ __all__ = [
 
 #: Constant-factor slack allowed on the theorems' space bounds.  The paper's
 #: statements are O(·); the drivers enforce the bound up to this factor.
+#: All ten ``mpc_*`` drivers read it when they run (the colouring and
+#: hungry-greedy drivers through this module), so it has one value.
 SPACE_SLACK = 16.0
 
 
@@ -83,24 +84,19 @@ class MPCParameters:
     fanout: int
 
 
-def mpc_parameters_for_graph(
-    graph: Graph, mu: float, *, words_per_edge: int = EDGE_WORDS, space_factor: float = SPACE_SLACK
-) -> MPCParameters:
+def mpc_parameters_for_graph(graph: Graph, mu: float) -> MPCParameters:
     """Compute the MPC parameters for a graph problem with space ``O(n^{1+µ})``."""
     n = max(2, graph.num_vertices)
     m = max(1, graph.num_edges)
     c = max(mu, np.log(m) / np.log(n) - 1.0)
     eta = max(1, int(round(n ** (1.0 + mu))))
-    input_words = words_per_edge * m
-    num_machines = max(1, int(np.ceil(input_words / (words_per_edge * eta))))
-    memory = int(np.ceil(space_factor * eta * words_per_edge))
+    num_machines = max(1, int(np.ceil(m / eta)))
+    memory = int(np.ceil(SPACE_SLACK * eta * EDGE_WORDS))
     fanout = max(2, int(round(n**mu)))
     return MPCParameters(n, mu, float(c), eta, num_machines, memory, fanout)
 
 
-def mpc_parameters_for_instance(
-    instance: SetCoverInstance, mu: float, *, space_factor: float = SPACE_SLACK
-) -> MPCParameters:
+def mpc_parameters_for_instance(instance: SetCoverInstance, mu: float) -> MPCParameters:
     """MPC parameters for the ``f``-approximation: space ``O(f · n^{1+µ})`` per machine."""
     n = max(2, instance.num_sets)
     m = max(1, instance.num_elements)
@@ -108,7 +104,7 @@ def mpc_parameters_for_instance(
     c = max(mu, np.log(m) / np.log(n) - 1.0)
     eta = max(1, int(round(n ** (1.0 + mu))))
     num_machines = max(1, int(np.ceil(m / eta)))
-    memory = int(np.ceil(space_factor * f * eta))
+    memory = int(np.ceil(SPACE_SLACK * f * eta))
     fanout = max(2, int(round(n**mu)))
     return MPCParameters(n, mu, float(c), eta, num_machines, memory, fanout)
 
@@ -120,22 +116,20 @@ def _element_loads(instance: SetCoverInstance, params: MPCParameters) -> np.ndar
     """Per-machine word loads when elements are spread ``η`` per machine.
 
     Each element ``j`` stores its dual list ``T_j`` (``|T_j|`` words) plus an
-    alive bit.
+    alive bit, on machine ``min(M − 1, j // η)``.
     """
-    loads = np.zeros(params.num_machines, dtype=np.int64)
-    for j in range(instance.num_elements):
-        machine = min(params.num_machines - 1, j // params.eta)
-        loads[machine] += instance.sets_containing(j).size + 1
-    return loads
+    indptr, _ = instance.element_incidence()
+    machine = np.minimum(
+        params.num_machines - 1, np.arange(instance.num_elements) // params.eta
+    )
+    words = np.diff(indptr) + 1
+    return np.bincount(machine, weights=words, minlength=params.num_machines).astype(np.int64)
 
 
 def mpc_weighted_set_cover(
     instance: SetCoverInstance,
     mu: float,
     rng: np.random.Generator,
-    *,
-    params: MPCParameters | None = None,
-    strict: bool = True,
 ) -> tuple[SetCoverResult, RunMetrics]:
     """Theorem 2.4 (general ``f``): ``f``-approximate set cover in ``O((c/µ)²)`` rounds.
 
@@ -144,15 +138,14 @@ def mpc_weighted_set_cover(
     gathered back through the matching aggregation tree, so each sampling
     iteration costs ``O(c/µ)`` rounds.
     """
-    params = params or mpc_parameters_for_instance(instance, mu)
+    params = mpc_parameters_for_instance(instance, mu)
     result = randomized_local_ratio_set_cover(instance, params.eta, rng)
 
-    cluster = Cluster(params.num_machines, params.memory_per_machine)
     ctx = MPCContext(
-        cluster,
+        params.num_machines,
+        params.memory_per_machine,
         algorithm="mpc-weighted-set-cover",
         default_fanout=params.fanout,
-        strict=strict,
     )
     worker_loads = _element_loads(instance, params)
     cover_size = 0
@@ -168,7 +161,6 @@ def mpc_weighted_set_cover(
             phase=f"iteration-{stats.iteration}",
             max_worker_send=int(worker_loads.max()) if worker_loads.size else 0,
         )
-        cluster.central.clear()
         cover_size += stats.selected
         ctx.broadcast(
             max(1, cover_size),
@@ -199,8 +191,6 @@ def mpc_weighted_vertex_cover(
     vertex_weights: np.ndarray,
     mu: float,
     rng: np.random.Generator,
-    *,
-    strict: bool = True,
 ) -> tuple[SetCoverResult, RunMetrics]:
     """Theorem 2.4 (``f = 2``): 2-approximate weighted vertex cover in ``O(c/µ)`` rounds.
 
@@ -215,14 +205,13 @@ def mpc_weighted_vertex_cover(
     result = randomized_local_ratio_set_cover(instance, params.eta, rng)
     result.algorithm = "randomized-local-ratio-vertex-cover"
 
-    cluster = Cluster(params.num_machines, params.memory_per_machine)
     ctx = MPCContext(
-        cluster,
+        params.num_machines,
+        params.memory_per_machine,
         algorithm="mpc-weighted-vertex-cover",
         default_fanout=params.fanout,
-        strict=strict,
     )
-    dist = DistributedGraph(graph, cluster, rng)
+    dist = DistributedGraph(graph, params.num_machines, rng)
     worker_loads = dist.total_loads()
     for stats in result.iterations:
         phase = f"iteration-{stats.iteration}"
@@ -237,21 +226,18 @@ def mpc_weighted_vertex_cover(
             phase=phase,
             max_worker_send=int(worker_loads.max()) if worker_loads.size else 0,
         )
-        cluster.central.clear()
         # f = 2 redistribution: one bit per vertex, then vertex → incident edges.
         ctx.parallel_round(
             f"iteration {stats.iteration}: notify vertices of C",
             phase=phase,
             machine_loads=worker_loads,
             words_communicated=graph.num_vertices,
-            messages=graph.num_vertices,
         )
         ctx.parallel_round(
             f"iteration {stats.iteration}: vertices inform incident edges; count U_r+1",
             phase=phase,
             machine_loads=worker_loads,
             words_communicated=2 * graph.num_edges + params.num_machines,
-            messages=2 * graph.num_edges + params.num_machines,
         )
     metrics = ctx.finish(
         n=graph.num_vertices,
@@ -272,7 +258,6 @@ def mpc_weighted_vertex_cover(
 # --------------------------------------------------------------------------- #
 def _replay_matching_rounds(
     ctx: MPCContext,
-    cluster: Cluster,
     dist: DistributedGraph,
     iterations,
     graph: Graph,
@@ -295,20 +280,17 @@ def _replay_matching_rounds(
             phase=phase,
             max_worker_send=max_worker,
         )
-        cluster.central.clear()
         ctx.parallel_round(
             f"iteration {stats.iteration}: send φ(v) and stack bits to vertices",
             phase=phase,
             machine_loads=worker_loads,
             words_communicated=graph.num_vertices + stats.selected,
-            messages=graph.num_vertices,
         )
         ctx.parallel_round(
             f"iteration {stats.iteration}: vertices send φ to incident edges; compute |E_i+1|",
             phase=phase,
             machine_loads=worker_loads,
             words_communicated=2 * graph.num_edges + num_machines,
-            messages=2 * graph.num_edges + num_machines,
         )
 
 
@@ -318,7 +300,6 @@ def mpc_weighted_matching(
     rng: np.random.Generator,
     *,
     eta: int | None = None,
-    strict: bool = True,
 ) -> tuple[MatchingResult, RunMetrics]:
     """Theorem 5.6: 2-approximate maximum weight matching.
 
@@ -331,12 +312,14 @@ def mpc_weighted_matching(
         eta = params.eta
     result = randomized_local_ratio_matching(graph, eta, rng)
 
-    cluster = Cluster(params.num_machines, params.memory_per_machine)
     ctx = MPCContext(
-        cluster, algorithm="mpc-weighted-matching", default_fanout=params.fanout, strict=strict
+        params.num_machines,
+        params.memory_per_machine,
+        algorithm="mpc-weighted-matching",
+        default_fanout=params.fanout,
     )
-    dist = DistributedGraph(graph, cluster, rng)
-    _replay_matching_rounds(ctx, cluster, dist, result.iterations, graph, params.num_machines)
+    dist = DistributedGraph(graph, params.num_machines, rng)
+    _replay_matching_rounds(ctx, dist, result.iterations, graph, params.num_machines)
     ctx.gather_to_central(
         EDGE_WORDS * max(1, result.stack_size),
         f"unwind stack ({result.stack_size} edges) on central machine",
@@ -363,7 +346,6 @@ def mpc_weighted_b_matching(
     rng: np.random.Generator,
     *,
     epsilon: float = 0.1,
-    strict: bool = True,
 ) -> tuple[MatchingResult, RunMetrics]:
     """Theorem D.3: ``(3 − 2/b + 2ε)``-approximate maximum weight b-matching.
 
@@ -375,17 +357,17 @@ def mpc_weighted_b_matching(
     delta = epsilon / (1.0 + epsilon)
     budget_factor = max(1.0, b_max * np.log(1.0 / delta))
     memory = int(np.ceil(params.memory_per_machine * budget_factor))
-    params = MPCParameters(
-        params.n, params.mu, params.c, params.eta, params.num_machines, memory, params.fanout
-    )
+    params = replace(params, memory_per_machine=memory)
     result = randomized_local_ratio_b_matching(graph, b, params.eta, rng, epsilon=epsilon)
 
-    cluster = Cluster(params.num_machines, params.memory_per_machine)
     ctx = MPCContext(
-        cluster, algorithm="mpc-weighted-b-matching", default_fanout=params.fanout, strict=strict
+        params.num_machines,
+        params.memory_per_machine,
+        algorithm="mpc-weighted-b-matching",
+        default_fanout=params.fanout,
     )
-    dist = DistributedGraph(graph, cluster, rng)
-    _replay_matching_rounds(ctx, cluster, dist, result.iterations, graph, params.num_machines)
+    dist = DistributedGraph(graph, params.num_machines, rng)
+    _replay_matching_rounds(ctx, dist, result.iterations, graph, params.num_machines)
     ctx.gather_to_central(
         EDGE_WORDS * max(1, result.stack_size),
         f"unwind stack ({result.stack_size} edges) on central machine",

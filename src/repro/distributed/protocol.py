@@ -206,8 +206,8 @@ def decode_records(payloads: Sequence[dict[str, Any]]) -> list[Any]:
 def payload_words(value: Any) -> int:
     """Size of a JSON-able value in 8-byte machine words (at least 1).
 
-    The distributed layer's *measured* counterpart of the simulator's
-    :func:`~repro.mapreduce.machine.words_of` model accounting: the actual
+    The distributed layer's *measured* counterpart of the model-level
+    :func:`~repro.mapreduce.engine.words_of` accounting: the actual
     canonical-JSON byte length of what crossed the wire, rounded up to
     words, so MPC load checks run against real payload sizes.
     """

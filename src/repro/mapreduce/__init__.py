@@ -5,14 +5,14 @@ are analysed in (Karloff–Suri–Vassilvitskii MRC, and the MPC refinement of
 Beame et al.): machines with sublinear memory, synchronous rounds, and
 all-to-all communication bounded by the machines' memory.
 
-The simulator executes machine-local computation in ordinary Python but
-*enforces* the model's constraints (per-machine word budgets) and *measures*
-the model's costs (rounds, per-machine space, communication volume), which
-are exactly the quantities tabulated in Figure 1 of the paper.
+One object, :class:`MPCContext`, is the whole substrate.  Drivers charge it
+each round with the loads the round declares; it *enforces* the model's
+constraint (the per-machine word budget) and *measures* the model's costs
+(rounds, per-machine space, communication volume), which are exactly the
+quantities tabulated in Figure 1 of the paper.
 """
 
-from .cluster import Cluster
-from .engine import MPCContext, tree_rounds
+from .engine import MPCContext, tree_rounds, words_of
 from .executor import (
     LocalRoundExecutor,
     RoundExecutor,
@@ -24,33 +24,19 @@ from .executor import (
 )
 from .exceptions import (
     AlgorithmFailureError,
-    CommunicationExceededError,
     InfeasibleInstanceError,
     MapReduceError,
     MemoryExceededError,
     ProtocolError,
     ReproError,
 )
-from .job import (
-    degree_count_job,
-    run_mapreduce_pipeline,
-    run_mapreduce_round,
-    triangle_count_job,
-)
-from .machine import Machine, words_of
-from .metrics import RoundRecord, RunMetrics, merge_metrics
-from .partition import (
-    balanced_partition,
-    hash_partition,
-    num_machines_for,
-    partition_counts,
-    random_partition,
-)
+from .metrics import RoundRecord, RunMetrics
+from .partition import balanced_partition, random_partition
 
 __all__ = [
-    "Cluster",
     "MPCContext",
     "tree_rounds",
+    "words_of",
     "RoundExecutor",
     "LocalRoundExecutor",
     "SweepRoundExecutor",
@@ -58,24 +44,13 @@ __all__ = [
     "execute_round_shard",
     "edge_degree_shard",
     "distributed_degree_count",
-    "run_mapreduce_round",
-    "run_mapreduce_pipeline",
-    "degree_count_job",
-    "triangle_count_job",
-    "Machine",
-    "words_of",
     "RoundRecord",
     "RunMetrics",
-    "merge_metrics",
     "balanced_partition",
     "random_partition",
-    "hash_partition",
-    "partition_counts",
-    "num_machines_for",
     "ReproError",
     "MapReduceError",
     "MemoryExceededError",
-    "CommunicationExceededError",
     "ProtocolError",
     "AlgorithmFailureError",
     "InfeasibleInstanceError",

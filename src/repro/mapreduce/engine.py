@@ -9,9 +9,9 @@ does three things:
    can report "this run of Algorithm 1 used 7 rounds: 3 sampling rounds and
    4 broadcast rounds".
 
-2. **Enforces space.**  Loads declared for a round are checked against the
-   per-machine memory budget; the central machine's round input is checked
-   against its budget.  Violations raise
+2. **Enforces space.**  The loads each round declares are checked against
+   the per-machine memory budget, which the central machine shares.
+   Exceeding it raises
    :class:`~repro.mapreduce.exceptions.MemoryExceededError`, which makes the
    space claims of Figure 1 *falsifiable* by the test-suite.
 
@@ -36,14 +36,46 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from .cluster import Cluster
 from .exceptions import MemoryExceededError, ProtocolError
 from .metrics import RunMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .executor import RoundExecutor
 
-__all__ = ["MPCContext", "tree_rounds"]
+__all__ = ["MPCContext", "tree_rounds", "words_of"]
+
+
+def words_of(value: Any) -> int:
+    """Estimate the number of machine words needed to store ``value``.
+
+    The accounting follows the conventions of the MRC model:
+
+    * ``None`` costs 0 words;
+    * an integer, float, bool or string token costs 1 word;
+    * a NumPy array costs its number of elements;
+    * a list/tuple/set/frozenset costs the sum of its items' costs;
+    * a dict costs the sum of key and value costs.
+
+    The estimate is intentionally simple and deterministic — it is used for
+    *model-level* space accounting, not for measuring Python's actual memory
+    footprint.
+    """
+    if value is None:
+        return 0
+    if isinstance(value, (bool, int, float, np.integer, np.floating, str, bytes)):
+        return 1
+    if isinstance(value, np.ndarray):
+        return int(value.size)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return sum(words_of(item) for item in value)
+    if isinstance(value, Mapping):
+        return sum(words_of(k) + words_of(v) for k, v in value.items())
+    # Objects exposing their own accounting (e.g. Graph, SetCoverInstance).
+    if hasattr(value, "word_count"):
+        return int(value.word_count())
+    # Fallback: one word.  Deliberately cheap so that small bookkeeping
+    # objects do not dominate the accounting.
+    return 1
 
 
 def tree_rounds(num_machines: int, fanout: int) -> int:
@@ -67,22 +99,22 @@ def tree_rounds(num_machines: int, fanout: int) -> int:
 
 
 class MPCContext:
-    """Orchestrates rounds on a :class:`~repro.mapreduce.cluster.Cluster`.
+    """Counts the rounds of one MPC run and checks them against its budget.
 
     Parameters
     ----------
-    cluster:
-        The simulated cluster to account against.
+    num_machines:
+        Number of worker machines (``M`` in the paper); at least one.
+    memory_per_machine:
+        Word budget of every worker and of the central machine
+        (``O(n^{1+µ})`` in most of the paper's theorems).  ``None`` disables
+        enforcement.
     algorithm:
         Name recorded on the resulting :class:`RunMetrics`.
     default_fanout:
         Fan-out used for broadcast/aggregation trees when the caller does
         not specify one.  The paper uses ``n^µ``; drivers pass that value
         explicitly.
-    strict:
-        When ``True`` (default) memory violations raise; when ``False`` they
-        are only recorded (useful for exploratory experiments that want to
-        observe by how much a bound would be exceeded).
     executor:
         Where :meth:`map_round` physically runs a round's shard functions
         (see :mod:`repro.mapreduce.executor`).  ``None`` means in-process
@@ -94,54 +126,35 @@ class MPCContext:
 
     def __init__(
         self,
-        cluster: Cluster,
+        num_machines: int,
+        memory_per_machine: int | None,
         *,
         algorithm: str = "",
         default_fanout: int = 2,
-        strict: bool = True,
         executor: "RoundExecutor | None" = None,
     ):
-        self.cluster = cluster
+        if num_machines <= 0:
+            raise ValueError("an MPC run needs at least one worker machine")
+        self.num_machines = int(num_machines)
+        self.memory_per_machine = (
+            None if memory_per_machine is None else int(memory_per_machine)
+        )
         self.metrics = RunMetrics(algorithm=algorithm)
         self.default_fanout = max(2, int(default_fanout))
-        self.strict = strict
         self.executor = executor
         self._closed = False
-        self._violations: list[str] = []
 
     # ------------------------------------------------------------------ #
     # Internal helpers
     # ------------------------------------------------------------------ #
-    @property
-    def num_machines(self) -> int:
-        return self.cluster.num_machines
-
-    @property
-    def memory_per_machine(self) -> int | None:
-        return self.cluster.memory_per_machine
-
-    @property
-    def violations(self) -> list[str]:
-        """Human-readable descriptions of budget violations (non-strict mode)."""
-        return list(self._violations)
-
     def _check_open(self) -> None:
         if self._closed:
             raise ProtocolError("MPCContext has been finished; no further rounds allowed")
 
-    def _check_worker_load(self, words: int, context: str) -> None:
-        limit = self.cluster.memory_per_machine
+    def _check_load(self, machine: str, words: int, context: str) -> None:
+        limit = self.memory_per_machine
         if limit is not None and words > limit:
-            if self.strict:
-                raise MemoryExceededError("worker", words, limit, context=context)
-            self._violations.append(f"worker load {words} > {limit} ({context})")
-
-    def _check_central_load(self, words: int, context: str) -> None:
-        limit = self.cluster.central_memory
-        if limit is not None and words > limit:
-            if self.strict:
-                raise MemoryExceededError("central", words, limit, context=context)
-            self._violations.append(f"central load {words} > {limit} ({context})")
+            raise MemoryExceededError(machine, words, limit, context=context)
 
     # ------------------------------------------------------------------ #
     # Round primitives
@@ -151,33 +164,24 @@ class MPCContext:
         description: str,
         *,
         phase: str = "",
-        machine_loads: Sequence[int] | np.ndarray | int | None = None,
+        machine_loads: Sequence[int] | np.ndarray | int,
         words_communicated: int = 0,
-        messages: int = 0,
     ) -> None:
         """Record one fully parallel round.
 
-        ``machine_loads`` is either the per-machine word loads (checked
-        individually), a single integer (interpreted as the maximum load), or
-        ``None`` (the current live loads of the cluster's workers are used).
+        ``machine_loads`` is either the per-machine word loads or a single
+        integer (the maximum load); the largest is checked against the
+        budget.
         """
         self._check_open()
-        if machine_loads is None:
-            loads = self.cluster.worker_loads()
-            max_load = int(loads.max()) if loads.size else 0
-        elif np.isscalar(machine_loads):
-            max_load = int(machine_loads)  # type: ignore[arg-type]
-        else:
-            arr = np.asarray(machine_loads, dtype=np.int64)
-            max_load = int(arr.max()) if arr.size else 0
-        self._check_worker_load(max_load, description)
+        loads = np.asarray(machine_loads, dtype=np.int64)
+        max_load = int(loads.max()) if loads.size else 0
+        self._check_load("worker", max_load, description)
         self.metrics.record_round(
             description,
             phase,
             max_machine_words=max_load,
-            central_words=self.cluster.central.words_used,
             words_communicated=int(words_communicated),
-            messages=int(messages),
         )
 
     def map_round(
@@ -198,9 +202,8 @@ class MPCContext:
         :class:`~repro.mapreduce.executor.SweepRoundExecutor`.  The
         *measured* per-shard payload sizes (input + output words, as they
         crossed — or would cross — the wire) feed the usual
-        :meth:`parallel_round` budget checks, so the simulator's
-        load-violation accounting applies unchanged to real execution.
-        Returns the shard outputs in shard order.
+        :meth:`parallel_round` budget check.  Returns the shard outputs in
+        shard order.
         """
         self._check_open()
         if self.executor is None:
@@ -216,7 +219,6 @@ class MPCContext:
             phase=phase,
             machine_loads=loads,
             words_communicated=sum(result.output_words for result in results),
-            messages=len(results),
         )
         return [result.output for result in results]
 
@@ -227,27 +229,24 @@ class MPCContext:
         *,
         phase: str = "",
         max_worker_send: int | None = None,
-        messages: int | None = None,
     ) -> None:
         """Record a round in which workers send ``input_words`` words to the central machine.
 
         This is the "blue line" pattern of the paper: a bounded-size sample
         is shipped to a single machine that runs the sequential algorithm on
         it.  The central machine's budget is checked against
-        ``input_words`` plus whatever state it already holds.
+        ``input_words``, and a worker's against ``max_worker_send``.
         """
         self._check_open()
-        total_central = self.cluster.central.words_used + int(input_words)
-        self._check_central_load(total_central, description)
+        self._check_load("central", int(input_words), description)
         if max_worker_send is not None:
-            self._check_worker_load(int(max_worker_send), description)
+            self._check_load("worker", int(max_worker_send), description)
         self.metrics.record_round(
             description,
             phase,
             max_machine_words=int(max_worker_send or 0),
-            central_words=total_central,
+            central_words=int(input_words),
             words_communicated=int(input_words),
-            messages=self.num_machines if messages is None else int(messages),
         )
 
     def broadcast(
@@ -274,14 +273,12 @@ class MPCContext:
         per_node = int(payload_words) * (fanout + 1)
         for i in range(rounds):
             reached = min(self.num_machines, fanout ** (i + 1))
-            self._check_worker_load(per_node, f"{description} (tree level {i})")
+            self._check_load("worker", per_node, f"{description} (tree level {i})")
             self.metrics.record_round(
                 f"{description} [broadcast level {i + 1}/{rounds}]",
                 phase,
                 max_machine_words=per_node,
-                central_words=self.cluster.central.words_used,
                 words_communicated=int(payload_words) * reached,
-                messages=reached,
             )
         return rounds
 
@@ -305,14 +302,13 @@ class MPCContext:
         per_node = int(per_machine_words) * (fanout + 1)
         for i in range(rounds):
             senders = max(1, self.num_machines // max(1, fanout**i))
-            self._check_worker_load(per_node, f"{description} (tree level {i})")
+            self._check_load("worker", per_node, f"{description} (tree level {i})")
             self.metrics.record_round(
                 f"{description} [aggregate level {i + 1}/{rounds}]",
                 phase,
                 max_machine_words=per_node,
-                central_words=self.cluster.central.words_used + int(per_machine_words) * fanout,
+                central_words=int(per_machine_words) * fanout,
                 words_communicated=int(per_machine_words) * senders,
-                messages=senders,
             )
         return rounds
 
@@ -328,6 +324,4 @@ class MPCContext:
         self._check_open()
         self._closed = True
         self.metrics.notes.update(notes)
-        if self._violations:
-            self.metrics.notes["violations"] = list(self._violations)
         return self.metrics

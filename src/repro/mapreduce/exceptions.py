@@ -1,9 +1,10 @@
 """Exception hierarchy for the MPC / MapReduce simulation substrate.
 
-The simulator is strict by design: exceeding a machine's memory budget or
-violating the round protocol raises immediately rather than silently
-degrading, so that the space bounds claimed in the paper (Figure 1) are
-*enforced* during benchmarks rather than merely reported.
+:class:`~repro.mapreduce.engine.MPCContext` is strict by design: a round
+that declares more words than a machine's budget, or a round charged after
+the run is finished, raises immediately rather than silently degrading, so
+that the space bounds claimed in the paper (Figure 1) are *enforced* during
+benchmarks rather than merely reported.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ class MemoryExceededError(MapReduceError):
     Attributes
     ----------
     machine_id:
-        Identifier of the offending machine (``"central"`` for the
-        designated central machine).
+        Which budget was exceeded: ``"worker"`` or ``"central"``.
     requested:
         Number of words the machine attempted to hold.
     limit:
@@ -45,22 +45,8 @@ class MemoryExceededError(MapReduceError):
         super().__init__(msg)
 
 
-class CommunicationExceededError(MapReduceError):
-    """A machine attempted to send/receive more words in one round than allowed."""
-
-    def __init__(self, machine_id: object, requested: int, limit: int, direction: str = "send"):
-        self.machine_id = machine_id
-        self.requested = int(requested)
-        self.limit = int(limit)
-        self.direction = direction
-        super().__init__(
-            f"machine {machine_id!r} attempted to {direction} {self.requested} words "
-            f"in a single round, exceeding the per-round limit of {self.limit} words"
-        )
-
-
 class ProtocolError(MapReduceError):
-    """The round protocol was violated (e.g. nested rounds, use after close)."""
+    """The round protocol was violated (a round charged after ``finish``)."""
 
 
 class AlgorithmFailureError(ReproError):

@@ -27,10 +27,11 @@ Both executors funnel through the same :func:`execute_round_shard`
 function and canonical-JSON normalisation, so a round's outputs are
 byte-identical no matter where its shards ran.  Shard inputs/outputs are
 measured with :func:`~repro.distributed.protocol.payload_words` — the
-wire-level counterpart of the simulator's
-:func:`~repro.mapreduce.machine.words_of` model — and those measurements
-flow into the usual per-machine budget checks, turning the simulator's
-load-violation bookkeeping into real per-worker payload metrics.
+wire-level counterpart of the model-level
+:func:`~repro.mapreduce.engine.words_of` — and those measurements flow
+into :class:`~repro.mapreduce.engine.MPCContext`'s per-machine budget
+check, so a round that runs for real is held to the same budget as one
+a driver declares.
 """
 
 from __future__ import annotations
@@ -243,15 +244,18 @@ def distributed_degree_count(
     ``metrics`` is the finished :class:`~repro.mapreduce.metrics.RunMetrics`
     with the round's *measured* loads.
     """
-    from .cluster import Cluster
     from .engine import MPCContext
     from .partition import balanced_partition
 
-    cluster = Cluster(max(1, int(num_machines)), memory_per_machine)
-    ctx = MPCContext(cluster, algorithm="distributed-degree-count", executor=executor)
+    ctx = MPCContext(
+        max(1, int(num_machines)),
+        memory_per_machine,
+        algorithm="distributed-degree-count",
+        executor=executor,
+    )
     edges = [list(edge) for edge in edges]
-    assignment = balanced_partition(len(edges), cluster.num_machines)
-    shards: list[list[list[int]]] = [[] for _ in range(cluster.num_machines)]
+    assignment = balanced_partition(len(edges), ctx.num_machines)
+    shards: list[list[list[int]]] = [[] for _ in range(ctx.num_machines)]
     for edge, machine in zip(edges, assignment):
         shards[int(machine)].append(edge)
     outputs = ctx.map_round(

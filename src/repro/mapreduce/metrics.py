@@ -14,7 +14,6 @@ on central machine".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,6 @@ class RoundRecord:
         Number of words held by the central machine during the round.
     words_communicated:
         Total number of words shipped between machines in the round.
-    messages:
-        Number of (sender, receiver) messages exchanged.
     """
 
     index: int
@@ -46,7 +43,6 @@ class RoundRecord:
     max_machine_words: int = 0
     central_words: int = 0
     words_communicated: int = 0
-    messages: int = 0
 
     @property
     def max_words(self) -> int:
@@ -77,7 +73,6 @@ class RunMetrics:
         max_machine_words: int = 0,
         central_words: int = 0,
         words_communicated: int = 0,
-        messages: int = 0,
     ) -> RoundRecord:
         """Append a round record and return it."""
         record = RoundRecord(
@@ -87,30 +82,9 @@ class RunMetrics:
             max_machine_words=int(max_machine_words),
             central_words=int(central_words),
             words_communicated=int(words_communicated),
-            messages=int(messages),
         )
         self.rounds.append(record)
         return record
-
-    def extend(self, other: "RunMetrics") -> None:
-        """Append all rounds of ``other`` (re-indexed) to this run.
-
-        ``other``'s notes are merged in as well, first-wins: a key this run
-        already carries keeps its value.  (Composed protocols read notes such
-        as ``"sampling_iterations"`` off the merged result — dropping them
-        here would make ``merge_metrics`` lose the sub-protocols' counters.)
-        """
-        for record in other.rounds:
-            self.record_round(
-                record.description,
-                record.phase,
-                max_machine_words=record.max_machine_words,
-                central_words=record.central_words,
-                words_communicated=record.words_communicated,
-                messages=record.messages,
-            )
-        for key, value in other.notes.items():
-            self.notes.setdefault(key, value)
 
     # ------------------------------------------------------------------ #
     # Aggregates
@@ -128,25 +102,9 @@ class RunMetrics:
         return max(record.max_words for record in self.rounds)
 
     @property
-    def max_central_space(self) -> int:
-        """Maximum number of words ever held by the central machine."""
-        if not self.rounds:
-            return 0
-        return max(record.central_words for record in self.rounds)
-
-    @property
     def total_communication(self) -> int:
         """Total number of words communicated across the whole run."""
         return sum(record.words_communicated for record in self.rounds)
-
-    @property
-    def total_messages(self) -> int:
-        """Total number of point-to-point messages across the whole run."""
-        return sum(record.messages for record in self.rounds)
-
-    def rounds_in_phase(self, phase: str) -> list[RoundRecord]:
-        """Return the rounds recorded under ``phase``."""
-        return [record for record in self.rounds if record.phase == phase]
 
     def phases(self) -> list[str]:
         """Return the distinct phases in order of first appearance."""
@@ -155,31 +113,3 @@ class RunMetrics:
             if record.phase not in seen:
                 seen.append(record.phase)
         return seen
-
-    def __iter__(self) -> Iterator[RoundRecord]:
-        return iter(self.rounds)
-
-    def summary(self) -> dict[str, object]:
-        """Return a flat dictionary summary (used by the benchmark tables)."""
-        return {
-            "algorithm": self.algorithm,
-            "rounds": self.num_rounds,
-            "max_space_per_machine": self.max_space_per_machine,
-            "max_central_space": self.max_central_space,
-            "total_communication": self.total_communication,
-            "total_messages": self.total_messages,
-        }
-
-
-def merge_metrics(metrics: Iterable[RunMetrics], algorithm: str = "") -> RunMetrics:
-    """Concatenate several :class:`RunMetrics` objects into one.
-
-    Useful when an algorithm is expressed as a sequence of sub-protocols
-    (e.g. preprocessing followed by the main loop).  Rounds concatenate in
-    order; notes merge first-wins (the earliest sub-protocol that set a key
-    keeps it).
-    """
-    merged = RunMetrics(algorithm=algorithm)
-    for item in metrics:
-        merged.extend(item)
-    return merged

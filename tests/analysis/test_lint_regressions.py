@@ -16,9 +16,6 @@ test_lint_checkers.py), so the defect class cannot come back silently.
    executor observing a close() → start() restart).  An executor now
    stops once it is no longer the published thread, and start() starts
    the thread under the lock.
-4. DET003 @ mapreduce/job.py — ``triangle_count_job`` fed the round its
-   edge records in *set* order, tying record order (and the measured
-   round accounting) to hash iteration.
 """
 
 from __future__ import annotations
@@ -30,8 +27,6 @@ import numpy as np
 from repro.cli import main
 from repro.distributed.worker import WorkerState
 from repro.experiments.harness import ExperimentRecord
-from repro.graphs import Graph
-from repro.mapreduce import Cluster, MPCContext, triangle_count_job
 
 
 class TestAlgorithmsListingIdentity:
@@ -213,18 +208,3 @@ class TestWorkerThreadHandleDiscipline:
         state.close()
         assert not closing.is_alive()
         assert errors == []
-
-
-class TestTriangleRecordOrder:
-    def test_count_and_round_accounting_independent_of_edge_order(self):
-        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 4)]
-        reference = None
-        for ordering in (edges, list(reversed(edges)), edges[3:] + edges[:3]):
-            ctx = MPCContext(Cluster(4, 100_000), algorithm="triangle-regression")
-            count = triangle_count_job(ctx, Graph(5, ordering))
-            assert count == 2
-            outcome = (count, ctx.metrics.summary())
-            if reference is None:
-                reference = outcome
-            else:
-                assert outcome == reference

@@ -6,71 +6,70 @@ import numpy as np
 import pytest
 
 from repro.graphs import EDGE_WORDS, DistributedGraph, gnm_graph
-from repro.mapreduce import Cluster
 
 
 @pytest.fixture
 def placed(rng):
     graph = gnm_graph(40, 200, rng)
-    cluster = Cluster(5, 10_000)
-    return graph, cluster, DistributedGraph(graph, cluster, rng)
+    return graph, DistributedGraph(graph, 5, rng)
 
 
 class TestPlacement:
     def test_every_edge_assigned_once(self, placed):
-        graph, cluster, dist = placed
-        all_edges = np.concatenate([dist.edges_on_machine(i) for i in range(5)])
-        assert sorted(all_edges.tolist()) == list(range(graph.num_edges))
+        graph, dist = placed
+        assert dist.edge_machine.shape == (graph.num_edges,)
+        assert dist.edge_machine.min() >= 0 and dist.edge_machine.max() < 5
 
     def test_every_vertex_assigned_once(self, placed):
-        graph, cluster, dist = placed
-        all_vertices = np.concatenate([dist.vertices_on_machine(i) for i in range(5)])
-        assert sorted(all_vertices.tolist()) == list(range(graph.num_vertices))
+        graph, dist = placed
+        assert dist.vertex_machine.shape == (graph.num_vertices,)
+        assert dist.vertex_machine.min() >= 0 and dist.vertex_machine.max() < 5
 
     def test_balanced_edge_placement(self, placed):
-        graph, cluster, dist = placed
-        counts = np.array([dist.edges_on_machine(i).size for i in range(5)])
+        _, dist = placed
+        counts = np.bincount(dist.edge_machine, minlength=5)
         assert counts.max() - counts.min() <= 1
 
-    def test_random_edge_placement(self, rng):
+    def test_vertex_placement_draws_from_rng(self, rng):
         graph = gnm_graph(30, 150, rng)
-        cluster = Cluster(3, 10_000)
-        dist = DistributedGraph(graph, cluster, rng, edge_placement="random")
-        total = sum(dist.edges_on_machine(i).size for i in range(3))
-        assert total == graph.num_edges
-
-    def test_unknown_placement_rejected(self, rng):
-        graph = gnm_graph(10, 20, rng)
-        with pytest.raises(ValueError):
-            DistributedGraph(graph, Cluster(2, 100), rng, edge_placement="bogus")
+        a = DistributedGraph(graph, 3, np.random.default_rng(11))
+        b = DistributedGraph(graph, 3, np.random.default_rng(11))
+        np.testing.assert_array_equal(a.vertex_machine, b.vertex_machine)
+        np.testing.assert_array_equal(
+            a.vertex_machine, np.random.default_rng(11).integers(0, 3, size=30)
+        )
 
 
 class TestLoads:
     def test_edge_loads_sum_to_total(self, placed):
-        graph, cluster, dist = placed
+        graph, dist = placed
         assert dist.edge_loads().sum() == EDGE_WORDS * graph.num_edges
 
     def test_adjacency_loads_sum_to_twice_edges(self, placed):
-        graph, cluster, dist = placed
+        graph, dist = placed
         assert dist.adjacency_loads().sum() == 2 * graph.num_edges
 
-    def test_total_loads_and_word_count_agree(self, placed):
-        graph, cluster, dist = placed
-        assert dist.total_loads().sum() == dist.word_count()
+    def test_total_loads_are_edge_plus_adjacency(self, placed):
+        graph, dist = placed
+        np.testing.assert_array_equal(
+            dist.total_loads(), dist.edge_loads() + dist.adjacency_loads()
+        )
+        assert dist.total_loads().sum() == (EDGE_WORDS + 2) * graph.num_edges
 
     def test_alive_mask_reduces_loads(self, placed):
-        graph, cluster, dist = placed
+        graph, dist = placed
         mask = np.zeros(graph.num_edges, dtype=bool)
         mask[:10] = True
         assert dist.edge_loads(mask).sum() == EDGE_WORDS * 10
         assert dist.adjacency_loads(mask).sum() == 20
-        assert dist.max_load(mask) <= dist.max_load()
+        assert dist.total_loads(mask).max() <= dist.total_loads().max()
 
     def test_alive_ids_accepted_as_indices(self, placed):
-        graph, cluster, dist = placed
+        graph, dist = placed
         ids = np.arange(5)
         assert dist.edge_loads(ids).sum() == EDGE_WORDS * 5
 
-    def test_max_load_positive(self, placed):
-        _, _, dist = placed
-        assert dist.max_load() > 0
+    def test_loads_have_one_entry_per_machine(self, placed):
+        _, dist = placed
+        assert dist.total_loads().shape == (5,)
+        assert dist.total_loads().max() > 0

@@ -81,6 +81,21 @@ class TestGreedySetCoverDriver:
         descriptions = " ".join(r.description for r in metrics.rounds)
         assert "broadcast" in descriptions and "aggregate" in descriptions
 
+    @pytest.mark.parametrize(
+        "num_sets,num_elements,density,mu",
+        [(150, 50, 0.08, 0.4), (120, 40, 0.1, 0.3), (600, 300, 0.02, 0.2)],
+    )
+    def test_set_loads_match_round_robin_definition(self, num_sets, num_elements, density, mu, rng):
+        inst = random_coverage_instance(num_sets, num_elements, rng, density=density)
+        params = mpc_parameters_for_greedy_set_cover(inst, mu)
+        expected = np.zeros(params.num_machines, dtype=np.int64)
+        for set_id in range(inst.num_sets):
+            expected[set_id % params.num_machines] += int(inst.set_sizes[set_id]) + 1
+        _, metrics = mpc_greedy_set_cover(inst, mu, rng)
+        first, gather = metrics.rounds[:2]
+        assert first.max_machine_words == expected.max()
+        assert gather.max_machine_words == expected.max()
+
     def test_epsilon_recorded(self, rng):
         inst = random_coverage_instance(100, 40, rng, density=0.1)
         _, metrics = mpc_greedy_set_cover(inst, 0.5, rng, epsilon=0.7)

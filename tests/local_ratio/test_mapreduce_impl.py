@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.hungry_greedy import mpc_parameters_for_greedy_set_cover
+from repro.core.local_ratio import mapreduce_impl as local_ratio_mpc
 from repro.core.local_ratio import (
     mpc_parameters_for_graph,
     mpc_parameters_for_instance,
@@ -14,7 +16,7 @@ from repro.core.local_ratio import (
     mpc_weighted_vertex_cover,
 )
 from repro.graphs import densified_graph, gnm_graph, is_b_matching, is_matching, is_vertex_cover
-from repro.setcover import is_cover, random_frequency_bounded_instance
+from repro.setcover import is_cover, random_coverage_instance, random_frequency_bounded_instance
 
 
 class TestParameterDerivation:
@@ -39,6 +41,44 @@ class TestParameterDerivation:
         large = mpc_parameters_for_graph(densified_graph(60, 0.6, rng), 0.2)
         assert large.num_machines >= small.num_machines
 
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda rng: mpc_parameters_for_graph(densified_graph(60, 0.4, rng), 0.25),
+            lambda rng: mpc_parameters_for_instance(
+                random_frequency_bounded_instance(30, 300, 3, rng), 0.25
+            ),
+            lambda rng: mpc_parameters_for_greedy_set_cover(
+                random_coverage_instance(120, 40, rng, density=0.1), 0.4
+            ),
+        ],
+        ids=["graph", "instance", "greedy-set-cover"],
+    )
+    def test_budget_reads_space_slack_at_call_time(self, derive, monkeypatch):
+        default = derive(np.random.default_rng(3))
+        monkeypatch.setattr(local_ratio_mpc, "SPACE_SLACK", 2 * local_ratio_mpc.SPACE_SLACK)
+        doubled = derive(np.random.default_rng(3))
+        assert 2 * default.memory_per_machine - 1 <= doubled.memory_per_machine
+        assert doubled.memory_per_machine <= 2 * default.memory_per_machine
+        assert (doubled.eta, doubled.num_machines) == (default.eta, default.num_machines)
+
+
+class TestElementLoads:
+    @pytest.mark.parametrize(
+        "num_sets,num_elements,frequency,mu",
+        [(40, 200, 3, 0.25), (50, 900, 4, 0.3), (30, 2000, 2, 0.1), (8, 60, 5, 0.5)],
+    )
+    def test_match_per_element_definition(self, num_sets, num_elements, frequency, mu, rng):
+        inst = random_frequency_bounded_instance(num_sets, num_elements, frequency, rng)
+        params = mpc_parameters_for_instance(inst, mu)
+        expected = np.zeros(params.num_machines, dtype=np.int64)
+        for j in range(inst.num_elements):
+            machine = min(params.num_machines - 1, j // params.eta)
+            expected[machine] += inst.sets_containing(j).size + 1
+        loads = local_ratio_mpc._element_loads(inst, params)
+        assert loads.dtype == np.int64
+        np.testing.assert_array_equal(loads, expected)
+
 
 class TestVertexCoverDriver:
     def test_solution_and_metrics(self, rng):
@@ -59,7 +99,7 @@ class TestVertexCoverDriver:
         assert metrics.num_rounds == 4 * len(result.iterations)
 
     def test_space_bound_enforced(self, rng):
-        """The driver runs in strict mode: merely completing implies the
+        """MPCContext enforces the budget: merely completing implies the
         O(f·n^{1+µ}) budget was never exceeded."""
         g = densified_graph(80, 0.5, rng)
         weights = rng.uniform(1.0, 5.0, size=80)
@@ -143,6 +183,6 @@ class TestBMatchingDriver:
         g = densified_graph(70, 0.4, rng, weights="uniform")
         _, metrics_b2 = mpc_weighted_b_matching(g, 2, 0.25, rng, epsilon=0.2)
         _, metrics_b5 = mpc_weighted_b_matching(g, 5, 0.25, rng, epsilon=0.2)
-        # The budget grows, so a larger observed footprint is still legal; we
-        # check the driver completes in strict mode for both.
+        # The budget grows, so a larger observed footprint is still legal;
+        # MPCContext raises on any overrun, so completing is the check.
         assert metrics_b2.num_rounds > 0 and metrics_b5.num_rounds > 0

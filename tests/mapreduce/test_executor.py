@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.mapreduce import (
-    Cluster,
     LocalRoundExecutor,
     MemoryExceededError,
     MPCContext,
@@ -35,7 +34,7 @@ def _round_payloads(metrics) -> list[dict]:
             "description": record.description,
             "max_machine_words": record.max_machine_words,
             "words_communicated": record.words_communicated,
-            "messages": record.messages,
+            "central_words": record.central_words,
         }
         for record in metrics.rounds
     ]
@@ -80,7 +79,7 @@ class TestExecutorEquivalence:
         ]
 
     def test_map_round_defaults_to_local_executor(self):
-        ctx = MPCContext(Cluster(2, None), algorithm="t")
+        ctx = MPCContext(2, None, algorithm="t")
         outputs = ctx.map_round(edge_degree_shard, [[[0, 1]], [[1, 2]]], "deg")
         assert isinstance(ctx.executor, LocalRoundExecutor)
         assert outputs == [[[0, 1], [1, 1]], [[1, 1], [2, 1]]]
@@ -131,11 +130,16 @@ class TestAccounting:
         assert map_round.words_communicated == sum(
             payload_words(output) for output in outputs
         )
-        assert map_round.messages == 2
+        assert gather_round.central_words == map_round.words_communicated
 
     def test_empty_shard_still_counts_a_machine(self):
         # More machines than edges: trailing machines get empty shards and
         # still participate in (and are accounted for in) the round.
+        ctx = MPCContext(4, None)
+        outputs = ctx.map_round(edge_degree_shard, [[[0, 1]], [], [], []], "deg")
+        assert outputs == [[[0, 1], [1, 1]], [], [], []]
         degrees, metrics = distributed_degree_count([[0, 1]], num_machines=4)
         assert degrees == {0: 1, 1: 1}
-        assert metrics.rounds[0].messages == 4
+        assert metrics.rounds[0].max_machine_words == payload_words([[0, 1]]) + payload_words(
+            outputs[0]
+        )

