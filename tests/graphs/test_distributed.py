@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graphs import EDGE_WORDS, DistributedGraph, gnm_graph
+from repro.graphs import EDGE_WORDS, DistributedGraph, Graph, gnm_graph
 
 
 @pytest.fixture
@@ -73,3 +73,33 @@ class TestLoads:
         _, dist = placed
         assert dist.total_loads().shape == (5,)
         assert dist.total_loads().max() > 0
+
+    def test_edge_loads_are_equal_blocks(self, placed):
+        _, dist = placed
+        np.testing.assert_array_equal(dist.edge_loads(), [EDGE_WORDS * 40] * 5)
+
+    def test_adjacency_loads_sum_degrees_of_hosted_vertices(self, placed):
+        graph, dist = placed
+        expected = np.zeros(5, dtype=np.int64)
+        for vertex, degree in enumerate(graph.degrees()):
+            expected[dist.vertex_machine[vertex]] += degree
+        np.testing.assert_array_equal(dist.adjacency_loads(), expected)
+
+    def test_boolean_mask_and_edge_ids_agree(self, placed, rng):
+        graph, dist = placed
+        ids = rng.choice(graph.num_edges, size=37, replace=False)
+        mask = np.isin(np.arange(graph.num_edges), ids)
+        np.testing.assert_array_equal(dist.total_loads(ids), dist.total_loads(mask))
+
+    def test_no_alive_edges_means_no_load(self, placed):
+        graph, dist = placed
+        for alive in (np.zeros(graph.num_edges, dtype=bool), np.array([], dtype=np.int64)):
+            np.testing.assert_array_equal(dist.total_loads(alive), np.zeros(5))
+
+    def test_edgeless_graph_has_no_load(self, rng):
+        dist = DistributedGraph(Graph(6, []), 3, rng)
+        np.testing.assert_array_equal(dist.total_loads(), np.zeros(3))
+
+    def test_single_machine_holds_everything(self, rng):
+        dist = DistributedGraph(gnm_graph(10, 20, rng), 1, rng)
+        assert dist.total_loads().tolist() == [(EDGE_WORDS + 2) * 20]

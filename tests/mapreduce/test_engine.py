@@ -87,6 +87,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MPCContext(0, 100)
 
+    def test_sizes_are_stored_as_plain_ints(self):
+        ctx = MPCContext(np.int64(3), np.int64(50))
+        assert type(ctx.num_machines) is int and type(ctx.memory_per_machine) is int
+
+    def test_fanout_below_two_is_clamped(self):
+        ctx = MPCContext(4, None, default_fanout=1)
+        assert ctx.default_fanout == 2
+        assert ctx.broadcast(1, "c") == 2
+        assert ctx.aggregate(1, "s", fanout=0) == 2
+
     def test_unlimited_memory_disables_enforcement(self):
         ctx = MPCContext(2, None)
         assert ctx.memory_per_machine is None
@@ -127,6 +137,56 @@ class TestParallelRound:
         assert excinfo.value.limit == 100
         assert excinfo.value.context == "too big"
         assert ctx.metrics.num_rounds == 0
+
+
+# Each primitive driven so the one load it checks equals ``load`` (a tree node of
+# fan-out 4 holds five payloads), with the machine and context a violation reports.
+TREE_LEVEL_0 = "step (tree level 0)"
+PRIMITIVES = {
+    "parallel": (lambda ctx, load: ctx.parallel_round("step", machine_loads=[1, load]), "worker", "step"),
+    "gather": (lambda ctx, load: ctx.gather_to_central(load, "step"), "central", "step"),
+    "broadcast": (lambda ctx, load: ctx.broadcast(load // 5, "step", fanout=4), "worker", TREE_LEVEL_0),
+    "aggregate": (lambda ctx, load: ctx.aggregate(load // 5, "step", fanout=4), "worker", TREE_LEVEL_0),
+}
+
+
+class TestBudgets:
+    """One budget binds every round primitive, the central machine's included."""
+
+    @pytest.mark.parametrize("primitive", sorted(PRIMITIVES))
+    def test_load_at_budget_is_recorded(self, primitive):
+        ctx = MPCContext(16, 100)
+        PRIMITIVES[primitive][0](ctx, 100)
+        assert ctx.metrics.num_rounds >= 1 and ctx.metrics.max_space_per_machine == 100
+
+    @pytest.mark.parametrize("primitive", sorted(PRIMITIVES))
+    def test_load_over_budget_raises_and_records_nothing(self, primitive):
+        run, machine, context = PRIMITIVES[primitive]
+        ctx = MPCContext(16, 100)
+        with pytest.raises(MemoryExceededError) as excinfo:
+            run(ctx, 105)
+        assert (excinfo.value.machine_id, excinfo.value.context) == (machine, context)
+        assert (excinfo.value.requested, excinfo.value.limit) == (105, 100)
+        assert ctx.metrics.num_rounds == 0
+
+    def test_violation_leaves_the_run_open(self):
+        ctx = MPCContext(2, 100)
+        with pytest.raises(MemoryExceededError):
+            ctx.parallel_round("too big", machine_loads=101)
+        ctx.parallel_round("fits", machine_loads=99)
+        assert [(r.index, r.description) for r in ctx.finish().rounds] == [(0, "fits")]
+
+    def test_peak_space_is_the_largest_round(self):
+        ctx = MPCContext(4, 100)
+        ctx.parallel_round("a", machine_loads=[30, 10])
+        ctx.gather_to_central(80, "b", max_worker_send=5)
+        ctx.parallel_round("c", machine_loads=10)
+        assert ctx.finish().max_space_per_machine == 80
+
+    def test_error_message_names_machine_budget_and_round(self):
+        expected = r"'central' requires 7 words but has a budget of 5 words \(sample\)$"
+        with pytest.raises(MemoryExceededError, match=expected):
+            MPCContext(2, 5).gather_to_central(7, "sample")
 
 
 class TestGatherToCentral:
@@ -187,6 +247,15 @@ class TestBroadcastAndAggregate:
         assert [r.central_words for r in ctx.metrics.rounds] == [4, 4, 4]
         assert [r.words_communicated for r in ctx.metrics.rounds] == [64, 16, 4]
 
+    def test_aggregate_levels_record_descriptions_and_senders(self):
+        ctx = MPCContext(20, 10_000, default_fanout=4)
+        ctx.aggregate(2, "count", phase="iteration-2")
+        rounds = ctx.metrics.rounds
+        assert [r.description for r in rounds] == [f"count [aggregate level {i}/3]" for i in (1, 2, 3)]
+        assert {r.phase for r in rounds} == {"iteration-2"}
+        assert [r.max_machine_words for r in rounds] == [10, 10, 10]
+        assert [r.words_communicated for r in rounds] == [40, 10, 2]
+
     def test_explicit_fanout_overrides_default(self):
         ctx = MPCContext(64, 10_000, default_fanout=2)
         assert ctx.broadcast(1, "c", fanout=64) == 1
@@ -219,3 +288,9 @@ class TestLifecycle:
             ctx.aggregate(1, "late")
         with pytest.raises(ProtocolError):
             ctx.finish()
+
+    def test_map_round_after_finish_rejected_before_running_shards(self):
+        ctx = MPCContext(2, None)
+        ctx.finish()
+        with pytest.raises(ProtocolError):  # not ImportError: no shard ran
+            ctx.map_round("no.such.module.shard_fn", [[]], "late")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.graphs import gnm_graph
 from repro.mapreduce import (
     LocalRoundExecutor,
     MemoryExceededError,
@@ -110,7 +111,39 @@ class TestExecutorEquivalence:
         assert _round_payloads(metrics) == _round_payloads(golden_metrics)
 
 
+class TestDegreeCount:
+    @pytest.mark.parametrize("num_machines", [1, 3, 8])
+    def test_matches_graph_degrees(self, rng, num_machines):
+        graph = gnm_graph(30, 120, rng)
+        degrees, metrics = distributed_degree_count(graph.edge_array().tolist(), num_machines=num_machines)
+        assert degrees == {v: int(d) for v, d in enumerate(graph.degrees()) if d}
+        assert [r.phase for r in metrics.rounds] == ["degree-count", "degree-count"]
+
+    def test_star_graph(self):
+        degrees, _ = distributed_degree_count([[0, leaf] for leaf in range(1, 7)], num_machines=3)
+        assert degrees == {0: 6, **{leaf: 1 for leaf in range(1, 7)}}
+
+    def test_empty_edge_list(self):
+        degrees, metrics = distributed_degree_count([], num_machines=3)
+        assert degrees == {} and metrics.num_rounds == 2
+
+    def test_degrees_independent_of_edge_order(self):
+        for ordering in (EDGES, EDGES[::-1], EDGES[3:] + EDGES[:3]):
+            degrees, metrics = distributed_degree_count(ordering, num_machines=3)
+            assert degrees == DEGREES and metrics.num_rounds == 2
+
+
 class TestAccounting:
+    def test_map_round_checks_measured_loads_against_budget(self):
+        shards = [[[0, 1], [1, 2]], [[2, 3]]]
+        load = payload_words(shards[0]) + payload_words(edge_degree_shard(shards[0]))
+        assert MPCContext(2, load).map_round(edge_degree_shard, shards, "deg")
+        ctx = MPCContext(2, load - 1)
+        with pytest.raises(MemoryExceededError) as excinfo:
+            ctx.map_round(edge_degree_shard, shards, "deg")
+        assert (excinfo.value.requested, excinfo.value.context) == (load, "deg")
+        assert ctx.metrics.num_rounds == 0
+
     def test_measured_loads_feed_budget_checks(self):
         # A budget below the measured shard payload must trip the usual
         # MemoryExceededError — real execution, simulator enforcement.

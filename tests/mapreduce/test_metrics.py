@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
 from repro.mapreduce import RunMetrics
 
 
@@ -37,3 +40,19 @@ class TestRoundRecording:
         metrics.record_round("b", "p2")
         metrics.record_round("c", "p1")
         assert metrics.phases() == ["p1", "p2"]
+
+    def test_unphased_rounds_share_the_empty_phase(self):
+        metrics = RunMetrics()
+        metrics.record_round("a")
+        metrics.record_round("b", "p")
+        assert metrics.phases() == ["", "p"]
+
+    def test_round_records_are_immutable(self):
+        record = RunMetrics().record_round("r", max_machine_words=3)
+        with pytest.raises(AttributeError):  # a frozen dataclass
+            record.max_machine_words = 5
+
+    def test_record_round_stores_plain_ints(self):
+        record = RunMetrics().record_round("r", max_machine_words=np.int64(3), central_words=np.int32(4))
+        counts = (record.max_machine_words, record.central_words)
+        assert counts == (3, 4) and {type(c) for c in counts} == {int}

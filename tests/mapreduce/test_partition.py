@@ -56,6 +56,10 @@ class TestRandomPartition:
         with pytest.raises(ValueError):
             random_partition(10, 0, rng)
 
+    def test_invalid_item_count(self, rng):
+        with pytest.raises(ValueError):
+            random_partition(-1, 3, rng)
+
 
 class TestEdgeCases:
     """Degenerate shapes the distributed layer actually produces."""
@@ -122,3 +126,16 @@ class TestPartitionProperties:
         assert assign.shape == (num_items,)
         if num_items:
             assert assign.min() >= 0 and assign.max() < num_machines
+
+    @pytest.mark.parametrize("num_items,num_machines", SHAPES)
+    def test_balanced_blocks_follow_machine_order(self, num_items, num_machines):
+        assign = balanced_partition(num_items, num_machines)
+        assert assign.dtype == np.int64 and np.all(np.diff(assign) >= 0)
+
+    @pytest.mark.parametrize("num_items,num_machines", SHAPES)
+    def test_random_partition_is_one_draw_from_the_rng(self, num_items, num_machines):
+        # Vertex placement, and with it every recorded load, replays from the seed.
+        assign = random_partition(num_items, num_machines, np.random.default_rng(5))
+        assert assign.dtype == np.int64
+        expected = np.random.default_rng(5).integers(0, num_machines, size=num_items)
+        np.testing.assert_array_equal(assign, expected)

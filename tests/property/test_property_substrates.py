@@ -61,6 +61,14 @@ class TestWordAccountingProperties:
     def test_list_cost_equals_length(self, values):
         assert words_of(values) == len(values)
 
+    @given(st.lists(st.integers(), max_size=20), st.lists(st.lists(st.floats(), max_size=5), max_size=5))
+    def test_cost_is_additive_over_concatenation(self, flat, nested):
+        assert words_of(flat + nested) == words_of(flat) + words_of(nested)
+
+    @given(st.dictionaries(st.integers(), st.lists(st.integers(), max_size=5), max_size=10))
+    def test_dict_costs_keys_plus_values(self, mapping):
+        assert words_of(mapping) == len(mapping) + sum(len(v) for v in mapping.values())
+
 
 class TestPartitionProperties:
     @given(st.integers(0, 500), st.integers(1, 20))
