@@ -6,9 +6,14 @@ limit or the wait window after its first point arrived — and executes
 each batch through :func:`~repro.backends.run_sweep` in a worker thread.
 The whole frontier therefore reaches the backend in one call, exactly like
 an experiment sweep: the ``batch`` backend memoises duplicate points
-(identical concurrent requests compute once), ``mp`` fans distinct points
-out across processes, and a shared :class:`~repro.backends.ResultCache`
-serves idempotent replays without recomputing.
+(identical concurrent requests compute once) and ``mp`` fans distinct
+points out across processes.
+
+The service answers result-cache hits at admission, before they reach
+this queue, so only misses are submitted here and only they count in the
+batch sizes and feed the adaptive policy.  ``run_sweep`` still consults
+the shared :class:`~repro.backends.ResultCache`: a duplicate whose twin
+finished while it waited replays from the cache instead of recomputing.
 
 Because every backend is required to produce results identical to
 ``execute_point``, batching changes *where and when* a request computes,
@@ -25,6 +30,10 @@ Production hardening (see ``docs/SERVICE.md``):
 * **Fault isolation** — when a batch's sweep raises, the batch is retried
   point-by-point so one poisoned request fails alone instead of failing
   every stranger sharing its batch.
+* **Shutdown** — a point counts in :meth:`MicroBatcher.queue_depth` from
+  submission until its result is delivered, also while its batch is still
+  being collected; :meth:`MicroBatcher.aclose` fails every undelivered
+  point with ``RuntimeError("service shut down")``.
 * **Callback isolation** — an ``on_batch`` observer that raises is
   swallowed; instrumentation must never kill the dispatch loop.
 * **Deterministic testing** — the ``clock`` hook replaces the loop clock
@@ -74,7 +83,9 @@ class MicroBatcher:
             asyncio.Queue()
         )
         self._dispatcher: asyncio.Task[None] | None = None
-        self._inflight = 0
+        #: The batch being collected or executed: its points have left the
+        #: queue but still count in :meth:`queue_depth`.
+        self._batch: list[tuple[SweepPoint, asyncio.Future[PointResult], float]] = []
         self._closing = False
 
     # ------------------------------------------------------------------ #
@@ -86,8 +97,8 @@ class MicroBatcher:
         return asyncio.get_event_loop().time()
 
     def queue_depth(self) -> int:
-        """Requests waiting or executing right now (admission-control signal)."""
-        return self._queue.qsize() + self._inflight
+        """Points queued, in the batch being collected, or executing."""
+        return self._queue.qsize() + len(self._batch)
 
     def limits(self) -> tuple[int, float]:
         """The (batch size, wait seconds) the next batch will be collected with."""
@@ -167,12 +178,15 @@ class MicroBatcher:
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
-    async def _collect_batch(
-        self,
-    ) -> list[tuple[SweepPoint, asyncio.Future[PointResult], float]]:
-        """Block for the first point, then drain until size or time is up."""
-        first = await self._queue.get()
-        batch = [first]
+    async def _collect_batch(self) -> None:
+        """Block for the first point, then drain until size or time is up.
+
+        Each point moves straight from the queue into ``self._batch``, so
+        it stays visible to :meth:`drain` and is failed by :meth:`aclose`
+        while the wait window is still open.
+        """
+        batch = self._batch
+        batch.append(await self._queue.get())
         size_limit, wait = self.limits()
         deadline = self._now() + wait
         while len(batch) < size_limit:
@@ -188,7 +202,6 @@ class MicroBatcher:
                     batch.append(await asyncio.wait_for(self._queue.get(), remaining))
                 except asyncio.TimeoutError:
                     break
-        return batch
 
     def _execute(self, points: Sequence[SweepPoint]) -> list[PointResult | BaseException]:
         """Run one batch; on failure, isolate it to the offending point(s).
@@ -215,35 +228,44 @@ class MicroBatcher:
             return results
 
     async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            batch = await self._collect_batch()
-            self._inflight = len(batch)
-            if self.on_batch is not None:
-                try:
-                    self.on_batch(len(batch))
-                except Exception:  # noqa: BLE001 - observers must not kill dispatch
-                    pass
-            points = [point for point, _, _ in batch]
+        try:
+            while True:
+                await self._collect_batch()
+                await self._run_batch(self._batch)
+                self._batch = []
+        except asyncio.CancelledError:
+            for _, future, _ in self._batch:
+                if not future.done():
+                    future.set_exception(RuntimeError("service shut down"))
+            self._batch = []
+            raise
+
+    async def _run_batch(
+        self, batch: list[tuple[SweepPoint, asyncio.Future[PointResult], float]]
+    ) -> None:
+        """Execute one collected batch and deliver each point's outcome."""
+        if self.on_batch is not None:
             try:
-                results = await loop.run_in_executor(None, self._execute, points)
-            except BaseException as exc:  # noqa: BLE001 - forwarded to callers
-                if isinstance(exc, asyncio.CancelledError):
-                    for _, future, _ in batch:
-                        if not future.done():
-                            future.set_exception(RuntimeError("service shut down"))
-                    self._inflight = 0
-                    raise
-                results = [exc] * len(batch)
-            finished = self._now()
-            depth = self._queue.qsize()
-            for (_, future, enqueued), result in zip(batch, results):
-                if self.policy is not None:
-                    self.policy.observe(max(0.0, finished - enqueued), depth)
-                if future.done():
-                    continue
-                if isinstance(result, BaseException):
-                    future.set_exception(result)
-                else:
-                    future.set_result(result)
-            self._inflight = 0
+                self.on_batch(len(batch))
+            except Exception:  # noqa: BLE001 - observers must not kill dispatch
+                pass
+        points = [point for point, _, _ in batch]
+        try:
+            results = await asyncio.get_running_loop().run_in_executor(
+                None, self._execute, points
+            )
+        except asyncio.CancelledError:
+            raise
+        except BaseException as exc:  # noqa: BLE001 - forwarded to callers
+            results = [exc] * len(batch)
+        finished = self._now()
+        depth = self._queue.qsize()
+        for (_, future, enqueued), result in zip(batch, results):
+            if self.policy is not None:
+                self.policy.observe(max(0.0, finished - enqueued), depth)
+            if future.done():
+                continue
+            if isinstance(result, BaseException):
+                future.set_exception(result)
+            else:
+                future.set_result(result)

@@ -40,6 +40,9 @@ class ServiceMetrics:
         self.cache_hits = 0
         self.cache_misses = 0
         self.latency = LatencyHistogram()
+        #: Computed responses only: ``Retry-After`` scales with how long the
+        #: admitted work takes, which sub-millisecond cache hits would hide.
+        self.miss_latency = LatencyHistogram()
         self._algorithms: dict[str, dict[str, float]] = {}
         self._algorithm_latency: dict[str, LatencyHistogram] = {}
 
@@ -77,6 +80,7 @@ class ServiceMetrics:
                 self.cache_hits += 1
             else:
                 self.cache_misses += 1
+                self.miss_latency.record(max(0.0, seconds))
             self.latency.record(max(0.0, seconds))
             histogram = self._algorithm_latency.get(algorithm)
             if histogram is None:

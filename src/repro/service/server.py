@@ -7,13 +7,16 @@ HTTP clients, with zero dependencies beyond the standard library.
 Routes
 ------
 ``POST /solve``
-    One JSON solve request (see :mod:`repro.service.api`).  Concurrent
-    requests are micro-batched through
-    :class:`~repro.service.batcher.MicroBatcher` into a single
-    :func:`~repro.backends.run_sweep` call; the response body is canonical
-    JSON, byte-identical to :func:`~repro.service.api.solve_direct` for the
-    same request.  The ``X-Repro-Cache`` header says whether the result was
-    replayed from the :class:`~repro.backends.ResultCache`.
+    One JSON solve request (see :mod:`repro.service.api`).  After the
+    admission check, the request is parsed and, when the service has a
+    :class:`~repro.backends.ResultCache`, looked up in it in one worker
+    thread hop; a hit is answered from there.  Concurrent misses are
+    micro-batched through :class:`~repro.service.batcher.MicroBatcher`
+    into a single :func:`~repro.backends.run_sweep` call.  Either way the
+    response body is canonical JSON, byte-identical to
+    :func:`~repro.service.api.solve_direct` for the same request, and the
+    ``X-Repro-Cache`` header says whether the result was replayed from
+    the cache.
 ``GET /metrics``
     Request counts, batch sizes, cache hit rates, per-algorithm latency.
 ``GET /healthz``
@@ -40,12 +43,13 @@ import threading
 import time
 from typing import Any, Mapping
 
-from ..backends import ResultCache
+from ..backends import ResultCache, SweepPoint
 from ..datasets import SCENARIOS, configure_instance_cache
 from ..registry import iter_algorithms
 from .adaptive import AdaptiveBatchPolicy
 from .api import (
     ServiceError,
+    SolveRequest,
     parse_solve_request,
     render_response,
     request_point,
@@ -73,9 +77,12 @@ class SolverService:
         batches grow under saturation.  ``adaptive=False`` restores the
         fixed ``(max_batch, batch_wait_ms)`` batcher.
     ``max_queue``
-        Admission control: when this many requests are already queued or
-        executing, new solves are shed with ``429 Too Many Requests`` and
-        a ``Retry-After`` hint instead of queueing without bound.  ``0``
+        Admission control: when this many solves are already admitted and
+        not yet answered (parsing, reading the result cache, queued, in a
+        batch or rendering), or this many points are still in the batcher
+        (a solve that timed out leaves its point there until it runs), new
+        solves are shed with ``429 Too Many Requests`` and a
+        ``Retry-After`` hint instead of queueing without bound.  ``0``
         disables shedding.
     ``deadline_ms``
         Default per-request deadline; a request still unanswered when it
@@ -115,6 +122,7 @@ class SolverService:
                 backend=backend, jobs=jobs, cache=self.cache
             )
         self._active_requests = 0
+        self._admitted = 0
         configure_instance_cache(instance_cache)
         self.max_queue = max(0, int(max_queue))
         self.deadline = (
@@ -199,10 +207,25 @@ class SolverService:
             self.metrics.record_error()
             return 500, _JSON, _dumps({"error": f"{type(exc).__name__}: {exc}"})
 
+    def _backlog(self) -> int:
+        """Solves the 429 bound counts: admitted, or still in the batcher.
+
+        A solve counts from admission until it is answered, so the parse
+        hop and the cache lookup cannot slip requests past the bound.  The
+        batcher's depth covers the rest: a solve answered with ``504``
+        leaves its point queued or executing until the batch runs it.
+        """
+        return max(self._admitted, self.batcher.queue_depth())
+
     def _retry_after(self) -> int:
-        """Seconds a shed client should back off: queue depth x recent p50."""
-        p50 = self.metrics.latency.percentile(50.0)
-        estimate = self.batcher.queue_depth() * max(p50, 0.001)
+        """Seconds a shed client should back off: backlog x compute p50.
+
+        The p50 is of computed responses only: a cache hit is answered in
+        well under a millisecond, so the p50 of all responses would say
+        nothing about how long the admitted work takes to clear.
+        """
+        p50 = self.metrics.miss_latency.percentile(50.0)
+        estimate = self._backlog() * max(p50, 0.001)
         return min(30, max(1, round(estimate)))
 
     def _deadline_for(self, headers: Mapping[str, str]) -> float | None:
@@ -226,20 +249,50 @@ class SolverService:
         deadline = self._deadline_for(headers)
         # Admission control *before* any work: a shed request must be cheap,
         # that is the whole point of shedding.
-        if self.max_queue and self.batcher.queue_depth() >= self.max_queue:
+        if self.max_queue and self._backlog() >= self.max_queue:
             self.metrics.record_rejected()
             retry = [("Retry-After", str(self._retry_after()))]
             return 429, _JSON + retry, _dumps(
                 {"error": "server overloaded; retry later", "retry_after": retry[0][1]}
             )
+        self._admitted += 1
+        try:
+            return await self._answer(body, deadline)
+        finally:
+            self._admitted -= 1
+
+    def _parse_and_replay(
+        self, body: bytes
+    ) -> tuple[SolveRequest, SweepPoint, bytes | None, float]:
+        """Parse a solve request and, on a result-cache hit, render it.
+
+        Returns ``(request, point, payload, seconds)``: ``payload`` is the
+        canonical response of a hit (``None`` on a miss or without a
+        cache) and ``seconds`` the time its lookup and render took.
+        """
+        request = parse_solve_request(body)
+        point = request_point(request)
+        started = time.perf_counter()
+        hit = self.cache.load(point) if self.cache is not None else None
+        if hit is None:
+            return request, point, None, 0.0
+        return request, point, render_response(request, hit), time.perf_counter() - started
+
+    async def _answer(
+        self, body: bytes, deadline: float | None
+    ) -> tuple[int, list[tuple[str, str]], bytes]:
         # Validation is off-loop: a first hit on a `file:` scenario
         # fingerprints and ingests the dataset, which must not stall every
         # other connection (health probes included) for the parse duration.
-        request = await asyncio.get_running_loop().run_in_executor(
-            None, parse_solve_request, body
+        # A cache hit is answered from the same hop; only misses queue.
+        request, point, replay, seconds = await asyncio.get_running_loop().run_in_executor(
+            None, self._parse_and_replay, body
         )
+        if replay is not None:
+            self.metrics.record_response(request.algorithm, seconds, cached=True)
+            return 200, _JSON + [("X-Repro-Cache", "hit")], replay
         started = time.perf_counter()
-        submission = self.batcher.submit(request_point(request))
+        submission = self.batcher.submit(point)
         try:
             if deadline is not None:
                 result = await asyncio.wait_for(submission, deadline)

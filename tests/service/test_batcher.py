@@ -112,6 +112,30 @@ class TestBatcherEdges:
         with pytest.raises(RuntimeError, match="shut down"):
             stranded.result()
 
+    def test_batch_being_collected_is_in_flight_until_shutdown(self):
+        """A point held in an open wait window counts, and aclose() fails it."""
+
+        async def scenario():
+            batcher = MicroBatcher(backend="serial", max_batch=8, max_wait_ms=5_000.0)
+            pending = asyncio.ensure_future(batcher.submit(_point(0)))
+            # Wait until the dispatcher has taken the point off the queue;
+            # the 5 s window keeps it in the batch being collected.
+            while batcher._dispatcher is None or not batcher._queue.empty():
+                await asyncio.sleep(0.005)
+            depth = batcher.queue_depth()
+            drained = await batcher.drain(timeout=0.5)
+            await asyncio.wait_for(batcher.aclose(), timeout=30)
+            [outcome] = await asyncio.wait_for(
+                asyncio.gather(pending, return_exceptions=True), timeout=1.0
+            )
+            return depth, drained, outcome
+
+        depth, drained, outcome = _run(scenario())
+        assert depth == 1
+        assert drained is False
+        assert isinstance(outcome, RuntimeError)
+        assert "shut down" in str(outcome)
+
     def test_duplicate_points_memoise_across_batch_boundary(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
 

@@ -15,6 +15,7 @@ All waits are condition polls with deadlines, never fixed sleeps.
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
 import socket
 import threading
@@ -22,7 +23,10 @@ import time
 
 import pytest
 
+import repro.service.batcher as batcher_module
+import repro.service.server as server_module
 from repro.service import parse_solve_request, solve_direct, start_in_background
+from repro.service.server import SolverService
 
 FAST = {"algorithm": "mis", "params": {"n": 40, "c": 0.35}, "seed": 5}
 #: Parses fine (param *names* are validated up front, values at solve time)
@@ -226,10 +230,94 @@ class TestWorkerFaults:
         _assert_alive(server.port)
 
 
+def _hold_first_call(monkeypatch, module, name):
+    """Make the first call of ``module.name`` block until ``release`` is set.
+
+    Returns ``(entered, release)``; later calls run straight through.
+    """
+    real = getattr(module, name)
+    calls = itertools.count()
+    entered, release = threading.Event(), threading.Event()
+
+    def held(*args, **kwargs):
+        if next(calls) == 0:
+            entered.set()
+            release.wait(timeout=60)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, held)
+    return entered, release
+
+
+def _shed_while_first_is_held(port, entered, release, count=7):
+    """Hold one solve, fire ``count`` more, release; returns every outcome."""
+    slow = {"algorithm": "mis", "params": {"n": 120, "c": 0.4}, "seed": 1}
+    statuses: list[tuple[int, dict]] = []
+    lock = threading.Lock()
+
+    def hit(body):
+        status, headers, _ = _request(port, "POST", "/solve", body)
+        with lock:
+            statuses.append((status, headers))
+
+    first = threading.Thread(target=hit, args=(slow,))
+    first.start()
+    try:
+        assert entered.wait(timeout=30), "the first solve was never held"
+        threads = [
+            threading.Thread(target=hit, args=({**slow, "seed": seed},))
+            for seed in range(2, 2 + count)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        release.set()
+        first.join(timeout=120)
+    return statuses
+
+
 class TestBackpressure:
-    def test_overload_sheds_with_429_and_retry_after(self):
-        # max_queue=1: the second concurrent request must be shed, not
-        # queued without bound.
+    def test_overload_sheds_with_429_and_retry_after(self, monkeypatch):
+        # max_queue=1: while the first admitted solve is held in its sweep,
+        # every other concurrent request must be shed, not queued without
+        # bound.
+        entered, release = _hold_first_call(monkeypatch, batcher_module, "run_sweep")
+        with start_in_background(
+            backend="serial",
+            max_batch=1,
+            batch_wait_ms=0.0,
+            adaptive=False,
+            max_queue=1,
+        ) as handle:
+            _assert_alive(handle.port)
+            statuses = _shed_while_first_is_held(handle.port, entered, release)
+            codes = sorted(status for status, _ in statuses)
+            assert 429 in codes, f"nothing was shed: {codes}"
+            assert all(status in (200, 429) for status in codes), codes
+            assert codes == [200] + [429] * 7, codes
+            for status, headers in statuses:
+                if status == 429:
+                    assert int(headers["Retry-After"]) >= 1
+            _assert_alive(handle.port)
+
+    def test_solve_counts_against_the_bound_while_it_parses(self, monkeypatch):
+        # A slow parse (a first `file:` request fingerprints its dataset)
+        # must not let concurrent solves slip past max_queue.
+        entered, release = _hold_first_call(monkeypatch, server_module, "parse_solve_request")
+        with start_in_background(backend="serial", max_queue=1) as handle:
+            _assert_alive(handle.port)
+            statuses = _shed_while_first_is_held(handle.port, entered, release)
+            codes = sorted(status for status, _ in statuses)
+            assert codes == [200] + [429] * 7, codes
+            _assert_alive(handle.port)
+
+    def test_timed_out_solve_counts_until_its_point_runs(self, monkeypatch):
+        # A 504 answers the client, but its point stays in the batcher until
+        # the batch runs it; it must keep counting against max_queue, or
+        # every deadline period would admit another max_queue solves.
+        entered, release = _hold_first_call(monkeypatch, batcher_module, "run_sweep")
         with start_in_background(
             backend="serial",
             max_batch=1,
@@ -239,29 +327,32 @@ class TestBackpressure:
         ) as handle:
             _assert_alive(handle.port)
             slow = {"algorithm": "mis", "params": {"n": 120, "c": 0.4}, "seed": 1}
-            statuses: list[tuple[int, dict]] = []
-            lock = threading.Lock()
-
-            def hit(body):
-                status, headers, _ = _request(handle.port, "POST", "/solve", body)
-                with lock:
-                    statuses.append((status, headers))
-
-            threads = [
-                threading.Thread(target=hit, args=({**slow, "seed": seed},))
-                for seed in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            codes = sorted(status for status, _ in statuses)
-            assert 429 in codes, f"nothing was shed: {codes}"
-            assert all(status in (200, 429) for status in codes), codes
-            for status, headers in statuses:
-                if status == 429:
-                    assert int(headers["Retry-After"]) >= 1
+            try:
+                status, _, _ = _request(
+                    handle.port, "POST", "/solve", slow,
+                    headers={"X-Repro-Deadline-Ms": "50"},
+                )
+                assert status == 504
+                assert entered.wait(timeout=30), "the timed-out solve never ran"
+                status, headers, _ = _request(
+                    handle.port, "POST", "/solve", {**slow, "seed": 2}
+                )
+                assert status == 429
+                assert int(headers["Retry-After"]) >= 1
+            finally:
+                release.set()
             _assert_alive(handle.port)
+
+    def test_retry_after_is_set_by_computes_not_hits(self):
+        service = SolverService(backend="serial")
+        for _ in range(200):
+            service.metrics.record_response("mis", 0.0004, cached=True)
+        for _ in range(5):
+            service.metrics.record_response("mis", 0.2, cached=False)
+        service._admitted = 10
+        # 10 admitted solves x a 200 ms compute p50; the 0.4 ms hits that
+        # make up the p50 of all responses would give the 1 s floor.
+        assert service._retry_after() == 2
 
     def test_deadline_timeout_is_504(self):
         with start_in_background(

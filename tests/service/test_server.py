@@ -9,16 +9,25 @@ not.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.service import parse_solve_request, solve_direct, start_in_background
+import repro.service.batcher as batcher_module
+from repro.backends import run_sweep
+from repro.service import (
+    parse_solve_request,
+    request_point,
+    solve_direct,
+    start_in_background,
+)
 
 FAST = {"algorithm": "mis", "params": {"n": 40, "c": 0.35}, "seed": 5}
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "social-small.txt"
@@ -151,6 +160,122 @@ class TestResultCacheIntegration:
             assert status == 200
             assert second_headers["X-Repro-Cache"] == "hit"
             assert first == second == golden
+
+
+def _warm_cache(directory, body):
+    """Compute ``body``'s point into the result cache at ``directory``."""
+    run_sweep([request_point(parse_solve_request(body))], cache=str(directory))
+
+
+@pytest.fixture
+def held_sweeps(monkeypatch):
+    """Make every batcher sweep block until the test sets ``release``."""
+    entered, release = threading.Event(), threading.Event()
+
+    def held(points, **kwargs):
+        entered.set()
+        release.wait(timeout=60)
+        return run_sweep(points, **kwargs)
+
+    monkeypatch.setattr(batcher_module, "run_sweep", held)
+    yield entered, release
+    release.set()
+
+
+@contextlib.contextmanager
+def _miss_held_in_its_sweep(port, held_sweeps, body):
+    """Send the miss ``body`` and yield while its sweep is held.
+
+    Yields the list its response lands in once the sweep is released.
+    """
+    entered, release = held_sweeps
+    computed: list[tuple[int, dict, bytes]] = []
+    worker = threading.Thread(
+        target=lambda: computed.append(_request(port, "POST", "/solve", body))
+    )
+    worker.start()
+    try:
+        assert entered.wait(timeout=30), "the miss never reached run_sweep"
+        yield computed
+    finally:
+        release.set()
+        worker.join(timeout=60)
+
+
+def _metrics(port):
+    return json.loads(_request(port, "GET", "/metrics")[2])
+
+
+class TestHitsAnsweredAtAdmission:
+    """A result-cache hit is answered at admission, never by the batcher."""
+
+    MISS = {**FAST, "seed": 6}
+
+    def test_replay_is_answered_while_a_miss_computes(self, tmp_path, held_sweeps):
+        _warm_cache(tmp_path, FAST)
+        goldens = [solve_direct(parse_solve_request(body)) for body in (FAST, self.MISS)]
+        with start_in_background(backend="batch", cache_dir=str(tmp_path)) as handle:
+            with _miss_held_in_its_sweep(handle.port, held_sweeps, self.MISS) as computed:
+                status, headers, body = _request(
+                    handle.port, "POST", "/solve", FAST, timeout=10
+                )
+                answered_while_held = not held_sweeps[1].is_set()
+        assert answered_while_held
+        assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+        assert body == goldens[0]
+        [(status, headers, body)] = computed
+        assert (status, headers["X-Repro-Cache"]) == (200, "miss")
+        assert body == goldens[1]
+
+    def test_replay_leaves_the_batch_counters_alone(self, tmp_path):
+        _warm_cache(tmp_path, FAST)
+        with start_in_background(backend="batch", cache_dir=str(tmp_path)) as handle:
+            before = _metrics(handle.port)
+            status, headers, _ = _request(handle.port, "POST", "/solve", FAST)
+            after = _metrics(handle.port)
+        assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+        assert after["batches_total"] == before["batches_total"]
+        assert after["batched_points_total"] == before["batched_points_total"]
+        assert after["result_cache"]["hits"] == before["result_cache"]["hits"] + 1
+
+    def test_concurrent_hits_and_misses_stay_byte_identical(self, tmp_path):
+        # Hits read the cache on worker threads while batches store into
+        # it; a short switch interval makes those reads and writes interleave.
+        cached = [{**FAST, "seed": seed} for seed in range(4)]
+        fresh = [{**FAST, "seed": seed} for seed in range(10, 14)]
+        for body in cached:
+            _warm_cache(tmp_path, body)
+        goldens = {
+            json.dumps(body): solve_direct(parse_solve_request(body))
+            for body in cached + fresh
+        }
+        bodies = (cached + fresh) * 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with start_in_background(backend="batch", cache_dir=str(tmp_path)) as handle:
+                results = _burst(handle.port, bodies, timeout=60)
+                metrics = _metrics(handle.port)
+        finally:
+            sys.setswitchinterval(interval)
+        for body, (status, headers, payload) in zip(bodies, results):
+            assert status == 200
+            assert payload == goldens[json.dumps(body)]
+            if body in cached:
+                assert headers["X-Repro-Cache"] == "hit"
+        cache = metrics["result_cache"]
+        assert cache["hits"] + cache["misses"] == len(bodies)
+
+    def test_full_queue_sheds_a_replay_before_its_lookup(self, tmp_path, held_sweeps):
+        _warm_cache(tmp_path, FAST)
+        with start_in_background(
+            backend="batch", cache_dir=str(tmp_path), max_queue=1
+        ) as handle:
+            with _miss_held_in_its_sweep(handle.port, held_sweeps, self.MISS) as computed:
+                status, headers, _ = _request(handle.port, "POST", "/solve", FAST)
+        assert status == 429
+        assert int(headers["Retry-After"]) >= 1
+        assert [status for status, _, _ in computed] == [200]
 
 
 class TestAuxiliaryEndpoints:
