@@ -104,7 +104,7 @@ def main() -> int:
     if args.url is None:
         from repro.service import start_in_background
 
-        handle = start_in_background(backend="batch").start()
+        handle = start_in_background().start()
         args.url = f"http://127.0.0.1:{handle.port}"
     else:
         wait_for(args.url)

@@ -1,11 +1,13 @@
 """The ``distributed`` backend: sweeps across worker processes and hosts.
 
 A thin :class:`~repro.backends.base.Backend` adapter around
-:class:`repro.distributed.Coordinator`.  Workers are ``repro worker``
-processes (the solver service with the worker endpoints enabled); their
-addresses come from the ``workers`` argument or, for registry-name
-selection (``backend="distributed"``), the ``REPRO_WORKERS`` environment
-variable (comma-separated ``host:port`` list).
+:class:`repro.distributed.Coordinator` at its default replication, poll
+interval and timeout (build a ``Coordinator`` to change them).  Workers
+are ``repro worker`` processes (the solver service with the worker
+endpoints enabled); their addresses come from the ``workers`` argument
+or, for registry-name selection (``backend="distributed"``), the
+``REPRO_WORKERS`` environment variable (comma-separated ``host:port``
+list).
 
 The heavy imports live in :mod:`repro.distributed`; this module keeps the
 backend registry import-light.
@@ -35,14 +37,7 @@ class DistributedBackend(Backend):
 
     name = "distributed"
 
-    def __init__(
-        self,
-        workers: Sequence[str] | None = None,
-        *,
-        replicate: int = 2,
-        poll_interval: float = 0.02,
-        timeout: float = 30.0,
-    ) -> None:
+    def __init__(self, workers: Sequence[str] | None = None) -> None:
         addresses = list(workers) if workers is not None else workers_from_env()
         if not addresses:
             raise ValueError(
@@ -51,20 +46,12 @@ class DistributedBackend(Backend):
                 f"{WORKERS_ENV}"
             )
         self.workers = [str(a) for a in addresses]
-        self.replicate = replicate
-        self.poll_interval = poll_interval
-        self.timeout = timeout
         self.last_stats: dict | None = None
 
     def run(self, points: Sequence[SweepPoint]) -> list[PointResult]:
         from ..distributed import Coordinator
 
-        coordinator = Coordinator(
-            self.workers,
-            replicate=self.replicate,
-            poll_interval=self.poll_interval,
-            timeout=self.timeout,
-        )
+        coordinator = Coordinator(self.workers)
         results = coordinator.run(points)
         self.last_stats = coordinator.stats.as_dict()
         return results

@@ -57,8 +57,10 @@ Installed as ``python -m repro``.  Subcommands:
     shed (429) and error counts, and server batch occupancy.  Exits
     non-zero when p99 exceeds ``--gate-p99-ms``, on any 5xx with
     ``--fail-on-5xx``, and on any ``--verify`` golden mismatch.
-    ``--pipeline N`` keeps up to N requests in flight per connection
-    (HTTP/1.1 pipelining).
+
+``serve``, ``worker`` and loadtest's in-process server take one flag per
+:class:`~repro.service.ServiceConfig` field (the worker defaults to
+``--backend serial``); an out-of-range value is a usage error (exit 2).
 
 The experiment subcommands accept ``--scenario NAME`` / ``--scenario
 file:PATH`` to run on a named workload or an ingested dataset instead of
@@ -100,10 +102,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
 
+from . import loadgen
 from ._version import __version__
 from .analysis import format_table
 from .backends import BACKENDS
@@ -134,6 +138,7 @@ from .registry import (
     iter_algorithms,
 )
 from .registry import solve as registry_solve
+from .service import ServiceConfig, serve
 
 __all__ = ["main", "build_parser"]
 
@@ -146,6 +151,16 @@ def _positive_int(value: str) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return jobs
+
+
+def _port(value: str) -> int:
+    try:
+        port = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError("must be in [0, 65535]")
+    return port
 
 
 def _cache_dir(value: str) -> str:
@@ -226,104 +241,105 @@ def _param_pair(value: str) -> tuple[str, object]:
     return key, _param_value(raw)
 
 
-def _add_serve_options(parser: argparse.ArgumentParser, *, worker: bool = False) -> None:
-    """Attach the service flags shared by ``serve`` and ``worker``."""
-    parser.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8081 if worker else 8080,
-        help=f"TCP port (default: {8081 if worker else 8080}; 0 picks a free "
-        "port and prints it)",
-    )
+def _add_service_options(parser: argparse._ActionsContainer, defaults: ServiceConfig) -> None:
+    """Attach one flag per :class:`ServiceConfig` field, defaulting to ``defaults``."""
     parser.add_argument(
         "--backend",
         choices=sorted(BACKENDS),
-        default="serial" if worker else "batch",
-        help="how pulled points execute (default: serial)"
-        if worker
-        else "how each micro-batch executes (default: batch — memoises "
-        "duplicate concurrent requests)",
+        default=defaults.backend,
+        help="how each micro-batch (in a worker, each pulled point) executes; "
+        "batch memoises duplicate concurrent requests (default: %(default)s)",
     )
     parser.add_argument(
         "--jobs",
         type=_positive_int,
-        default=None,
+        default=defaults.jobs,
         metavar="N",
         help="worker processes for --backend mp (default: all CPUs)",
     )
     parser.add_argument(
         "--cache-dir",
         type=_cache_dir,
-        default=None,
+        default=defaults.cache_dir,
         metavar="PATH",
         help="ResultCache directory; repeated requests replay instead of recomputing",
     )
     parser.add_argument(
         "--max-batch",
         type=_positive_int,
-        default=32,
+        default=defaults.max_batch,
         metavar="N",
-        help="largest micro-batch a single sweep call executes (default: 32)",
+        help="largest micro-batch a single sweep call executes (default: %(default)s)",
     )
     parser.add_argument(
         "--batch-wait-ms",
         type=float,
-        default=5.0,
+        default=defaults.batch_wait_ms,
         metavar="MS",
-        help="how long a batch waits for more concurrent requests (default: 5)",
-    )
-    parser.add_argument(
-        "--instance-cache",
-        type=_positive_int,
-        default=64,
-        metavar="N",
-        help="capacity of the materialized file-scenario LRU (default: 64)",
+        help="how long a batch waits for more concurrent requests (default: %(default)g)",
     )
     parser.add_argument(
         "--no-adaptive",
-        action="store_true",
+        dest="adaptive",
+        action="store_false",
+        default=defaults.adaptive,
         help="disable latency-aware adaptive batching (fixed max-batch/wait)",
     )
     parser.add_argument(
         "--target-p99-ms",
         type=float,
-        default=500.0,
+        default=defaults.target_p99_ms,
         metavar="MS",
-        help="latency SLO the adaptive batcher steers under (default: 500)",
+        help="latency SLO the adaptive batcher steers under (default: %(default)g)",
     )
     parser.add_argument(
         "--max-queue",
         type=int,
-        default=1024,
+        default=defaults.max_queue,
         metavar="N",
         help="shed requests with 429 beyond this queue depth; 0 disables "
-        "(default: 1024)",
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--deadline-ms",
         type=float,
-        default=None,
+        default=defaults.deadline_ms,
         metavar="MS",
         help="default per-request deadline -> 504 (default: none; clients "
         "may tighten via X-Repro-Deadline-Ms)",
     )
-    parser.add_argument(
-        "--read-timeout",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help="seconds to receive one full request / keep-alive idle limit "
-        "(default: 30)",
+
+
+def _service_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ServiceConfig:
+    """The :class:`ServiceConfig` that :func:`_add_service_options`' flags describe."""
+    try:
+        return ServiceConfig(**{f.name: getattr(args, f.name) for f in fields(ServiceConfig)})
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _add_listener(
+    sub: argparse._SubParsersAction, name: str, port: int, defaults: ServiceConfig, **about: str
+) -> None:
+    """Add ``serve`` or ``worker``: the listener flags around the service flags."""
+    listener = sub.add_parser(name, **about)
+    listener.add_argument("--host", default="127.0.0.1", help="bind address (default: %(default)s)")
+    listener.add_argument(
+        "--port",
+        type=_port,
+        default=port,
+        help="TCP port (default: %(default)s; 0 picks a free port and prints it)",
     )
-    parser.add_argument(
+    _add_service_options(listener, defaults)
+    listener.add_argument(
         "--drain-timeout",
         type=float,
         default=30.0,
         metavar="S",
         help="seconds a SIGTERM shutdown waits for in-flight and queued "
-        "work to finish (default: 30)",
+        "work to finish (default: %(default)g)",
     )
+    listener.set_defaults(handler=_run_serve)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,12 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_option(slv)
     _add_backend_options(slv)
+    slv.set_defaults(handler=_run_solve)
 
     algs = sub.add_parser(
         "algorithms",
         help="list the algorithm registry (name, kind, params, guarantee)",
     )
     algs.add_argument("--json", action="store_true", help="emit JSON instead of a table")
+    algs.set_defaults(handler=_run_algorithms)
 
     lint = sub.add_parser(
         "lint",
@@ -437,6 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--verbose", "-v", action="store_true", help="also list baselined/suppressed findings"
     )
+    lint.set_defaults(handler=_run_lint)
 
     fig1 = sub.add_parser("figure1", help="run the Figure-1 experiments")
     fig1.add_argument("--seed", type=int, default=2018)
@@ -450,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig1.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     _add_scenario_option(fig1)
     _add_backend_options(fig1)
+    fig1.set_defaults(handler=_run_figure1)
 
     single = sub.add_parser("experiment", help="run one experiment and print its record")
     single.add_argument("name", choices=sorted(experiment_names()))
@@ -458,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     single.add_argument("--json", action="store_true")
     _add_scenario_option(single)
     _add_backend_options(single)
+    single.set_defaults(handler=_run_single)
 
     ablation = sub.add_parser("ablation", help="run an ablation sweep")
     ablation.add_argument("sweep", choices=["mu", "eta", "epsilon"])
@@ -475,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablation.add_argument("--json", action="store_true")
     _add_scenario_option(ablation)
     _add_backend_options(ablation)
+    ablation.set_defaults(handler=_run_ablation)
 
     scaling = sub.add_parser("scaling", help="run a scaling sweep")
     scaling.add_argument("sweep", choices=["n", "c", "space"])
@@ -487,14 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
     scaling.add_argument("--json", action="store_true")
     _add_scenario_option(scaling)
     _add_backend_options(scaling)
+    scaling.set_defaults(handler=_run_scaling)
 
-    srv = sub.add_parser(
-        "serve", help="run the batched solver service (see docs/SERVICE.md)"
+    _add_listener(
+        sub, "serve", 8080, ServiceConfig(),
+        help="run the batched solver service (see docs/SERVICE.md)",
     )
-    _add_serve_options(srv)
-
-    wrk = sub.add_parser(
-        "worker",
+    _add_listener(
+        sub, "worker", 8081, ServiceConfig(backend="serial"),
         help="run a distributed sweep worker (see docs/DISTRIBUTED.md)",
         description=(
             "Run the solver service in worker mode: everything `repro serve` "
@@ -504,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers host:port,host:port,..."
         ),
     )
-    _add_serve_options(wrk, worker=True)
 
     load = sub.add_parser(
         "loadtest",
@@ -556,14 +577,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--off-seconds", type=float, default=0.5, help="bursty: OFF window length (default: 0.5)"
     )
     trace_group.add_argument("--seed", type=int, default=2018)
+    replay = loadgen.ReplayConfig()
     trace_group.add_argument(
         "--rate-scale",
         type=float,
-        default=1.0,
-        help="replay speed multiplier (2.0 = twice as fast; default: 1.0)",
+        default=replay.rate_scale,
+        help="replay speed multiplier (2.0 = twice as fast; default: %(default)s)",
     )
     trace_group.add_argument(
-        "--max-requests", type=_positive_int, default=None, help="truncate the trace"
+        "--max-requests", type=_positive_int, default=replay.max_requests, help="truncate the trace"
     )
     workload = load.add_argument_group("request mix")
     workload.add_argument("--algorithm", default="mis")
@@ -574,40 +596,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_option(load)
     client = load.add_argument_group("client")
     client.add_argument(
-        "--connections", type=_positive_int, default=16, help="keep-alive connection pool (default: 16)"
-    )
-    client.add_argument(
-        "--pipeline",
+        "--connections",
         type=_positive_int,
-        default=1,
-        metavar="N",
-        help="HTTP/1.1 pipelining depth: keep up to N requests in flight "
-        "per connection (default: 1 — no pipelining)",
+        default=replay.connections,
+        help="keep-alive connection pool (default: %(default)s)",
     )
     client.add_argument(
         "--client-deadline-ms",
         type=float,
-        default=None,
+        default=replay.deadline_ms,
         metavar="MS",
         help="send X-Repro-Deadline-Ms on every request",
     )
     client.add_argument(
         "--verify",
         action="store_true",
+        default=replay.verify,
         help="check every 200 body byte-for-byte against the direct library call",
     )
-    server_group = load.add_argument_group(
-        "in-process server (ignored with --url)"
+    _add_service_options(
+        load.add_argument_group("in-process server (ignored with --url)"), ServiceConfig()
     )
-    server_group.add_argument("--backend", choices=sorted(BACKENDS), default="batch")
-    server_group.add_argument("--jobs", type=_positive_int, default=None, metavar="N")
-    server_group.add_argument("--cache-dir", type=_cache_dir, default=None, metavar="PATH")
-    server_group.add_argument("--max-batch", type=_positive_int, default=32, metavar="N")
-    server_group.add_argument("--batch-wait-ms", type=float, default=5.0, metavar="MS")
-    server_group.add_argument("--no-adaptive", action="store_true")
-    server_group.add_argument("--target-p99-ms", type=float, default=500.0, metavar="MS")
-    server_group.add_argument("--max-queue", type=int, default=1024, metavar="N")
-    server_group.add_argument("--deadline-ms", type=float, default=None, metavar="MS")
     gates = load.add_argument_group("report & gates")
     gates.add_argument("--json", action="store_true", help="emit the full JSON report")
     gates.add_argument(
@@ -617,8 +626,10 @@ def build_parser() -> argparse.ArgumentParser:
     gates.add_argument(
         "--fail-on-5xx", action="store_true", help="exit non-zero on any 5xx/transport error"
     )
+    load.set_defaults(handler=_run_loadtest)
 
     data = sub.add_parser("data", help="dataset tools: convert, inspect, list scenarios")
+    data.set_defaults(handler=_run_data)
     data_sub = data.add_subparsers(dest="data_command", required=True)
     convert = data_sub.add_parser(
         "convert", help="parse a raw dataset file into the fast .npz instance store"
@@ -723,7 +734,7 @@ def _run_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0 if result.valid else 1
 
 
-def _run_lint(args: argparse.Namespace) -> int:
+def _run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from pathlib import Path
 
     from .analysis.lint import (
@@ -762,7 +773,7 @@ def _run_lint(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _run_algorithms(args: argparse.Namespace) -> int:
+def _run_algorithms(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     specs = list(iter_algorithms())
     if args.json:
         # Same rendering as the service's GET /algorithms — one source of truth.
@@ -789,7 +800,7 @@ def _run_algorithms(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_figure1(args: argparse.Namespace) -> int:
+def _run_figure1(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     records = run_figure1(
         args.seed,
         experiments=args.only or None,
@@ -801,7 +812,7 @@ def _run_figure1(args: argparse.Namespace) -> int:
     return 0 if all(r.valid for r in records) else 1
 
 
-def _run_single(args: argparse.Namespace) -> int:
+def _run_single(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     [record] = run_figure1(
         args.seed,
         experiments=[args.name],
@@ -819,7 +830,7 @@ def _run_single(args: argparse.Namespace) -> int:
     return 0 if record.valid else 1
 
 
-def _run_ablation(args: argparse.Namespace) -> int:
+def _run_ablation(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     rng = np.random.default_rng(args.seed)
     kwargs = _backend_kwargs(args) | {"scenario": args.scenario}
     if args.sweep == "mu":
@@ -832,7 +843,7 @@ def _run_ablation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_scaling(args: argparse.Namespace) -> int:
+def _run_scaling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     rng = np.random.default_rng(args.seed)
     kwargs = _backend_kwargs(args)
     if args.sweep == "n":
@@ -879,7 +890,7 @@ def _dataset_summary(obj) -> dict[str, object]:
     }
 
 
-def _run_data(args: argparse.Namespace) -> int:
+def _run_data(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     import os
 
     if args.data_command == "list":
@@ -935,33 +946,17 @@ def _run_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_serve(args: argparse.Namespace, *, worker: bool = False) -> int:
-    from .service import serve
-
-    if args.port < 0 or args.port > 65535:
-        raise SystemExit("port must be in [0, 65535]")
+def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return serve(
+        _service_config(args, parser),
         host=args.host,
         port=args.port,
         drain_timeout=args.drain_timeout,
-        backend=args.backend,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        max_batch=args.max_batch,
-        batch_wait_ms=args.batch_wait_ms,
-        instance_cache=args.instance_cache,
-        adaptive=not args.no_adaptive,
-        target_p99_ms=args.target_p99_ms,
-        max_queue=args.max_queue,
-        deadline_ms=args.deadline_ms,
-        read_timeout=args.read_timeout,
-        worker=worker,
+        worker=args.command == "worker",
     )
 
 
-def _build_loadtest_trace(args: argparse.Namespace):
-    from . import loadgen
-
+def _build_loadtest_trace(args: argparse.Namespace) -> loadgen.RequestTrace:
     if args.trace_file:
         return loadgen.load_trace(args.trace_file)
     bodies = loadgen.default_bodies(
@@ -993,9 +988,25 @@ def _build_loadtest_trace(args: argparse.Namespace):
     )
 
 
-def _run_loadtest(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from . import loadgen
+def _replay_config(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> loadgen.ReplayConfig:
+    """The :class:`~repro.loadgen.ReplayConfig` that loadtest's client flags describe."""
+    try:
+        return loadgen.ReplayConfig(
+            rate_scale=args.rate_scale,
+            max_requests=args.max_requests,
+            connections=args.connections,
+            verify=args.verify,
+            deadline_ms=args.client_deadline_ms,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
+
+def _run_loadtest(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    config = _replay_config(args, parser)
+    service = None if args.url else _service_config(args, parser)
     try:
         trace = _build_loadtest_trace(args)
     except (ValueError, OSError) as exc:
@@ -1006,28 +1017,7 @@ def _run_loadtest(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         loadgen.save_trace(trace, args.record)
         print(f"recorded {len(trace)} requests to {args.record}")
 
-    config = loadgen.ReplayConfig(
-        rate_scale=args.rate_scale,
-        max_requests=args.max_requests,
-        connections=args.connections,
-        verify=args.verify,
-        deadline_ms=args.client_deadline_ms,
-        pipeline=args.pipeline,
-    )
-    service_kwargs = {}
-    if not args.url:
-        service_kwargs = dict(
-            backend=args.backend,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            max_batch=args.max_batch,
-            batch_wait_ms=args.batch_wait_ms,
-            adaptive=not args.no_adaptive,
-            target_p99_ms=args.target_p99_ms,
-            max_queue=args.max_queue,
-            deadline_ms=args.deadline_ms,
-        )
-    report = loadgen.run_replay(trace, url=args.url, config=config, **service_kwargs)
+    report = loadgen.run_replay(trace, url=args.url, config=config, service=service)
 
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -1056,16 +1046,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "algorithms":
-        return _run_algorithms(args)
-    if args.command == "lint":
-        return _run_lint(args)
-    if args.command == "data":
-        try:
-            return _run_data(args)
-        except DatasetError as exc:
-            parser.error(str(exc))
-    if args.jobs is not None and args.backend != "mp":
+    if getattr(args, "jobs", None) is not None and args.backend != "mp":
         parser.error("--jobs is only meaningful with --backend mp")
     if getattr(args, "workers", None) is not None and args.backend != "distributed":
         parser.error("--workers is only meaningful with --backend distributed")
@@ -1079,24 +1060,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             resolve_scenario(args.scenario)
         except (ValueError, OSError) as exc:
             parser.error(str(exc))
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "worker":
-        return _run_serve(args, worker=True)
-    if args.command == "loadtest":
-        return _run_loadtest(args, parser)
-    if args.command == "solve":
-        return _run_solve(args, parser)
-    if args.command == "figure1":
-        return _run_figure1(args)
-    if args.command == "experiment":
-        return _run_single(args)
-    if args.command == "ablation":
-        return _run_ablation(args)
-    if args.command == "scaling":
-        return _run_scaling(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2  # pragma: no cover
+    try:
+        return args.handler(args, parser)
+    except DatasetError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

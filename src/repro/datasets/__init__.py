@@ -34,7 +34,6 @@ from .scenarios import (
     build_scenario,
     build_scenario_sized,
     canonical_scenario_spec,
-    configure_instance_cache,
     ensure_edge_weights,
     file_fingerprint,
     instance_cache_stats,
@@ -80,7 +79,6 @@ __all__ = [
     "build_scenario",
     "build_scenario_sized",
     "canonical_scenario_spec",
-    "configure_instance_cache",
     "ensure_edge_weights",
     "file_fingerprint",
     "instance_cache_stats",

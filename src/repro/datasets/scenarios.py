@@ -58,7 +58,6 @@ __all__ = [
     "build_scenario",
     "build_scenario_sized",
     "canonical_scenario_spec",
-    "configure_instance_cache",
     "ensure_edge_weights",
     "file_fingerprint",
     "instance_cache_stats",
@@ -214,7 +213,7 @@ class InstanceCache:
     counters feed the solver service's ``/metrics`` endpoint.
     """
 
-    def __init__(self, capacity: int = 8) -> None:
+    def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("instance cache capacity must be at least 1")
         self.capacity = int(capacity)
@@ -254,15 +253,6 @@ class InstanceCache:
             self._entries[key] = (stamp, fingerprint, obj, info)
         return fingerprint, obj, info
 
-    def resize(self, capacity: int) -> None:
-        """Change the capacity, evicting least-recently-used overflow."""
-        if capacity < 1:
-            raise ValueError("instance cache capacity must be at least 1")
-        with self._lock:
-            self.capacity = int(capacity)
-            while len(self._entries) > self.capacity:
-                self._entries.pop(next(iter(self._entries)))
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -272,9 +262,9 @@ class InstanceCache:
     def stats(self) -> dict[str, Any]:
         """Hit/miss counters and occupancy (surfaced by ``/metrics``).
 
-        The process-wide instance (see :func:`configure_instance_cache`) is
-        shared by every service and library caller in the process, so these
-        counters describe process-wide traffic, not one server's.
+        The process-wide instance is shared by every service and library
+        caller in the process, so these counters describe process-wide
+        traffic, not one server's.
         """
         with self._lock:
             total = self.hits + self.misses
@@ -291,14 +281,8 @@ class InstanceCache:
             return len(self._entries)
 
 
-#: Process-wide cache of loaded file scenarios (the solver service resizes it).
+#: Process-wide cache of loaded file scenarios; its capacity is the default 64.
 _FILE_CACHE = InstanceCache()
-
-
-def configure_instance_cache(capacity: int) -> InstanceCache:
-    """Resize the process-wide file-scenario LRU; returns it."""
-    _FILE_CACHE.resize(capacity)
-    return _FILE_CACHE
 
 
 def instance_cache_stats() -> dict[str, Any]:

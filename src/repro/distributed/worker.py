@@ -51,11 +51,7 @@ class WorkerState:
     """Queue, executor thread, and counters for one worker process."""
 
     def __init__(
-        self,
-        *,
-        backend: str = "serial",
-        jobs: int | None = None,
-        cache: ResultCache | None = None,
+        self, *, backend: str, jobs: int | None, cache: ResultCache | None
     ) -> None:
         self.backend = backend
         self.jobs = jobs

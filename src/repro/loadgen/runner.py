@@ -16,15 +16,9 @@ offset, fires, and records ``(status, latency)`` into thread-local
 accumulators that are merged into one :class:`~repro.loadgen.report.
 SampleReport` at the end.  A broken keep-alive connection is re-opened
 once per request before counting a transport error (the server is allowed
-to drop idle/slow connections; see ``read_timeout``).
-
-With ``config.pipeline`` > 1 each worker instead speaks *pipelined*
-HTTP/1.1 over a raw socket: up to ``pipeline`` requests are written
-back-to-back before their responses are read (in order — the server
-answers a keep-alive connection strictly sequentially), so one
-connection can keep several requests in flight.  Off by default; the
-responses a pipelined replay receives are byte-identical to the
-one-at-a-time path, which ``tests/loadgen/test_pipeline.py`` asserts.
+to drop idle/slow connections; see ``READ_TIMEOUT`` in
+:mod:`repro.service.server`).  Each connection has at most one request in
+flight.
 
 With ``config.verify`` the runner pre-computes the direct-library golden
 bytes for every *distinct* request body (via
@@ -37,15 +31,16 @@ from __future__ import annotations
 import http.client
 import json
 import queue
-import socket
 import threading
 import time
 import urllib.parse
-from collections import deque
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .report import SampleReport
 from .traces import ReplayConfig, RequestTrace
+
+if TYPE_CHECKING:
+    from ..service.server import ServiceConfig
 
 __all__ = ["Runner", "run_replay"]
 
@@ -54,60 +49,6 @@ _HEADERS = {"Content-Type": "application/json"}
 
 def _canonical(body: Any) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
-
-
-class _PipelinedConnection:
-    """A raw socket speaking pipelined HTTP/1.1 (many requests in flight).
-
-    :class:`http.client.HTTPConnection` enforces one outstanding request
-    per connection, so pipelining needs its own minimal client: write
-    ``POST /solve`` requests back-to-back, read ``Content-Length``-framed
-    responses in order.  That framing is exactly what the repro service
-    speaks (it never chunks), so the parser here stays deliberately small.
-    """
-
-    def __init__(self, host: str, port: int, timeout: float) -> None:
-        self.sock = socket.create_connection((host, port), timeout=timeout)
-        self.rfile = self.sock.makefile("rb")
-        self._host_header = f"{host}:{port}"
-
-    def send(self, payload: bytes, headers: dict[str, str] | None = None) -> None:
-        lines = [
-            "POST /solve HTTP/1.1",
-            f"Host: {self._host_header}",
-            f"Content-Length: {len(payload)}",
-            "Connection: keep-alive",
-        ]
-        lines += [f"{name}: {value}" for name, value in (headers or {}).items()]
-        self.sock.sendall(("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + payload)
-
-    def read_response(self) -> tuple[int, bytes]:
-        line = self.rfile.readline()
-        if not line:
-            raise http.client.HTTPException("connection closed mid-pipeline")
-        parts = line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise http.client.HTTPException(f"malformed status line {line!r}")
-        status = int(parts[1])
-        length = 0
-        while True:
-            header = self.rfile.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-        body = self.rfile.read(length) if length else b""
-        if len(body) != length:
-            raise http.client.HTTPException("truncated response body")
-        return status, body
-
-    def close(self) -> None:
-        for closer in (self.rfile.close, self.sock.close):
-            try:
-                closer()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
 
 
 class _Worker:
@@ -143,16 +84,7 @@ class _Worker:
             response = conn.getresponse()
             return response.status, response.read()
 
-    def _record(self, status: int, body: bytes, fired_at: float, key: str) -> None:
-        self.statuses.append((status, time.perf_counter() - fired_at))
-        goldens = self.runner._goldens
-        if goldens is not None and status == 200 and body != goldens.get(key):
-            self.mismatches += 1
-
     def run(self, started: float) -> None:
-        if self.runner.config.pipeline > 1:
-            self._run_pipelined(started)
-            return
         while True:
             try:
                 item = self.runner._work.get_nowait()
@@ -171,68 +103,11 @@ class _Worker:
             except (http.client.HTTPException, OSError):
                 self.transport_errors += 1
                 continue
-            self._record(status, body, fire, key)
+            self.statuses.append((status, time.perf_counter() - fire))
+            goldens = self.runner._goldens
+            if goldens is not None and status == 200 and body != goldens.get(key):
+                self.mismatches += 1
         self.close()
-
-    def _run_pipelined(self, started: float) -> None:
-        """Pipelined replay: up to ``config.pipeline`` requests in flight.
-
-        Responses on one connection arrive strictly in request order, so
-        in-flight requests live in a FIFO of ``(fired_at, key)`` and each
-        response is matched to the oldest.  On any transport error the
-        whole pipeline's outstanding requests are counted as transport
-        errors (their responses can no longer be attributed) and the
-        connection is rebuilt.
-        """
-        depth = max(1, int(self.runner.config.pipeline))
-        conn: _PipelinedConnection | None = None
-        inflight: deque[tuple[float, str]] = deque()
-
-        def read_one() -> None:
-            fired_at, key = inflight[0]
-            status, body = conn.read_response()
-            inflight.popleft()  # only after a complete response
-            self._record(status, body, fired_at, key)
-
-        def fail_pipeline(extra: int = 0) -> None:
-            nonlocal conn
-            self.transport_errors += len(inflight) + extra
-            inflight.clear()
-            if conn is not None:
-                conn.close()
-                conn = None
-
-        while True:
-            try:
-                item = self.runner._work.get_nowait()
-            except queue.Empty:
-                break
-            at, payload, key = item
-            now = time.monotonic()
-            due = started + at
-            if now < due:
-                time.sleep(due - now)
-            else:
-                self.max_lag = max(self.max_lag, now - due)
-            try:
-                if conn is None:
-                    conn = _PipelinedConnection(
-                        self.runner.host, self.runner.port, self.runner.config.timeout
-                    )
-                while len(inflight) >= depth:
-                    read_one()
-                conn.send(payload.encode("utf-8"), self.runner._headers)
-                inflight.append((time.perf_counter(), key))
-            except (http.client.HTTPException, OSError):
-                # This request plus everything in flight is unaccounted.
-                fail_pipeline(extra=1)
-        try:
-            while inflight:
-                read_one()
-        except (http.client.HTTPException, OSError):
-            fail_pipeline()
-        if conn is not None:
-            conn.close()
 
     def close(self) -> None:
         if self.conn is not None:
@@ -253,7 +128,7 @@ class Runner:
         self.port = int(port)
         self.config = config or ReplayConfig()
         self._headers = dict(_HEADERS)
-        if self.config.deadline_ms:
+        if self.config.deadline_ms is not None:
             self._headers["X-Repro-Deadline-Ms"] = str(float(self.config.deadline_ms))
         self._work: queue.Queue[tuple[float, str, str]] = queue.Queue()
         self._goldens: dict[str, bytes] | None = None
@@ -377,11 +252,11 @@ def run_replay(
     *,
     url: str | None = None,
     config: ReplayConfig | None = None,
-    **service_kwargs: Any,
+    service: ServiceConfig | None = None,
 ) -> SampleReport:
     """Replay ``trace`` against ``url``, or an in-process service if None.
 
-    ``service_kwargs`` configure the in-process
+    ``service`` configures the in-process
     :class:`~repro.service.server.SolverService` (ignored with ``url``).
     """
     if url is not None:
@@ -393,7 +268,7 @@ def run_replay(
         return runner.run(trace)
     from ..service.server import start_in_background
 
-    with start_in_background(**service_kwargs) as handle:
-        runner = Runner("127.0.0.1", handle.port, config=config)
+    with start_in_background(service) as handle:
+        runner = Runner(handle.host, handle.port, config=config)
         runner.wait_healthy()
         return runner.run(trace)

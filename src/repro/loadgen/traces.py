@@ -116,9 +116,8 @@ class ReplayConfig:
     connection pool; ``timeout`` bounds one HTTP exchange; ``verify``
     checks every 200 body byte-for-byte against the direct library call
     (expensive: one in-process solve per *distinct* request body);
-    ``pipeline`` > 1 enables HTTP/1.1 pipelining — each connection keeps
-    up to that many requests in flight before reading responses (off by
-    default: 1 request at a time per connection, as before).
+    ``deadline_ms``, when set, is sent as ``X-Repro-Deadline-Ms`` on every
+    request.
     """
 
     rate_scale: float = 1.0
@@ -127,7 +126,12 @@ class ReplayConfig:
     timeout: float = 120.0
     verify: bool = False
     deadline_ms: float | None = None
-    pipeline: int = 1
+
+    def __post_init__(self) -> None:
+        if self.rate_scale <= 0:
+            raise ValueError("rate_scale must be positive")
+        if self.deadline_ms is not None and self.deadline_ms <= 0:
+            raise ValueError("the client deadline must be positive")
 
     def prepare(self, trace: RequestTrace) -> RequestTrace:
         return trace.scaled(self.rate_scale).truncated(self.max_requests)

@@ -29,12 +29,13 @@ from .adaptive import AdaptiveBatchPolicy
 from .batcher import MicroBatcher
 from .histogram import LatencyHistogram
 from .metrics import ServiceMetrics
-from .server import ServiceHandle, SolverService, serve, start_in_background
+from .server import ServiceConfig, ServiceHandle, SolverService, serve, start_in_background
 
 __all__ = [
     "AdaptiveBatchPolicy",
     "LatencyHistogram",
     "MicroBatcher",
+    "ServiceConfig",
     "ServiceError",
     "ServiceHandle",
     "ServiceMetrics",

@@ -26,7 +26,7 @@ Production hardening (see ``docs/SERVICE.md``):
   AdaptiveBatchPolicy` and the batch size / wait window become feedback-
   controlled: the window shrinks when request p99 drifts above target and
   batches grow under saturation.  Without a policy the configured
-  ``max_batch`` / ``max_wait_ms`` are fixed, as before.
+  ``max_batch`` / ``batch_wait_ms`` are fixed.
 * **Fault isolation** — when a batch's sweep raises, the batch is retried
   point-by-point so one poisoned request fails alone instead of failing
   every stranger sharing its batch.
@@ -44,38 +44,39 @@ Production hardening (see ``docs/SERVICE.md``):
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..backends import Backend, PointResult, ResultCache, SweepPoint, run_sweep
+from ..backends import PointResult, ResultCache, SweepPoint, run_sweep
 from .adaptive import AdaptiveBatchPolicy
+
+if TYPE_CHECKING:
+    from .server import ServiceConfig
 
 __all__ = ["MicroBatcher"]
 
 
 class MicroBatcher:
-    """Coalesce submitted points into batches executed via ``run_sweep``."""
+    """Coalesce submitted points into batches executed via ``run_sweep``.
+
+    ``config`` supplies the backend, jobs, batch size and wait window; a
+    ``policy``, when given, steers the size (capped at ``max_batch``) and
+    the window instead.
+    """
 
     def __init__(
         self,
+        config: ServiceConfig,
         *,
-        backend: Backend | str | None = "batch",
-        jobs: int | None = None,
-        cache: ResultCache | str | None = None,
-        max_batch: int = 32,
-        max_wait_ms: float = 5.0,
+        cache: ResultCache | None = None,
         on_batch: Callable[[int], None] | None = None,
         policy: AdaptiveBatchPolicy | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
-        self.backend = backend
-        self.jobs = jobs
+        self.backend = config.backend
+        self.jobs = config.jobs
         self.cache = cache
-        self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait_ms) / 1000.0
+        self.max_batch = config.max_batch
+        self.max_wait = config.batch_wait_ms / 1000.0
         self.on_batch = on_batch
         self.policy = policy
         self._clock = clock

@@ -41,10 +41,11 @@ import json
 import signal
 import threading
 import time
+from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ..backends import ResultCache, SweepPoint
-from ..datasets import SCENARIOS, configure_instance_cache
+from ..backends import BACKENDS, ResultCache, SweepPoint
+from ..datasets import SCENARIOS
 from ..registry import iter_algorithms
 from .adaptive import AdaptiveBatchPolicy
 from .api import (
@@ -57,96 +58,114 @@ from .api import (
 from .batcher import MicroBatcher
 from .metrics import ServiceMetrics
 
-__all__ = ["SolverService", "ServiceHandle", "start_in_background", "serve"]
+__all__ = ["ServiceConfig", "ServiceHandle", "SolverService", "serve", "start_in_background"]
 
 #: Largest accepted request body (a solve request is tiny; anything bigger
 #: is a client error, not a workload).
 _MAX_BODY = 1 << 20
 
+#: Seconds a connection may take to deliver one full request (also the
+#: keep-alive idle limit).  Read on every request, so tests may shorten it.
+READ_TIMEOUT = 30.0
+
 _JSON = [("Content-Type", "application/json")]
+
+
+@dataclass(frozen=True)
+class ServiceConfig:
+    """The options ``repro serve``, ``repro worker`` and ``repro loadtest``'s
+    in-process server share; each default and range check lives here only.
+
+    ``backend`` / ``jobs``
+        How each micro-batch (in worker mode, each pulled point) executes.
+    ``cache_dir``
+        :class:`~repro.backends.ResultCache` directory; a replay of a cached
+        point is answered at admission, before the batcher.
+    ``max_batch`` / ``batch_wait_ms``
+        The largest micro-batch and how long a batch waits for company.
+    ``adaptive`` / ``target_p99_ms``
+        Latency-aware batching (on by default): the wait window shrinks when
+        the observed p99 of computed requests drifts above target, and
+        batches grow under saturation.  ``adaptive=False`` keeps
+        ``(max_batch, batch_wait_ms)`` fixed.
+    ``max_queue``
+        Admission control: when this many solves are admitted and not yet
+        answered, or this many points are still in the batcher (a solve
+        that timed out leaves its point there until it runs), new solves
+        are shed with ``429`` and a ``Retry-After`` hint.  ``0`` disables
+        shedding.
+    ``deadline_ms``
+        Default per-request deadline; a request still unanswered when it
+        expires gets ``504``.  Clients may tighten (never loosen) it with
+        the ``X-Repro-Deadline-Ms`` header.  ``None`` or ``0`` means none.
+    """
+
+    backend: str = "batch"
+    jobs: int | None = None
+    cache_dir: str | None = None
+    max_batch: int = 32
+    batch_wait_ms: float = 5.0
+    adaptive: bool = True
+    target_p99_ms: float = 500.0
+    max_queue: int = 1024
+    deadline_ms: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"backend must be one of {sorted(BACKENDS)}, not {self.backend!r}"
+            )
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be at least 1")
+        if self.batch_wait_ms < 0:
+            raise ValueError("batch_wait_ms must not be negative")
+        if self.target_p99_ms <= 0:
+            raise ValueError("target_p99_ms must be positive")
+        if self.max_queue < 0:
+            raise ValueError("max_queue must not be negative (0 disables shedding)")
+        if self.deadline_ms is not None and self.deadline_ms < 0:
+            raise ValueError("deadline_ms must not be negative (0 means no deadline)")
 
 
 class SolverService:
     """Request handling + batching + metrics for one service instance.
 
-    Production-hardening knobs (see ``docs/SERVICE.md``):
-
-    ``adaptive`` / ``target_p99_ms``
-        Latency-aware micro-batch control (on by default): the wait window
-        shrinks when the observed request p99 drifts above target, and
-        batches grow under saturation.  ``adaptive=False`` restores the
-        fixed ``(max_batch, batch_wait_ms)`` batcher.
-    ``max_queue``
-        Admission control: when this many solves are already admitted and
-        not yet answered (parsing, reading the result cache, queued, in a
-        batch or rendering), or this many points are still in the batcher
-        (a solve that timed out leaves its point there until it runs), new
-        solves are shed with ``429 Too Many Requests`` and a
-        ``Retry-After`` hint instead of queueing without bound.  ``0``
-        disables shedding.
-    ``deadline_ms``
-        Default per-request deadline; a request still unanswered when it
-        expires gets ``504``.  Clients may tighten (never loosen) it per
-        request via the ``X-Repro-Deadline-Ms`` header.  ``None``/``0``
-        means no deadline.
-    ``read_timeout``
-        Seconds a connection may take to deliver one full request (also
-        the keep-alive idle timeout).  Slow-loris clients are answered
-        with a best-effort ``408`` and dropped; a connection on which no
-        byte of a next request arrived is closed without a response.
+    ``config`` holds the batching, shedding and deadline options (see
+    :class:`ServiceConfig` and ``docs/SERVICE.md``); ``worker=True`` adds
+    the distributed protocol's endpoints.
     """
 
-    def __init__(
-        self,
-        *,
-        backend: str = "batch",
-        jobs: int | None = None,
-        cache_dir: str | None = None,
-        max_batch: int = 32,
-        batch_wait_ms: float = 5.0,
-        instance_cache: int = 64,
-        adaptive: bool = True,
-        target_p99_ms: float = 500.0,
-        max_queue: int = 1024,
-        deadline_ms: float | None = None,
-        read_timeout: float = 30.0,
-        worker: bool = False,
-    ) -> None:
+    def __init__(self, config: ServiceConfig, *, worker: bool = False) -> None:
+        self.config = config
         self.metrics = ServiceMetrics()
-        self.cache = ResultCache(cache_dir) if cache_dir else None
+        self.cache = ResultCache(config.cache_dir) if config.cache_dir else None
         self.worker_state = None
         if worker:
             from ..distributed.worker import WorkerState
 
             self.worker_state = WorkerState(
-                backend=backend, jobs=jobs, cache=self.cache
+                backend=config.backend, jobs=config.jobs, cache=self.cache
             )
         self._active_requests = 0
         self._admitted = 0
-        configure_instance_cache(instance_cache)
-        self.max_queue = max(0, int(max_queue))
-        self.deadline = (
-            float(deadline_ms) / 1000.0 if deadline_ms else None
-        )
-        self.read_timeout = float(read_timeout)
+        self.deadline = config.deadline_ms / 1000.0 if config.deadline_ms else None
         policy = None
-        if adaptive:
-            wait = float(batch_wait_ms) / 1000.0
+        if config.adaptive:
+            wait = config.batch_wait_ms / 1000.0
             policy = AdaptiveBatchPolicy(
-                target_p99=float(target_p99_ms) / 1000.0,
+                target_p99=config.target_p99_ms / 1000.0,
                 min_batch=1,
-                max_batch=int(max_batch),
-                initial_batch=min(8, int(max_batch)),
+                max_batch=config.max_batch,
+                initial_batch=min(8, config.max_batch),
                 min_wait=0.0,
-                max_wait=max(wait * 4.0, wait),
+                max_wait=wait * 4.0,
                 initial_wait=wait,
             )
         self.batcher = MicroBatcher(
-            backend=backend,
-            jobs=jobs,
+            config,
             cache=self.cache,
-            max_batch=max_batch,
-            max_wait_ms=batch_wait_ms,
             on_batch=self.metrics.record_batch,
             policy=policy,
         )
@@ -249,7 +268,7 @@ class SolverService:
         deadline = self._deadline_for(headers)
         # Admission control *before* any work: a shed request must be cheap,
         # that is the whole point of shedding.
-        if self.max_queue and self._backlog() >= self.max_queue:
+        if self.config.max_queue and self._backlog() >= self.config.max_queue:
             self.metrics.record_rejected()
             retry = [("Retry-After", str(self._retry_after()))]
             return 429, _JSON + retry, _dumps(
@@ -355,7 +374,7 @@ class SolverService:
                 arrived: list[bytes] = []
                 try:
                     request = await asyncio.wait_for(
-                        _read_request(reader, arrived), self.read_timeout
+                        _read_request(reader, arrived), READ_TIMEOUT
                     )
                 except asyncio.TimeoutError:
                     if not arrived:
@@ -409,14 +428,14 @@ class SolverService:
             except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.Server:
+    async def start(self, host: str, port: int) -> asyncio.Server:
         """Bind the server and start the batcher; returns the asyncio server."""
         self.batcher.start()
         if self.worker_state is not None:
             self.worker_state.start()
         return await asyncio.start_server(self._handle_connection, host, port)
 
-    async def drain(self, timeout: float = 30.0) -> bool:
+    async def drain(self, timeout: float) -> bool:
         """Finish in-flight requests and queued work (graceful shutdown).
 
         Waits for every request currently being answered, everything the
@@ -530,17 +549,18 @@ async def _read_request(
 # Running
 # --------------------------------------------------------------------------- #
 class ServiceHandle:
-    """A service running on a background thread (tests, benchmarks).
+    """A service running on a background thread, bound to a free loopback port.
 
     Use as a context manager::
 
-        with start_in_background(backend="batch") as handle:
-            http.client.HTTPConnection("127.0.0.1", handle.port) ...
+        with start_in_background(ServiceConfig(max_batch=8)) as handle:
+            http.client.HTTPConnection(handle.host, handle.port) ...
     """
 
-    def __init__(self, service: SolverService, host: str) -> None:
+    host = "127.0.0.1"
+
+    def __init__(self, service: SolverService) -> None:
         self.service = service
-        self.host = host
         self.port: int | None = None
         self._ready = threading.Event()
         self._stop: asyncio.Event | None = None
@@ -590,13 +610,13 @@ class ServiceHandle:
         self.stop()
 
 
-def start_in_background(host: str = "127.0.0.1", **service_kwargs: Any) -> ServiceHandle:
-    """Start a :class:`SolverService` on a daemon thread; returns its handle."""
-    return ServiceHandle(SolverService(**service_kwargs), host)
+def start_in_background(config: ServiceConfig | None = None, *, worker: bool = False) -> ServiceHandle:
+    """Start a :class:`SolverService` (default: ``ServiceConfig()``) on a daemon thread."""
+    return ServiceHandle(SolverService(config or ServiceConfig(), worker=worker))
 
 
 async def _serve_async(
-    service: SolverService, host: str, port: int, *, drain_timeout: float = 30.0
+    service: SolverService, host: str, port: int, *, drain_timeout: float
 ) -> None:
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
@@ -630,19 +650,15 @@ async def _serve_async(
 
 
 def serve(
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    *,
-    drain_timeout: float = 30.0,
-    **service_kwargs: Any,
+    config: ServiceConfig, *, host: str, port: int, drain_timeout: float, worker: bool = False
 ) -> int:
-    """Blocking entry point used by ``repro serve``; returns an exit code.
+    """Blocking entry point of ``repro serve`` and ``repro worker``.
 
     SIGTERM and SIGINT trigger a graceful shutdown: the listener closes,
     in-flight requests and queued batcher (and worker) work drain for up to
     ``drain_timeout`` seconds, then the process exits 0.
     """
-    service = SolverService(**service_kwargs)
+    service = SolverService(config, worker=worker)
     try:
         asyncio.run(_serve_async(service, host, port, drain_timeout=drain_timeout))
     except KeyboardInterrupt:

@@ -76,7 +76,7 @@ class TestWorkerRestartDiscipline:
         from repro.distributed.protocol import encode_point
         from tests.distributed.test_worker import _point
 
-        state = WorkerState(backend="serial")
+        state = WorkerState(backend="serial", jobs=None, cache=None)
         state.start()
         try:
             state.register("s")
@@ -104,7 +104,7 @@ class TestWorkerThreadHandleDiscipline:
     def test_concurrent_start_close_yields_single_executor(self):
         import threading
 
-        state = WorkerState(backend="serial")
+        state = WorkerState(backend="serial", jobs=None, cache=None)
         stop = threading.Event()
 
         def churn() -> None:
@@ -139,7 +139,7 @@ class TestWorkerThreadHandleDiscipline:
         from repro.distributed.protocol import encode_point
         from tests.distributed.test_worker import _point
 
-        state = WorkerState(backend="serial")
+        state = WorkerState(backend="serial", jobs=None, cache=None)
         release = threading.Event()
         # Hold the executor on its point until the restart has happened.
         state._execute = lambda point: release.wait() and {"digest": "held", "error": "held"}
@@ -176,7 +176,7 @@ class TestWorkerThreadHandleDiscipline:
         thread and raised RuntimeError in the closer."""
         import threading
 
-        state = WorkerState(backend="serial")
+        state = WorkerState(backend="serial", jobs=None, cache=None)
         errors: list[BaseException] = []
         publishing = threading.Event()
         closed = threading.Event()

@@ -11,7 +11,6 @@ from repro.datasets import (
     Scenario,
     build_scenario,
     build_scenario_sized,
-    configure_instance_cache,
     ensure_edge_weights,
     instance_cache_stats,
     register_scenario,
@@ -164,16 +163,15 @@ class TestInstanceCache:
         cache.load(str(paths[1]))
         assert cache.misses == misses_before + 1  # 1 was evicted
 
-    def test_resize_and_stats(self, tmp_path):
-        cache = InstanceCache(capacity=3)
+    def test_stats_count_lookups_and_entries(self, tmp_path):
+        cache = InstanceCache(capacity=2)
         for i in range(3):
             cache.load(str(self._write(tmp_path, f"{i}.txt", [(0, 1)])))
-        cache.resize(1)
         stats = cache.stats()
-        assert stats["entries"] == 1 and stats["capacity"] == 1
+        assert stats["entries"] == 2 and stats["capacity"] == 2
         assert stats["hits"] + stats["misses"] == 3
         with pytest.raises(ValueError):
-            cache.resize(0)
+            InstanceCache(capacity=0)
 
     def test_missing_file_is_a_value_error(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
@@ -208,12 +206,8 @@ class TestInstanceCache:
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == 6 * 300
 
-    def test_process_wide_cache_is_configurable(self):
-        cache = configure_instance_cache(32)
-        assert cache.capacity == 32
-        assert instance_cache_stats()["capacity"] == 32
-        configure_instance_cache(8)  # restore the default capacity
-        assert instance_cache_stats()["capacity"] == 8
+    def test_process_wide_cache_has_a_fixed_capacity(self):
+        assert instance_cache_stats()["capacity"] == 64
 
 
 class TestEnsureEdgeWeights:

@@ -30,7 +30,10 @@ from repro.distributed import (
 )
 from repro.distributed.coordinator import _parse_address
 from repro.experiments.harness import ExperimentRecord
-from repro.service.server import start_in_background
+from repro.service import ServiceConfig, start_in_background
+
+#: The workers here execute serially, with fixed batching.
+WORKER = ServiceConfig(backend="serial", adaptive=False)
 
 
 def coord_point_fn(rng: np.random.Generator, *, scale: float = 1.0) -> ExperimentRecord:
@@ -61,8 +64,8 @@ def _payloads(results) -> list[list[dict]]:
 
 @pytest.fixture(scope="module")
 def workers():
-    with start_in_background(worker=True, backend="serial", adaptive=False) as a:
-        with start_in_background(worker=True, backend="serial", adaptive=False) as b:
+    with start_in_background(WORKER, worker=True) as a:
+        with start_in_background(WORKER, worker=True) as b:
             yield [f"127.0.0.1:{a.port}", f"127.0.0.1:{b.port}"]
 
 
@@ -184,7 +187,7 @@ class TestFailureHandling:
             SweepPoint("coord", slow_point_fn, {"delay": 0.05}, seed=(13, i), trials=1)
             for i in range(6)
         ]
-        with start_in_background(worker=True, backend="serial", adaptive=False) as doomed:
+        with start_in_background(WORKER, worker=True) as doomed:
             coordinator = KillOnceCoordinator(
                 [workers[0], f"127.0.0.1:{doomed.port}"],
                 handle=doomed,

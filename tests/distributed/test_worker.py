@@ -33,7 +33,7 @@ def _point(seed: int, scale: float = 1.0) -> SweepPoint:
 
 @pytest.fixture()
 def worker():
-    state = WorkerState(backend="serial")
+    state = WorkerState(backend="serial", jobs=None, cache=None)
     state.start()
     yield state
     state.close()

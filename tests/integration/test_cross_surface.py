@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.service import start_in_background
+from repro.service import ServiceConfig, start_in_background
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -45,7 +45,7 @@ SAMPLES = [
 
 @pytest.fixture(scope="module")
 def server():
-    with start_in_background(backend="batch", max_batch=8, batch_wait_ms=2.0) as handle:
+    with start_in_background(ServiceConfig(max_batch=8, batch_wait_ms=2.0)) as handle:
         yield handle
 
 

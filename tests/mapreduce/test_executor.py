@@ -96,10 +96,10 @@ class TestExecutorEquivalence:
 
     def test_degree_count_across_real_workers(self):
         from repro.backends import DistributedBackend
-        from repro.service.server import start_in_background
+        from repro.service import ServiceConfig, start_in_background
 
-        with start_in_background(worker=True, backend="serial", adaptive=False) as a:
-            with start_in_background(worker=True, backend="serial", adaptive=False) as b:
+        with start_in_background(ServiceConfig(backend="serial", adaptive=False), worker=True) as a:
+            with start_in_background(ServiceConfig(backend="serial", adaptive=False), worker=True) as b:
                 backend = DistributedBackend(
                     [f"127.0.0.1:{a.port}", f"127.0.0.1:{b.port}"]
                 )

@@ -17,6 +17,7 @@ import pytest
 from repro.backends import ResultCache, SweepPoint
 from repro.registry import get_algorithm
 from repro.service.adaptive import AdaptiveBatchPolicy
+from repro.service import ServiceConfig
 from repro.service.batcher import MicroBatcher
 
 
@@ -39,7 +40,8 @@ class TestBatcherEdges:
 
         async def scenario():
             batcher = MicroBatcher(
-                backend="serial", max_batch=1, max_wait_ms=0.0, on_batch=sizes.append
+                ServiceConfig(backend="serial", max_batch=1, batch_wait_ms=0.0),
+                on_batch=sizes.append,
             )
             try:
                 results = await asyncio.gather(
@@ -55,19 +57,18 @@ class TestBatcherEdges:
         assert sizes and all(size == 1 for size in sizes)
 
     def test_invalid_limits_rejected(self):
+        # The batcher's limits come from a ServiceConfig, which checks them.
         with pytest.raises(ValueError):
-            MicroBatcher(max_batch=0)
+            ServiceConfig(max_batch=0)
         with pytest.raises(ValueError):
-            MicroBatcher(max_wait_ms=-1.0)
+            ServiceConfig(batch_wait_ms=-1.0)
 
     def test_shutdown_fails_queued_requests_without_hanging(self):
         async def scenario():
             picked_up = threading.Event()
 
             batcher = MicroBatcher(
-                backend="serial",
-                max_batch=1,
-                max_wait_ms=0.0,
+                ServiceConfig(backend="serial", max_batch=1, batch_wait_ms=0.0),
                 on_batch=lambda _size: picked_up.set(),
             )
             # A slow-ish solve keeps the dispatcher inside its executor
@@ -99,7 +100,7 @@ class TestBatcherEdges:
         """Anything still queued at aclose() is failed, never dropped."""
 
         async def scenario():
-            batcher = MicroBatcher(backend="serial", max_batch=4)
+            batcher = MicroBatcher(ServiceConfig(backend="serial", max_batch=4))
             loop = asyncio.get_running_loop()
             stranded = loop.create_future()
             # Enqueue without starting the dispatcher: the point can only
@@ -116,7 +117,9 @@ class TestBatcherEdges:
         """A point held in an open wait window counts, and aclose() fails it."""
 
         async def scenario():
-            batcher = MicroBatcher(backend="serial", max_batch=8, max_wait_ms=5_000.0)
+            batcher = MicroBatcher(
+                ServiceConfig(backend="serial", max_batch=8, batch_wait_ms=5_000.0)
+            )
             pending = asyncio.ensure_future(batcher.submit(_point(0)))
             # Wait until the dispatcher has taken the point off the queue;
             # the 5 s window keeps it in the batch being collected.
@@ -141,7 +144,7 @@ class TestBatcherEdges:
 
         async def scenario():
             batcher = MicroBatcher(
-                backend="batch", cache=cache, max_batch=4, max_wait_ms=1.0
+                ServiceConfig(max_batch=4, batch_wait_ms=1.0), cache=cache
             )
             try:
                 first = await batcher.submit(_point(7))
@@ -166,7 +169,8 @@ class TestBatcherEdges:
 
         async def scenario():
             batcher = MicroBatcher(
-                backend="serial", max_batch=2, max_wait_ms=1.0, on_batch=bad_observer
+                ServiceConfig(backend="serial", max_batch=2, batch_wait_ms=1.0),
+                on_batch=bad_observer,
             )
             try:
                 first = await batcher.submit(_point(1))
@@ -181,7 +185,7 @@ class TestBatcherEdges:
 
     def test_poisoned_point_fails_alone(self):
         async def scenario():
-            batcher = MicroBatcher(backend="batch", max_batch=4, max_wait_ms=50.0)
+            batcher = MicroBatcher(ServiceConfig(max_batch=4, batch_wait_ms=50.0))
             try:
                 outcomes = await asyncio.gather(
                     batcher.submit(_point(0)),
@@ -204,9 +208,8 @@ class TestBatcherEdges:
 
         async def scenario():
             batcher = MicroBatcher(
-                backend="serial",
-                max_batch=8,
-                max_wait_ms=10_000.0,  # absurd for real time; free on a fake clock
+                # A 10 s window is absurd for real time; free on a fake clock.
+                ServiceConfig(backend="serial", max_batch=8, batch_wait_ms=10_000.0),
                 clock=lambda: clock["now"],
             )
             first = asyncio.ensure_future(batcher.submit(_point(0)))
@@ -228,7 +231,9 @@ class TestBatcherEdges:
     def test_stats_shape(self):
         async def scenario():
             policy = AdaptiveBatchPolicy(max_batch=16, initial_batch=4)
-            batcher = MicroBatcher(backend="serial", max_batch=16, policy=policy)
+            batcher = MicroBatcher(
+                ServiceConfig(backend="serial", max_batch=16), policy=policy
+            )
             try:
                 await batcher.submit(_point(0))
             finally:

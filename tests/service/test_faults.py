@@ -25,8 +25,13 @@ import pytest
 
 import repro.service.batcher as batcher_module
 import repro.service.server as server_module
-from repro.service import parse_solve_request, solve_direct, start_in_background
-from repro.service.server import SolverService
+from repro.service import (
+    ServiceConfig,
+    SolverService,
+    parse_solve_request,
+    solve_direct,
+    start_in_background,
+)
 
 FAST = {"algorithm": "mis", "params": {"n": 40, "c": 0.35}, "seed": 5}
 #: Parses fine (param *names* are validated up front, values at solve time)
@@ -70,14 +75,11 @@ def _recv_all(sock, timeout=30.0):
 def server():
     # Short read timeout so the slow-loris tests run in seconds, not
     # minutes; everything else at service defaults.
-    with start_in_background(
-        backend="batch",
-        max_batch=8,
-        batch_wait_ms=5.0,
-        read_timeout=1.0,
-    ) as handle:
-        _assert_alive(handle.port)
-        yield handle
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(server_module, "READ_TIMEOUT", 1.0)
+        with start_in_background(ServiceConfig(max_batch=8)) as handle:
+            _assert_alive(handle.port)
+            yield handle
 
 
 class TestSlowLoris:
@@ -190,7 +192,7 @@ class TestWorkerFaults:
         # A wide window so the poison lands in the same batch as the
         # innocents deterministically.
         with start_in_background(
-            backend="batch", max_batch=8, batch_wait_ms=100.0, adaptive=False
+            ServiceConfig(max_batch=8, batch_wait_ms=100.0, adaptive=False)
         ) as handle:
             _assert_alive(handle.port)
             results: dict[int, tuple] = {}
@@ -285,11 +287,13 @@ class TestBackpressure:
         # bound.
         entered, release = _hold_first_call(monkeypatch, batcher_module, "run_sweep")
         with start_in_background(
-            backend="serial",
-            max_batch=1,
-            batch_wait_ms=0.0,
-            adaptive=False,
-            max_queue=1,
+            ServiceConfig(
+                backend="serial",
+                max_batch=1,
+                batch_wait_ms=0.0,
+                adaptive=False,
+                max_queue=1,
+            )
         ) as handle:
             _assert_alive(handle.port)
             statuses = _shed_while_first_is_held(handle.port, entered, release)
@@ -306,7 +310,7 @@ class TestBackpressure:
         # A slow parse (a first `file:` request fingerprints its dataset)
         # must not let concurrent solves slip past max_queue.
         entered, release = _hold_first_call(monkeypatch, server_module, "parse_solve_request")
-        with start_in_background(backend="serial", max_queue=1) as handle:
+        with start_in_background(ServiceConfig(backend="serial", max_queue=1)) as handle:
             _assert_alive(handle.port)
             statuses = _shed_while_first_is_held(handle.port, entered, release)
             codes = sorted(status for status, _ in statuses)
@@ -319,11 +323,13 @@ class TestBackpressure:
         # every deadline period would admit another max_queue solves.
         entered, release = _hold_first_call(monkeypatch, batcher_module, "run_sweep")
         with start_in_background(
-            backend="serial",
-            max_batch=1,
-            batch_wait_ms=0.0,
-            adaptive=False,
-            max_queue=1,
+            ServiceConfig(
+                backend="serial",
+                max_batch=1,
+                batch_wait_ms=0.0,
+                adaptive=False,
+                max_queue=1,
+            )
         ) as handle:
             _assert_alive(handle.port)
             slow = {"algorithm": "mis", "params": {"n": 120, "c": 0.4}, "seed": 1}
@@ -344,7 +350,7 @@ class TestBackpressure:
             _assert_alive(handle.port)
 
     def test_retry_after_is_set_by_computes_not_hits(self):
-        service = SolverService(backend="serial")
+        service = SolverService(ServiceConfig(backend="serial"))
         for _ in range(200):
             service.metrics.record_response("mis", 0.0004, cached=True)
         for _ in range(5):
@@ -356,7 +362,7 @@ class TestBackpressure:
 
     def test_deadline_timeout_is_504(self):
         with start_in_background(
-            backend="serial", max_batch=4, batch_wait_ms=0.0, adaptive=False
+            ServiceConfig(backend="serial", max_batch=4, batch_wait_ms=0.0, adaptive=False)
         ) as handle:
             _assert_alive(handle.port)
             body = {"algorithm": "mis", "params": {"n": 150, "c": 0.4}, "seed": 2}
@@ -379,3 +385,32 @@ class TestBackpressure:
             )
             assert status == 400
         _assert_alive(server.port)
+
+
+class TestServerDeadline:
+    """``deadline_ms`` bounds every solve; a client may tighten it, never loosen it."""
+
+    @pytest.mark.parametrize(
+        "server_ms,header",
+        [(50.0, None), (50.0, "60000"), (60_000.0, "50")],
+        ids=["server-deadline", "client-cannot-loosen", "client-tightens"],
+    )
+    def test_held_solve_gets_504_at_the_tighter_deadline(
+        self, monkeypatch, server_ms, header
+    ):
+        entered, release = _hold_first_call(monkeypatch, batcher_module, "run_sweep")
+        headers = {} if header is None else {"X-Repro-Deadline-Ms": header}
+        with start_in_background(
+            ServiceConfig(backend="serial", deadline_ms=server_ms)
+        ) as handle:
+            _assert_alive(handle.port)
+            try:
+                status, _, payload = _request(
+                    handle.port, "POST", "/solve", FAST, headers=headers
+                )
+            finally:
+                release.set()
+            assert entered.is_set(), "the solve never reached its sweep"
+            assert status == 504
+            assert json.loads(payload) == {"error": "deadline of 50 ms exceeded"}
+            _assert_alive(handle.port)

@@ -23,6 +23,7 @@ import pytest
 import repro.service.batcher as batcher_module
 from repro.backends import run_sweep
 from repro.service import (
+    ServiceConfig,
     parse_solve_request,
     request_point,
     solve_direct,
@@ -67,6 +68,17 @@ def _wait_ready(port, timeout=30.0):
     _poll_until(healthy, timeout=timeout, message="server readiness")
 
 
+def _read_response(rfile):
+    """Read one ``Content-Length``-framed response; returns ``(status, body)``."""
+    status = int(rfile.readline().split()[1])
+    length = 0
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    return status, rfile.read(length)
+
+
 def _burst(port, bodies, timeout=120):
     """Fire one request per body concurrently; returns results in order."""
     results: list[tuple[int, dict, bytes] | None] = [None] * len(bodies)
@@ -88,7 +100,7 @@ def _burst(port, bodies, timeout=120):
 
 @pytest.fixture(scope="module")
 def server():
-    with start_in_background(backend="batch", max_batch=16, batch_wait_ms=10.0) as handle:
+    with start_in_background(ServiceConfig(max_batch=16, batch_wait_ms=10.0)) as handle:
         _wait_ready(handle.port)
         yield handle
 
@@ -146,11 +158,31 @@ class TestSolveEndpoint:
         finally:
             conn.close()
 
+    def test_responses_come_back_in_request_order(self, server):
+        """Write five requests back to back on one connection, then read five."""
+        bodies = [
+            {"algorithm": "mis", "params": {"n": 36, "c": 0.35}, "seed": seed}
+            for seed in range(5)
+        ]
+        goldens = [solve_direct(parse_solve_request(body)) for body in bodies]
+        with socket.create_connection(("127.0.0.1", server.port), timeout=60) as sock:
+            for body in bodies:
+                payload = json.dumps(body).encode()
+                sock.sendall(
+                    b"POST /solve HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                    % (len(payload), payload)
+                )
+            with sock.makefile("rb") as rfile:
+                responses = [_read_response(rfile) for _ in bodies]
+        assert responses == [(200, golden) for golden in goldens]
+
 
 class TestResultCacheIntegration:
     def test_replay_is_a_hit_and_byte_identical(self, tmp_path):
         with start_in_background(
-            backend="serial", max_batch=4, batch_wait_ms=1.0, cache_dir=str(tmp_path)
+            ServiceConfig(
+                backend="serial", max_batch=4, batch_wait_ms=1.0, cache_dir=str(tmp_path)
+            )
         ) as handle:
             golden = solve_direct(parse_solve_request(FAST))
             status, first_headers, first = _request(handle.port, "POST", "/solve", FAST)
@@ -214,7 +246,7 @@ class TestHitsAnsweredAtAdmission:
     def test_replay_is_answered_while_a_miss_computes(self, tmp_path, held_sweeps):
         _warm_cache(tmp_path, FAST)
         goldens = [solve_direct(parse_solve_request(body)) for body in (FAST, self.MISS)]
-        with start_in_background(backend="batch", cache_dir=str(tmp_path)) as handle:
+        with start_in_background(ServiceConfig(cache_dir=str(tmp_path))) as handle:
             with _miss_held_in_its_sweep(handle.port, held_sweeps, self.MISS) as computed:
                 status, headers, body = _request(
                     handle.port, "POST", "/solve", FAST, timeout=10
@@ -229,7 +261,7 @@ class TestHitsAnsweredAtAdmission:
 
     def test_replay_leaves_the_batch_counters_alone(self, tmp_path):
         _warm_cache(tmp_path, FAST)
-        with start_in_background(backend="batch", cache_dir=str(tmp_path)) as handle:
+        with start_in_background(ServiceConfig(cache_dir=str(tmp_path))) as handle:
             before = _metrics(handle.port)
             status, headers, _ = _request(handle.port, "POST", "/solve", FAST)
             after = _metrics(handle.port)
@@ -253,7 +285,7 @@ class TestHitsAnsweredAtAdmission:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with start_in_background(backend="batch", cache_dir=str(tmp_path)) as handle:
+            with start_in_background(ServiceConfig(cache_dir=str(tmp_path))) as handle:
                 results = _burst(handle.port, bodies, timeout=60)
                 metrics = _metrics(handle.port)
         finally:
@@ -269,7 +301,7 @@ class TestHitsAnsweredAtAdmission:
     def test_full_queue_sheds_a_replay_before_its_lookup(self, tmp_path, held_sweeps):
         _warm_cache(tmp_path, FAST)
         with start_in_background(
-            backend="batch", cache_dir=str(tmp_path), max_queue=1
+            ServiceConfig(cache_dir=str(tmp_path), max_queue=1)
         ) as handle:
             with _miss_held_in_its_sweep(handle.port, held_sweeps, self.MISS) as computed:
                 status, headers, _ = _request(handle.port, "POST", "/solve", FAST)
@@ -399,11 +431,13 @@ class TestHardenedSurface:
         bodies = [{**FAST, "seed": seed} for seed in range(4)]
         goldens = [solve_direct(parse_solve_request(body)) for body in bodies]
         with start_in_background(
-            backend="batch",
-            max_batch=8,
-            batch_wait_ms=5.0,
-            adaptive=True,
-            target_p99_ms=50.0,
+            ServiceConfig(
+                backend="batch",
+                max_batch=8,
+                batch_wait_ms=5.0,
+                adaptive=True,
+                target_p99_ms=50.0,
+            )
         ) as handle:
             _wait_ready(handle.port)
             for _ in range(3):  # several passes so the policy can adjust
