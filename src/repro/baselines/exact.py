@@ -9,6 +9,11 @@ reference value.  Depending on instance size that reference is either
   optimum of maximization problems (matching LP with odd-set constraints
   omitted, i.e. the fractional matching bound).
 
+The LP constraint matrices are ``scipy.sparse`` CSR matrices built straight
+from the CSR indexes the instances already keep (two nonzeros per edge row
+or column, one per set membership), so an LP's memory grows with the
+number of nonzeros, not with ``m × n``.
+
 For maximum weight matching an exact combinatorial optimum is available at
 moderate sizes through NetworkX's blossom implementation
 (:func:`repro.baselines.greedy_matching.exact_matching`).
@@ -101,16 +106,15 @@ def lp_vertex_cover_bound(graph: Graph, vertex_weights: Sequence[float] | np.nda
     ``min Σ w_v x_v  s.t.  x_u + x_v ≥ 1 ∀ edges, 0 ≤ x ≤ 1``.
     """
     from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
 
     n, m = graph.num_vertices, graph.num_edges
     weights = np.asarray(vertex_weights, dtype=np.float64)
     if m == 0:
         return 0.0
-    # -x_u - x_v ≤ -1
-    rows = np.repeat(np.arange(m), 2)
-    cols = np.concatenate([graph.edge_u[:, None], graph.edge_v[:, None]], axis=1).ravel()
-    a_ub = np.zeros((m, n))
-    a_ub[rows, cols] = -1.0
+    # Row e: -x_u - x_v ≤ -1.
+    cols = np.column_stack([graph.edge_u, graph.edge_v]).ravel()
+    a_ub = csr_matrix((np.full(2 * m, -1.0), cols, np.arange(0, 2 * m + 1, 2)), shape=(m, n))
     b_ub = -np.ones(m)
     res = linprog(weights, A_ub=a_ub, b_ub=b_ub, bounds=[(0, 1)] * n, method="highs")
     if not res.success:
@@ -121,14 +125,15 @@ def lp_vertex_cover_bound(graph: Graph, vertex_weights: Sequence[float] | np.nda
 def lp_set_cover_bound(instance: SetCoverInstance) -> float:
     """LP relaxation lower bound on the minimum weight set cover."""
     from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
 
     n, m = instance.num_sets, instance.num_elements
     if m == 0:
         return 0.0
-    a_ub = np.zeros((m, n))
-    for j in range(m):
-        owners = instance.sets_containing(j)
-        a_ub[j, owners] = -1.0
+    # Row j: -Σ_{i ∋ j} x_i ≤ -1 (a set lists each element once, so no
+    # entry repeats).
+    indptr, owners = instance.element_incidence()
+    a_ub = csr_matrix((np.full(owners.size, -1.0), owners, indptr), shape=(m, n))
     b_ub = -np.ones(m)
     res = linprog(
         instance.weights, A_ub=a_ub, b_ub=b_ub, bounds=[(0, 1)] * n, method="highs"
@@ -145,15 +150,14 @@ def fractional_matching_bound(graph: Graph) -> float:
     factor 3/2 above the integral optimum, and an upper bound on it.
     """
     from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
 
     n, m = graph.num_vertices, graph.num_edges
     if m == 0:
         return 0.0
-    a_ub = np.zeros((n, m))
-    for e in range(m):
-        u, v = graph.edge_endpoints(e)
-        a_ub[u, e] = 1.0
-        a_ub[v, e] = 1.0
+    # Row v: Σ_{e ∋ v} x_e ≤ 1.
+    indptr, edge_ids = graph.incidence()
+    a_ub = csr_matrix((np.ones(edge_ids.size), edge_ids, indptr), shape=(n, m))
     b_ub = np.ones(n)
     res = linprog(-graph.weights, A_ub=a_ub, b_ub=b_ub, bounds=[(0, 1)] * m, method="highs")
     if not res.success:

@@ -11,127 +11,69 @@ edge ``(u, v)`` build a maximal *fan* of ``u`` starting at ``v``, pick a
 colour ``c`` free at ``u`` and a colour ``d`` free at the fan's last vertex,
 invert the maximal ``cd``-path through ``u``, then rotate a prefix of the
 fan and colour the last rotated edge ``d``.
+
+The loops run on plain Python containers built once from the graph's CSR
+index, so no step touches a NumPy scalar:
+
+* ``incident[x]`` — the ``(neighbour, edge id)`` pairs of vertex ``x`` in
+  :meth:`Graph.neighbors` order, the order in which a fan is scanned;
+* ``ends[e]`` — edge ``e``'s endpoints, and ``colour[e]`` its colour
+  (``None`` while uncoloured);
+* ``at[x]`` — a dict from each colour used at ``x`` to the edge carrying it.
+
+A fan is a list of ``(vertex, edge id)`` pairs, so rotating it needs no
+endpoint-to-edge lookup.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..graphs.graph import Graph
 
 __all__ = ["misra_gries_edge_colouring"]
 
-
-class _ColouringState:
-    """Mutable edge-colouring state with per-vertex colour→edge lookup."""
-
-    def __init__(self, graph: Graph, num_colours: int):
-        self.graph = graph
-        self.num_colours = num_colours
-        self.colour: list[int | None] = [None] * graph.num_edges
-        # at[v][c] = edge id of the edge at v coloured c (if any)
-        self.at: list[dict[int, int]] = [dict() for _ in range(graph.num_vertices)]
-        self.edge_index = _build_edge_index(graph)
-
-    def edge_between(self, u: int, v: int) -> int:
-        return self.edge_index[(u, v)]
-
-    def is_free(self, vertex: int, colour: int) -> bool:
-        return colour not in self.at[vertex]
-
-    def first_free(self, vertex: int) -> int:
-        for colour in range(self.num_colours):
-            if colour not in self.at[vertex]:
-                return colour
-        raise RuntimeError("no free colour available — should be impossible with ∆+1 colours")
-
-    def set_colour(self, edge: int, colour: int) -> None:
-        u, v = self.graph.edge_endpoints(edge)
-        old = self.colour[edge]
-        if old is not None:
-            self.at[u].pop(old, None)
-            self.at[v].pop(old, None)
-        self.colour[edge] = colour
-        self.at[u][colour] = edge
-        self.at[v][colour] = edge
-
-    def uncolour(self, edge: int) -> None:
-        u, v = self.graph.edge_endpoints(edge)
-        old = self.colour[edge]
-        if old is not None:
-            self.at[u].pop(old, None)
-            self.at[v].pop(old, None)
-        self.colour[edge] = None
+_Pair = tuple[int, int]
 
 
-def _build_edge_index(graph: Graph) -> dict[tuple[int, int], int]:
-    """Map ordered endpoint pairs to edge ids for O(1) lookup."""
-    index: dict[tuple[int, int], int] = {}
-    for e in range(graph.num_edges):
-        u, v = graph.edge_endpoints(e)
-        index[(u, v)] = e
-        index[(v, u)] = e
-    return index
+def _first_free(at_vertex: dict[int, int], num_colours: int) -> int:
+    for colour in range(num_colours):
+        if colour not in at_vertex:
+            return colour
+    raise RuntimeError("no free colour available — should be impossible with ∆+1 colours")
 
 
-def _build_fan(state: _ColouringState, u: int, v: int) -> list[int]:
-    """Maximal fan of ``u`` starting at ``v``: successive edge colours are free on the previous fan vertex."""
-    graph = state.graph
-    fan = [v]
-    in_fan = {v}
-    extended = True
-    while extended:
-        extended = False
-        last = fan[-1]
-        for w in graph.neighbors(u):
-            w = int(w)
-            if w in in_fan:
-                continue
-            e = state.edge_between(u, w)
-            colour = state.colour[e]
-            if colour is None:
-                continue
-            if state.is_free(last, colour):
-                fan.append(w)
-                in_fan.add(w)
-                extended = True
-                break
-    return fan
+def _build_fan(
+    incident_u: list[_Pair], colour: list[int | None], at: list[dict[int, int]], first: _Pair
+) -> list[_Pair]:
+    """Maximal fan of ``u`` (incidence list ``incident_u``) starting at ``first``.
 
-
-def _invert_cd_path(state: _ColouringState, u: int, c: int, d: int) -> None:
-    """Invert the maximal path through ``u`` whose edges alternate colours ``c`` and ``d``.
-
-    Since ``c`` is free at ``u`` the path leaves ``u`` (if at all) through an
-    edge coloured ``d``.  Swapping ``c`` and ``d`` along the path keeps the
-    colouring proper and makes ``d`` free at ``u``.
+    Each next fan edge's colour is free at the previous fan vertex.
     """
-    if c == d:
-        return
-    path: list[int] = []
-    current, colour = u, d
-    previous_edge = -1
+    fan = [first]
+    in_fan = {first[0]}
     while True:
-        edge = state.at[current].get(colour)
-        if edge is None or edge == previous_edge:
+        used_at_last = at[fan[-1][0]]
+        for w, e in incident_u:
+            k = colour[e]
+            if k is not None and k not in used_at_last and w not in in_fan:
+                fan.append((w, e))
+                in_fan.add(w)
+                break
+        else:
+            return fan
+
+
+def _rotatable_prefix(
+    fan: list[_Pair], colour: list[int | None], at: list[dict[int, int]], d: int
+) -> int:
+    """Index of the first fan vertex with ``d`` free, if the prefix up to it is still a fan."""
+    for i, (vertex, e) in enumerate(fan):
+        if i and colour[e] in at[fan[i - 1][0]]:
             break
-        path.append(edge)
-        a, b = state.graph.edge_endpoints(edge)
-        current = b if a == current else a
-        colour = c if colour == d else d
-        previous_edge = edge
-    # Swap in two passes: uncolour every path edge first, then assign the
-    # flipped colours.  Doing it edge by edge would transiently leave two
-    # edges of the same colour at a shared path vertex and corrupt the
-    # per-vertex colour→edge lookup table.
-    new_colours = []
-    for edge in path:
-        old = state.colour[edge]
-        assert old is not None
-        new_colours.append((edge, c if old == d else d))
-        state.uncolour(edge)
-    for edge, new_colour in new_colours:
-        state.set_colour(edge, new_colour)
+        if d not in at[vertex]:
+            return i
+    # The Misra–Gries lemma guarantees such a prefix after the cd-path
+    # inversion; colouring around it would break the ∆ + 1 bound.
+    raise RuntimeError("no rotatable fan prefix — should be impossible after the cd-path inversion")
 
 
 def misra_gries_edge_colouring(graph: Graph) -> dict[int, int]:
@@ -142,48 +84,56 @@ def misra_gries_edge_colouring(graph: Graph) -> dict[int, int]:
     m = graph.num_edges
     if m == 0:
         return {}
-    delta = graph.max_degree()
-    state = _ColouringState(graph, delta + 1)
+    num_colours = graph.max_degree() + 1
+    indptr, neighbours = graph.adjacency()
+    _, edge_ids = graph.incidence()
+    bounds = indptr.tolist()
+    pairs = list(zip(neighbours.tolist(), edge_ids.tolist()))
+    incident = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    ends = list(zip(graph.edge_u.tolist(), graph.edge_v.tolist()))
+    colour: list[int | None] = [None] * m
+    at: list[dict[int, int]] = [{} for _ in incident]
+
+    def paint(e: int, k: int) -> None:
+        a, b = ends[e]
+        colour[e] = k
+        at[a][k] = e
+        at[b][k] = e
+
+    def unpaint(e: int) -> None:
+        a, b = ends[e]
+        k = colour[e]
+        del at[a][k], at[b][k]
+        colour[e] = None
 
     for edge in range(m):
-        u, v = graph.edge_endpoints(edge)
-        fan = _build_fan(state, u, v)
-        c = state.first_free(u)
-        d = state.first_free(fan[-1])
-        _invert_cd_path(state, u, c, d)
-        # After the inversion, find the longest prefix of the fan that is
-        # still a fan and whose last vertex has d free; rotate it.
-        w_index: int | None = None
-        for i, vertex in enumerate(fan):
-            if i > 0:
-                e_prev = state.edge_between(u, fan[i])
-                colour_prev = state.colour[e_prev]
-                if colour_prev is None or not state.is_free(fan[i - 1], colour_prev):
-                    break
-            if state.is_free(vertex, d):
-                w_index = i
-                break
-        if w_index is None:
-            # The classical argument guarantees a valid prefix exists; as a
-            # defensive fallback (e.g. against floating assumptions broken by
-            # unusual inputs) colour the edge with any colour free at both
-            # endpoints, extending the palette if necessary.
-            colour = 0
-            while not (state.is_free(u, colour) and state.is_free(v, colour)):
-                colour += 1
-                if colour >= state.num_colours:
-                    state.num_colours = colour + 1
-            state.set_colour(edge, colour)
-            continue
+        u, v = ends[edge]
+        fan = _build_fan(incident[u], colour, at, (v, edge))
+        c = _first_free(at[u], num_colours)
+        d = _first_free(at[fan[-1][0]], num_colours)
+        if c != d:
+            # Invert the maximal path through ``u`` whose edges alternate d
+            # and c (c is free at u, so the path leaves u through d).  All
+            # path edges are unpainted before any is repainted, so the
+            # per-vertex colour→edge dicts never hold two edges of a colour.
+            path: list[int] = []
+            current, k = u, d
+            while (e := at[current].get(k)) is not None:
+                path.append(e)
+                a, b = ends[e]
+                current = b if a == current else a
+                k = c if k == d else d
+            flipped = [(e, c if colour[e] == d else d) for e in path]
+            for e in path:
+                unpaint(e)
+            for e, k in flipped:
+                paint(e, k)
+        w_index = _rotatable_prefix(fan, colour, at, d)
         # Rotate the prefix fan: shift each fan edge's colour to its predecessor.
-        for i in range(w_index):
-            e_next = state.edge_between(u, fan[i + 1])
-            next_colour = state.colour[e_next]
-            assert next_colour is not None
-            target = state.edge_between(u, fan[i])
-            state.uncolour(e_next)
-            state.set_colour(target, next_colour)
-        final_edge = state.edge_between(u, fan[w_index])
-        state.set_colour(final_edge, d)
+        for (_, target), (_, e_next) in zip(fan[:w_index], fan[1 : w_index + 1]):
+            k = colour[e_next]
+            unpaint(e_next)
+            paint(target, k)
+        paint(fan[w_index][1], d)
 
-    return {e: int(state.colour[e]) for e in range(m) if state.colour[e] is not None}
+    return dict(enumerate(colour))

@@ -117,15 +117,15 @@ def mapreduce_edge_colouring(
             local = greedy_edge_colouring(subgraph)
         # ``subgraph`` preserves edge order, so local edge id k corresponds to
         # the original edge ``members[k]``.
-        for local_id, original_id in enumerate(members):
-            colours[int(original_id)] = (group, local[local_id])
+        for local_id, original_id in enumerate(members.tolist()):
+            colours[original_id] = (group, local[local_id])
         iterations.append(
             IterationStats(
                 iteration=group + 1,
                 alive=int(members.size),
                 sampled=int(members.size),
                 sample_words=3 * int(members.size),
-                selected=len({local[k] for k in range(members.size)}),
+                selected=len(set(local.values())),
                 phase=f"group-{group}",
             )
         )

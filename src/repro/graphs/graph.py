@@ -309,16 +309,6 @@ class Graph:
             return 0.0
         return float(np.log(self.num_edges) / np.log(self._n) - 1.0)
 
-    def to_networkx(self):
-        """Convert to a :class:`networkx.Graph` (for exact baselines)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self._n))
-        for u, v, w in self.edges():
-            g.add_edge(u, v, weight=w)
-        return g
-
     def word_count(self) -> int:
         """Model-level size of the graph in words (three words per edge)."""
         return 3 * self.num_edges

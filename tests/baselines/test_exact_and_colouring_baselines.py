@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,13 +22,18 @@ from repro.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    densified_graph,
     gnm_graph,
     is_independent_set,
     is_proper_vertex_colouring,
     is_vertex_cover,
     star_graph,
 )
-from repro.setcover import SetCoverInstance, disjoint_groups_instance
+from repro.setcover import (
+    SetCoverInstance,
+    disjoint_groups_instance,
+    random_frequency_bounded_instance,
+)
 
 
 class TestExactSolvers:
@@ -107,6 +114,55 @@ class TestLPBounds:
 
     def test_fractional_matching_empty(self):
         assert fractional_matching_bound(Graph(3, [])) == 0.0
+
+
+def _dense_lp(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> float:
+    from scipy.optimize import linprog
+
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(0, 1)] * len(cost), method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+class TestSparseLPConstraints:
+    """The bounds build sparse constraint matrices; a dense matrix must give the same optimum."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bounds_equal_the_dense_lp(self, seed):
+        rng = np.random.default_rng(seed)
+        g = densified_graph(int(rng.integers(20, 120)), 0.4, rng, weights="uniform")
+        n, m = g.num_vertices, g.num_edges
+        vertex_weights = rng.uniform(1.0, 10.0, size=n)
+        ends = np.zeros((m, n))  # row e has a one at both endpoints of e
+        ends[np.arange(m), g.edge_u] = 1.0
+        ends[np.arange(m), g.edge_v] = 1.0
+        assert lp_vertex_cover_bound(g, vertex_weights) == _dense_lp(
+            vertex_weights, -ends, -np.ones(m)
+        )
+        assert fractional_matching_bound(g) == -_dense_lp(-g.weights, ends.T, np.ones(n))
+
+        instance = random_frequency_bounded_instance(
+            int(rng.integers(30, 150)), int(rng.integers(20, 100)), 4, rng
+        )
+        member = np.zeros((instance.num_elements, instance.num_sets))
+        for j in range(instance.num_elements):
+            member[j, instance.sets_containing(j)] = 1.0
+        assert lp_set_cover_bound(instance) == _dense_lp(
+            instance.weights, -member, -np.ones(instance.num_elements)
+        )
+
+    def test_vertex_cover_lp_memory_follows_the_nonzeros(self):
+        import scipy.optimize  # noqa: F401  (imported before tracing starts)
+
+        g = densified_graph(600, 0.45, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            lp_vertex_cover_bound(g, np.ones(g.num_vertices))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A dense m × n float matrix alone would take 8·m·n ≈ 51 MB here.
+        assert peak < 16e6
 
 
 class TestSequentialColouringBaselines:

@@ -29,6 +29,51 @@ from repro.graphs import (
 )
 
 
+def _plain_networkx_matching(graph: Graph) -> tuple[list[int], float]:
+    """Blossom on an ordinary ``nx.Graph`` built edge by edge, mapped back to edge ids."""
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.num_vertices))
+    for u, v, w in graph.edges():
+        g.add_edge(u, v, weight=w)
+    pairs = nx.max_weight_matching(g, maxcardinality=False)
+    edge_of = {frozenset(graph.edge_endpoints(e)): e for e in range(graph.num_edges)}
+    chosen = [edge_of[frozenset(pair)] for pair in pairs]
+    weight = float(graph.weights[np.asarray(chosen, dtype=np.int64)].sum()) if chosen else 0.0
+    return sorted(chosen), weight
+
+
+def _tied_weights(seed: int) -> Graph:
+    rng = np.random.default_rng(seed)
+    g = gnm_graph(40, 200, rng)
+    return g.reweighted(rng.integers(1, 4, size=g.num_edges).astype(np.float64))
+
+
+_MATCHING_CASES = {
+    "random-weights": lambda: gnm_graph(40, 200, np.random.default_rng(1), weights="uniform"),
+    "tied-weights": lambda: _tied_weights(2),
+    "unit-weights": lambda: gnm_graph(40, 200, np.random.default_rng(3)),
+    "isolated-vertices": lambda: Graph(12, [(0, 1), (3, 4), (4, 9), (9, 11)], [2.0, 1.0, 3.0, 3.0]),
+    "no-edges": lambda: Graph(5, []),
+    "figure-1-size": lambda: densified_graph(
+        130, 0.45, np.random.default_rng(4), weights="uniform"
+    ),
+}
+
+
+class TestExactMatchingDecisions:
+    """``exact_matching`` makes NetworkX's own decisions: same edges, same weight bits."""
+
+    @pytest.mark.parametrize("case", sorted(_MATCHING_CASES))
+    def test_same_edges_and_weight_as_plain_networkx(self, case):
+        graph = _MATCHING_CASES[case]()
+        result = exact_matching(graph)
+        edge_ids, weight = _plain_networkx_matching(graph)
+        assert result.edge_ids == edge_ids
+        assert result.weight.hex() == weight.hex()
+
+
 class TestLubyMIS:
     def test_maximal_independent_set(self, rng):
         for seed in range(4):

@@ -135,12 +135,6 @@ class TestMisc:
         g = gnm_graph(n, m, rng)
         assert abs(g.densification_exponent() - c) < 0.05
 
-    def test_to_networkx_round_trip(self, triangle):
-        g = triangle.to_networkx()
-        assert g.number_of_nodes() == 3
-        assert g.number_of_edges() == 3
-        assert g[0][1]["weight"] == 1.0
-
     def test_word_count(self, triangle):
         assert triangle.word_count() == 9
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,21 @@ class TestApiSurface:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.{name} missing"
+
+    def test_import_leaves_networkx_and_scipy_unloaded(self):
+        # The baselines import them on first use; the package, CLI and
+        # service must not pay for them at import time.
+        code = (
+            "import sys, repro, repro.cli, repro.service; "
+            "print(sorted(m for m in ('networkx', 'scipy') if m in sys.modules))"
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_subpackages_importable(self):
         import repro.analysis
