@@ -8,9 +8,9 @@ solver code; a mutation helper the service's executor thread reaches is
 threaded code.  This package parses the source tree **once**, builds a
 module import graph and a name-resolved call graph over per-function
 summaries, and propagates the lint scopes transitively along call edges.
-Every lint rule reads it: a module-scoped rule (DET001) takes a module's
-own facts, a whole-program rule (DET101) follows them to what *reaches*
-the code.
+Every lint rule reads it: a rule reports a module's own facts where the
+module carries the rule's scope, and follows the same facts to the code
+that scope *reaches*.
 
 Layering: :mod:`~repro.analysis.graph.summary` extracts one
 :class:`ModuleSummary` per file (imports, exports, functions, classes,

@@ -8,12 +8,9 @@ re-exporting ``__init__`` packages, and ``from x import *`` — and then
 materializes the call graph as explicit edges.
 
 Resolution is deliberately conservative: a spelling that cannot be
-anchored inside the analyzed tree (stdlib, third-party, dynamic) resolves
-to nothing and contributes no edge.  The one soft spot is receiver-less
-method calls (``obj.drain()`` where ``obj``'s type is unknown); those
-resolve only when exactly one class in the whole program defines the
-method, and the resulting edge is marked ``weak`` so checkers can decide
-how much to trust it.
+anchored inside the analyzed tree (stdlib, third-party, dynamic), or a
+method call on a receiver whose type is unknown, resolves to nothing and
+contributes no edge.
 """
 
 from __future__ import annotations
@@ -35,11 +32,8 @@ class Edge:
 
     caller: str
     callee: str
-    line: int
-    col: int
     under_lock: bool = False
     via_thread: bool = False
-    weak: bool = False
 
 
 class Resolver:
@@ -47,12 +41,6 @@ class Resolver:
 
     def __init__(self, summaries: dict[str, ModuleSummary]) -> None:
         self.summaries = summaries
-        # Method name → defining (module, class) pairs, for weak resolution.
-        self._methods: dict[str, list[tuple[str, str]]] = {}
-        for module, summary in summaries.items():
-            for cls in summary.classes.values():
-                for method in cls.methods:
-                    self._methods.setdefault(method, []).append((module, cls.name))
 
     # -- module namespaces ---------------------------------------------- #
     def binding(
@@ -95,15 +83,7 @@ class Resolver:
     ) -> str | None:
         """Follow one export entry to its final dotted form."""
         if target == f"{module}.{name}":
-            summary = self.summaries[module]
-            if (
-                name in summary.functions
-                or name in summary.classes
-                or name in summary.mutable_globals
-                or name in summary.module_locks
-            ):
-                return target
-            return target  # plain module-level binding
+            return target  # defined in the module itself
         # `from other import sym` → target == "other.sym"; other may itself
         # re-export.  Split at the longest summarized-module prefix.
         owner, symbol = self._split_module(target)
@@ -123,23 +103,24 @@ class Resolver:
         return None, dotted
 
     # -- global resolution ---------------------------------------------- #
-    def resolve_dotted(
-        self, dotted: str, context_module: str | None = None
-    ) -> tuple[str, str] | None:
-        """Resolve a dotted spelling to ``(module, qualname)``.
+    def _locate(self, dotted: str, context_module: str | None) -> tuple[str | None, str]:
+        """``(owning module, remainder)`` of a dotted spelling.
 
         ``context_module`` supplies the namespace for bare heads (a
         same-module helper, or a name the summarizer left unrewritten).
         """
         head, _, rest = dotted.partition(".")
-        if context_module is not None:
-            bound = self.binding(context_module, head)
-            if bound is not None:
-                dotted = f"{bound}.{rest}" if rest else bound
-        owner, symbol = self._split_module(dotted)
-        if owner is None:
-            return None
-        return self._resolve_in(owner, symbol)
+        bound = self.binding(context_module, head) if context_module is not None else None
+        if bound is not None:
+            dotted = f"{bound}.{rest}" if rest else bound
+        return self._split_module(dotted)
+
+    def resolve_dotted(
+        self, dotted: str, context_module: str | None = None
+    ) -> tuple[str, str] | None:
+        """Resolve a dotted spelling to ``(module, qualname)``."""
+        owner, symbol = self._locate(dotted, context_module)
+        return self._resolve_in(owner, symbol) if owner is not None else None
 
     def _resolve_in(
         self, module: str, symbol: str, _depth: int = 0
@@ -180,17 +161,10 @@ class Resolver:
         self, dotted: str, context_module: str | None = None
     ) -> tuple[str, str] | None:
         """Resolve a dotted spelling to a class ``(module, name)``."""
-        head, _, rest = dotted.partition(".")
-        if context_module is not None:
-            bound = self.binding(context_module, head)
-            if bound is not None:
-                dotted = f"{bound}.{rest}" if rest else bound
-        owner, symbol = self._split_module(dotted)
-        if owner is None or "." in symbol or not symbol:
+        owner, symbol = self._locate(dotted, context_module)
+        if owner is None or symbol not in self.summaries[owner].classes:
             return None
-        if symbol in self.summaries[owner].classes:
-            return owner, symbol
-        return None
+        return owner, symbol
 
     def method_id(
         self, module: str, cls: str, method: str, _depth: int = 0
@@ -214,50 +188,29 @@ class Resolver:
                     return found
         return None
 
-    def unique_method(self, method: str) -> tuple[str, str] | None:
-        """``(module, Class.method)`` when exactly one class defines it."""
-        owners = self._methods.get(method, [])
-        if len(owners) == 1:
-            module, cls = owners[0]
-            return module, f"{cls}.{method}"
-        return None
-
     # -- call-site resolution ------------------------------------------- #
     def resolve_site(
         self, caller_module: str, caller_qualname: str, site: CallSite
-    ) -> tuple[tuple[str, str] | None, bool]:
-        """Resolve one call site → ((module, qualname) | None, weak)."""
+    ) -> tuple[str, str] | None:
+        """Resolve one call site to ``(module, qualname)``."""
         summary = self.summaries[caller_module]
         caller = summary.functions.get(caller_qualname)
         if site.kind == "plain":
-            return self.resolve_dotted(site.target, context_module=caller_module), False
+            return self.resolve_dotted(site.target, context_module=caller_module)
+        if caller is None:
+            return None
         if site.kind == "self":
-            cls = caller.cls if caller is not None else ""
-            if cls:
-                return self.method_id(caller_module, cls, site.target), False
-            return None, False
+            return self.method_id(caller_module, caller.cls, site.target) if caller.cls else None
+        owner, _, method = site.target.partition(".")
         if site.kind == "var":
-            var, _, method = site.target.partition(".")
-            var_type = caller.var_types.get(var) if caller is not None else None
-            if var_type is not None:
-                resolved = self.resolve_class(var_type, context_module=caller_module)
-                if resolved is not None:
-                    return self.method_id(resolved[0], resolved[1], method), False
-            return None, False
-        if site.kind == "selfattr":
-            attr, _, method = site.target.partition(".")
-            cls = caller.cls if caller is not None else ""
-            cls_summary = summary.classes.get(cls)
-            attr_type = cls_summary.attr_types.get(attr) if cls_summary else None
-            if attr_type is not None:
-                resolved = self.resolve_class(attr_type, context_module=caller_module)
-                if resolved is not None:
-                    return self.method_id(resolved[0], resolved[1], method), False
-            found = self.unique_method(method)
-            return found, True
-        if site.kind == "attr":
-            return self.unique_method(site.target), True
-        return None, False
+            owner_type = caller.var_types.get(owner)
+        else:  # "selfattr"
+            cls_summary = summary.classes.get(caller.cls)
+            owner_type = cls_summary.attr_types.get(owner) if cls_summary else None
+        if owner_type is None:
+            return None
+        resolved = self.resolve_class(owner_type, context_module=caller_module)
+        return self.method_id(*resolved, method) if resolved is not None else None
 
 
 def build_edges(
@@ -274,13 +227,11 @@ def build_edges(
             if owner is None or symbol or owner in seen_imports:
                 continue
             seen_imports.add(owner)
-            edges.append(
-                Edge(importer, function_id(owner, MODULE_FUNCTION), summary.functions[MODULE_FUNCTION].line, 1)
-            )
+            edges.append(Edge(importer, function_id(owner, MODULE_FUNCTION)))
         for qualname, fn in summary.functions.items():
             caller = function_id(module, qualname)
             for site in fn.calls:
-                resolved, weak = resolver.resolve_site(module, qualname, site)
+                resolved = resolver.resolve_site(module, qualname, site)
                 if resolved is None:
                     continue
                 callee_module, callee_qualname = resolved
@@ -296,11 +247,8 @@ def build_edges(
                     Edge(
                         caller,
                         function_id(callee_module, callee_qualname),
-                        site.line,
-                        site.col,
                         under_lock=site.under_lock,
                         via_thread=site.via_thread,
-                        weak=weak,
                     )
                 )
     return edges

@@ -13,8 +13,6 @@ included: module bodies execute on first import from whichever scope
 reaches them).  The ``threaded`` scope has one extra seeding rule: the
 target of a ``Thread(target=...)`` / ``submit`` / ``run_in_executor``
 registration is threaded no matter where the registering module lives.
-Weak edges (unique-method-name fallback) do **not** carry scope — only
-checkers that opt in consume them.
 
 Each inherited (scope, function) pair remembers one predecessor, so
 checkers can print a concrete entry→sink call chain in the finding.
@@ -24,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .callgraph import Edge, Resolver, build_edges, function_id
 from .summary import MODULE_FUNCTION, FunctionSummary, ModuleSummary
@@ -39,21 +38,12 @@ class ProgramGraph:
     resolver: Resolver
     edges: list[Edge]
     out_edges: dict[str, list[Edge]] = field(default_factory=dict)
-    in_edges: dict[str, list[Edge]] = field(default_factory=dict)
     inherited: dict[str, set[str]] = field(default_factory=dict)
-    _pred: dict[tuple[str, str], tuple[str, int]] = field(default_factory=dict)
+    _pred: dict[tuple[str, str], str] = field(default_factory=dict)
 
     # -- lookups --------------------------------------------------------- #
     def module_of(self, fid: str) -> str:
         return fid.partition(":")[0]
-
-    def function(self, fid: str) -> FunctionSummary | None:
-        module, _, qualname = fid.partition(":")
-        summary = self.summaries.get(module)
-        return summary.functions.get(qualname) if summary else None
-
-    def relpath_of(self, fid: str) -> str:
-        return self.summaries[self.module_of(fid)].relpath
 
     def local_scopes(self, fid: str) -> set[str]:
         return set(self.summaries[self.module_of(fid)].scopes)
@@ -61,19 +51,23 @@ class ProgramGraph:
     def effective_scopes(self, fid: str) -> set[str]:
         return self.local_scopes(fid) | self.inherited.get(fid, set())
 
-    def functions(self) -> list[str]:
-        return [
-            function_id(module, qualname)
-            for module, summary in sorted(self.summaries.items())
-            for qualname in sorted(summary.functions)
-        ]
+    def functions(self) -> Iterator[tuple[str, str, FunctionSummary]]:
+        """Every ``(fid, relpath, frame)``, sorted by module then qualname."""
+        for module, summary in sorted(self.summaries.items()):
+            for qualname in sorted(summary.functions):
+                yield function_id(module, qualname), summary.relpath, summary.functions[qualname]
+
+    def resolve(self, dotted: str, caller: str) -> str | None:
+        """The function id ``dotted`` names inside function ``caller``'s module."""
+        resolved = self.resolver.resolve_dotted(dotted, context_module=self.module_of(caller))
+        return function_id(*resolved) if resolved is not None else None
 
     # -- provenance ------------------------------------------------------ #
     def chain(self, scope: str, fid: str, limit: int = 8) -> list[str]:
         """An example call chain through which ``fid`` inherited ``scope``.
 
         Returns function ids from an in-scope entry point down to ``fid``
-        (inclusive); empty when the scope is local to ``fid``'s module.
+        (inclusive); just ``[fid]`` when the scope is local to its module.
         """
         chain: list[str] = [fid]
         cursor = fid
@@ -81,7 +75,7 @@ class ProgramGraph:
             pred = self._pred.get((scope, cursor))
             if pred is None:
                 break
-            cursor = pred[0]
+            cursor = pred
             chain.append(cursor)
         return list(reversed(chain))
 
@@ -104,7 +98,6 @@ def build_program(summaries_by_relpath: dict[str, ModuleSummary]) -> ProgramGrap
     graph = ProgramGraph(summaries=summaries, resolver=resolver, edges=edges)
     for edge in edges:
         graph.out_edges.setdefault(edge.caller, []).append(edge)
-        graph.in_edges.setdefault(edge.callee, []).append(edge)
 
     all_scopes: set[str] = set()
     for summary in summaries.values():
@@ -117,7 +110,7 @@ def build_program(summaries_by_relpath: dict[str, ModuleSummary]) -> ProgramGrap
 
 
 def _propagate(graph: ProgramGraph, scope: str) -> None:
-    """BFS one scope forward along (non-weak) call edges."""
+    """BFS one scope forward along call edges."""
     queue: deque[str] = deque()
     seeded: set[str] = set()
     for module, summary in graph.summaries.items():
@@ -130,11 +123,11 @@ def _propagate(graph: ProgramGraph, scope: str) -> None:
         # Thread/executor registrations create threaded entry points even
         # when the registering module itself is not classified threaded.
         for edge in graph.edges:
-            if edge.via_thread and not edge.weak and edge.callee not in seeded:
+            if edge.via_thread and edge.callee not in seeded:
                 reached = graph.inherited.setdefault(edge.callee, set())
                 if scope not in reached:
                     reached.add(scope)
-                    graph._pred[(scope, edge.callee)] = (edge.caller, edge.line)
+                    graph._pred[(scope, edge.callee)] = edge.caller
                     seeded.add(edge.callee)
                     queue.append(edge.callee)
 
@@ -142,13 +135,11 @@ def _propagate(graph: ProgramGraph, scope: str) -> None:
     while queue:
         fid = queue.popleft()
         for edge in graph.out_edges.get(fid, ()):  # deterministic insert order
-            if edge.weak:
-                continue
             callee = edge.callee
             if callee in visited:
                 continue
             visited.add(callee)
             if scope not in graph.local_scopes(callee):
                 graph.inherited.setdefault(callee, set()).add(scope)
-                graph._pred[(scope, callee)] = (fid, edge.line)
+                graph._pred[(scope, callee)] = fid
             queue.append(callee)

@@ -4,10 +4,10 @@ One structured pass over a module's AST produces a :class:`ModuleSummary`
 holding everything the program graph and the rules need — import
 bindings, the export table, per-function call sites with held-lock
 context, determinism facts, serialization flow, wire-sink writes,
-round-callable arguments, attribute mutations, non-canonical encodings
-and registration defects.  This is the only AST pass of a lint run: a
-rule that judges a module by its own path scope reads the same facts as
-its whole-program counterpart, with zero call hops.
+round-callable arguments, attribute mutations and non-canonical
+encodings.  This is the only AST pass of a lint run: each rule reads the
+facts of a module that carries its scope itself (zero call hops) and
+follows the same facts along call edges.
 
 Conventions:
 
@@ -36,16 +36,13 @@ from ..lint.checkers._imports import (
     dotted_name,
     resolve_call_target,
 )
-from ..lint.checkers.determinism import (
+from ..lint.checkers.determinism import iter_global_rng, iter_set_order, iter_wall_clock
+from ..lint.checkers.wire import (
     WRITE_SINKS,
-    iter_global_rng,
     iter_noncanonical_json,
-    iter_set_order,
     iter_stringified_writes,
-    iter_wall_clock,
     json_dump_canonicality,
 )
-from ..lint.checkers.registry_conformance import iter_registration_defects
 from ..lint.scopes import classify, scope_override
 from .modules import module_name, resolve_relative_import
 
@@ -113,19 +110,16 @@ class CallSite:
                 ``var_types``
     ``selfattr`` ``<self attr>.<method>`` — typed via the class's
                 ``attr_types``
-    ``attr``    bare method name on an unresolvable receiver (matched
-                only when globally unique)
     ========== ==========================================================
 
     ``under_lock`` is set when any recognised lock is held (a lock
-    attribute of the enclosing class or a module-level lock);
-    ``class_locked`` only when one of the class's own lock attributes is.
+    attribute of the enclosing class or a module-level lock): a lock held
+    at a call dominates every path through it.  ``class_locked`` is set
+    only when one of the class's own lock attributes is.
     """
 
     target: str
     kind: str
-    line: int
-    col: int
     under_lock: bool = False
     via_thread: bool = False
     class_locked: bool = False
@@ -135,7 +129,7 @@ class CallSite:
 class Fact:
     """One pattern occurrence a rule judges, with the message it reports."""
 
-    kind: str  # "rng" | "clock" | "set-order" | "encoding" | "registration"
+    kind: str  # "rng" | "clock" | "set-order" | "encoding"
     message: str
     line: int
     col: int
@@ -164,28 +158,28 @@ class RoundFact:
 
 @dataclass
 class Mutation:
-    """One ``self.<attr>`` mutation inside a method (locks as in CallSite)."""
+    """One ``self.<attr>`` mutation inside a method.
+
+    ``class_locked``: one of the class's own lock attributes is held.
+    """
 
     attr: str
     line: int
     col: int
-    under_lock: bool
-    class_locked: bool = False
+    class_locked: bool
 
 
 @dataclass
 class GlobalMutation:
     """One mutation of a module-level mutable from a function body.
 
-    ``under_lock`` counts any recognised lock; ``module_locked`` only a
-    module-level one.
+    ``module_locked``: a module-level lock is held.
     """
 
     name: str
     line: int
     col: int
-    under_lock: bool
-    module_locked: bool = False
+    module_locked: bool
 
 
 @dataclass
@@ -210,7 +204,6 @@ class ClassSummary:
     """Class-level structure needed for lock discipline and typing."""
 
     name: str
-    line: int
     bases: list[str] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
     lock_attrs: list[str] = field(default_factory=list)
@@ -242,7 +235,6 @@ class ModuleSummary:
     relpath: str
     module: str
     scopes: list[str] = field(default_factory=list)
-    scope_overridden: bool = False
     imported_modules: list[str] = field(default_factory=list)
     exports: dict[str, str] = field(default_factory=dict)
     star_from: list[str] = field(default_factory=list)
@@ -253,7 +245,7 @@ class ModuleSummary:
     mutable_globals: list[str] = field(default_factory=list)
     module_locks: list[str] = field(default_factory=list)
     global_mutations: list[GlobalMutation] = field(default_factory=list)
-    facts: list[Fact] = field(default_factory=list)  # encodings, registrations
+    facts: list[Fact] = field(default_factory=list)  # encodings
 
 
 # --------------------------------------------------------------------------- #
@@ -354,10 +346,7 @@ class _Extractor(ast.NodeVisitor):
                     alias.name if alias.asname else alias.name.partition(".")[0]
                 )
                 self.current.calls.append(
-                    CallSite(
-                        alias.name, "plain", node.lineno, node.col_offset + 1,
-                        self.locked,
-                    )
+                    CallSite(alias.name, "plain", self.locked)
                 )
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -372,10 +361,7 @@ class _Extractor(ast.NodeVisitor):
                     continue
                 self.frame_imports[alias.asname or alias.name] = f"{target}.{alias.name}"
             self.current.calls.append(
-                CallSite(
-                    target, "plain", node.lineno, node.col_offset + 1,
-                    self.locked,
-                )
+                CallSite(target, "plain", self.locked)
             )
 
     # -- structure ------------------------------------------------------ #
@@ -399,7 +385,6 @@ class _Extractor(ast.NodeVisitor):
         local = LocalClass(
             ClassSummary(
                 name=node.name,
-                line=node.lineno,
                 methods=_method_names(node),
                 lock_attrs=_lock_attrs(node, self.imports),
             )
@@ -492,15 +477,10 @@ class _Extractor(ast.NodeVisitor):
         if attr is None:
             return
         if self.frame_class is not None:
-            self.current.mutations.append(
-                Mutation(attr, line, col, self.locked, self.class_locks > 0)
-            )
+            self.current.mutations.append(Mutation(attr, line, col, self.class_locks > 0))
         for scan in self.local_scans:
             if scan.method is not None:
-                held = scan.locks > 0
-                scan.method.mutations.append(
-                    Mutation(attr, line, col, held or self.module_locks > 0, held)
-                )
+                scan.method.mutations.append(Mutation(attr, line, col, scan.locks > 0))
 
     # -- serialization classification ----------------------------------- #
     def _classify(self, expr: ast.expr) -> tuple[str, set[str]]:
@@ -608,7 +588,7 @@ class _Extractor(ast.NodeVisitor):
 
     def _global_mutation(self, name: str, line: int, col: int) -> None:
         self.summary.global_mutations.append(
-            GlobalMutation(name, line, col, self.locked, self.module_locks > 0)
+            GlobalMutation(name, line, col, self.module_locks > 0)
         )
 
     def visit_Return(self, node: ast.Return) -> None:
@@ -626,41 +606,19 @@ class _Extractor(ast.NodeVisitor):
         self.generic_visit(node)
 
     # -- calls ----------------------------------------------------------- #
-    def _callable_ref_site(
-        self, expr: ast.expr, node: ast.Call, *, via_thread: bool
-    ) -> CallSite | None:
+    def _callable_ref_site(self, expr: ast.expr, *, via_thread: bool) -> CallSite | None:
         """Encode a callable *reference* (thread target, executor arg)."""
         if isinstance(expr, ast.Name):
-            return CallSite(
-                self._resolve_name(expr.id),
-                "plain",
-                node.lineno,
-                node.col_offset + 1,
-                self.locked,
-                via_thread,
-            )
+            return CallSite(self._resolve_name(expr.id), "plain", self.locked, via_thread)
         if isinstance(expr, ast.Attribute):
             base = expr.value
             if isinstance(base, ast.Name) and base.id == "self":
-                return CallSite(
-                    expr.attr, "self", node.lineno, node.col_offset + 1,
-                    self.locked, via_thread,
-                )
+                return CallSite(expr.attr, "self", self.locked, via_thread)
             attr = _self_attr(base)
             if attr is not None:
-                return CallSite(
-                    f"{attr}.{expr.attr}", "selfattr", node.lineno,
-                    node.col_offset + 1, self.locked, via_thread,
-                )
+                return CallSite(f"{attr}.{expr.attr}", "selfattr", self.locked, via_thread)
             if isinstance(base, ast.Name):
-                return CallSite(
-                    f"{base.id}.{expr.attr}", "var", node.lineno,
-                    node.col_offset + 1, self.locked, via_thread,
-                )
-            return CallSite(
-                expr.attr, "attr", node.lineno, node.col_offset + 1,
-                self.locked, via_thread,
-            )
+                return CallSite(f"{base.id}.{expr.attr}", "var", self.locked, via_thread)
         return None
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -672,22 +630,19 @@ class _Extractor(ast.NodeVisitor):
         # Outgoing call edge.
         if isinstance(func, ast.Name):
             current.calls.append(
-                CallSite(self._resolve_name(func.id), "plain", line, col, locked)
+                CallSite(self._resolve_name(func.id), "plain", locked)
             )
         elif isinstance(func, ast.Attribute):
             base = func.value
             if isinstance(base, ast.Name) and base.id == "self":
                 current.calls.append(
-                    CallSite(
-                        func.attr, "self", line, col, locked,
-                        class_locked=self.class_locks > 0,
-                    )
+                    CallSite(func.attr, "self", locked, class_locked=self.class_locks > 0)
                 )
                 for scan in self.local_scans:
                     if scan.method is not None:
                         scan.method.calls.append(
                             CallSite(
-                                func.attr, "self", line, col,
+                                func.attr, "self",
                                 scan.locks > 0 or self.module_locks > 0,
                                 class_locked=scan.locks > 0,
                             )
@@ -697,7 +652,7 @@ class _Extractor(ast.NodeVisitor):
                 dotted = dotted_name(func)
                 if attr is not None:
                     current.calls.append(
-                        CallSite(f"{attr}.{func.attr}", "selfattr", line, col, locked)
+                        CallSite(f"{attr}.{func.attr}", "selfattr", locked)
                     )
                 elif dotted is not None:
                     resolved = self._resolve_dotted_spelling(dotted)
@@ -708,14 +663,12 @@ class _Extractor(ast.NodeVisitor):
                         and dotted == f"{head}.{func.attr}"
                     ):
                         current.calls.append(
-                            CallSite(f"{head}.{func.attr}", "var", line, col, locked)
+                            CallSite(f"{head}.{func.attr}", "var", locked)
                         )
                     else:
                         current.calls.append(
-                            CallSite(resolved, "plain", line, col, locked)
+                            CallSite(resolved, "plain", locked)
                         )
-                else:
-                    current.calls.append(CallSite(func.attr, "attr", line, col, locked))
 
         # Instance-mutator calls (self.X.append(...)).
         if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
@@ -758,11 +711,11 @@ class _Extractor(ast.NodeVisitor):
         if target_dotted == "threading.Thread":
             for kw in node.keywords:
                 if kw.arg == "target":
-                    site = self._callable_ref_site(kw.value, node, via_thread=True)
+                    site = self._callable_ref_site(kw.value, via_thread=True)
                     if site is not None:
                         current.calls.append(site)
         elif isinstance(func, ast.Attribute) and func.attr == "submit" and node.args:
-            site = self._callable_ref_site(node.args[0], node, via_thread=True)
+            site = self._callable_ref_site(node.args[0], via_thread=True)
             if site is not None:
                 current.calls.append(site)
         elif (
@@ -770,7 +723,7 @@ class _Extractor(ast.NodeVisitor):
             and func.attr == "run_in_executor"
             and len(node.args) >= 2
         ):
-            site = self._callable_ref_site(node.args[1], node, via_thread=True)
+            site = self._callable_ref_site(node.args[1], via_thread=True)
             if site is not None:
                 current.calls.append(site)
 
@@ -863,7 +816,7 @@ def _record_class(summary: ModuleSummary, node: ast.ClassDef, imports: ImportMap
     methods share the ``Class.method`` frames.
     """
     summary.exports[node.name] = f"{summary.module}.{node.name}"
-    cls = summary.classes.setdefault(node.name, ClassSummary(name=node.name, line=node.lineno))
+    cls = summary.classes.setdefault(node.name, ClassSummary(name=node.name))
     cls.definitions += 1
     cls.methods += _method_names(node)
     cls.lock_attrs += [
@@ -936,7 +889,7 @@ def _record_facts(
     imports: ImportMap,
 ) -> None:
     """Record the pattern facts: determinism hazards per enclosing top-level
-    frame, encodings and registration defects per module."""
+    frame, encodings per module."""
     owner_cache: dict[ast.AST, str] = {}
 
     def owner(node: ast.AST) -> str:
@@ -984,10 +937,6 @@ def _record_facts(
     summary.facts += [
         _fact("encoding", node, message) for node, message in iter_stringified_writes(nodes)
     ]
-    summary.facts += [
-        _fact("registration", node, message)
-        for node, message in iter_registration_defects(nodes)
-    ]
 
 
 def summarize_module(relpath: str, source: str) -> ModuleSummary:
@@ -1006,7 +955,6 @@ def summarize_module(relpath: str, source: str) -> ModuleSummary:
         relpath=relpath,
         module=module_name(relpath),
         scopes=sorted(scopes),
-        scope_overridden=override is not None,
     )
     _collect_module_level(summary, tree, imports)
     extractor = _Extractor(summary, imports)

@@ -1,12 +1,13 @@
-"""CONC001 — lock-discipline analysis for the threaded modules.
+"""CONC001: the lock-discipline rule.
 
 The service, worker, and sweep backends share mutable objects across
 threads (the asyncio event loop vs. executor threads, the worker's
 request handlers vs. its executor).  The repo's discipline is simple:
 state that is ever mutated under a lock is *lock-guarded*, and every
-other mutation of it must hold the same lock.  This checker derives the
-guarded set per class from the summarized facts — no annotations
-required — and flags the violations:
+other mutation of it must hold the same lock.  CONC001 checks it at two
+reaches, from the summarized facts (no annotations required).
+
+In a ``threaded`` module itself:
 
 * a ``self.X = threading.Lock()/RLock()/Condition()`` assignment marks
   ``X`` as a lock attribute (``Condition(self._lock)`` counts);
@@ -23,23 +24,24 @@ module locks for module globals.  Every ``class`` statement is judged on
 its own: one nested in a function or class, or one of several
 module-level definitions of a name, by its
 :class:`~repro.analysis.graph.summary.LocalClass` record.
-CONC101 extends the same discipline across modules.
 
-Attributes with a genuinely single-threaded lifecycle the AST cannot
-prove are declared in :data:`repro.analysis.lint.scopes.LOCK_DISCIPLINE`
-with their rationale.
+Across modules: a function reachable from a thread/executor entry point
+along a call path that crosses a module boundary with no lock held at
+any call on the way must hold its own lock for every mutation of its
+lock-bearing class's attributes, and its module lock for every mutation
+of a module global.  An unlocked path that stays inside one module is
+judged by the first pass alone.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from collections import deque
+from typing import Iterator
 
+from ...graph.program import ProgramGraph
+from ...graph.summary import MODULE_FUNCTION, ClassSummary, FunctionSummary, ModuleSummary
 from ..findings import Finding
-from ..registry import ProgramChecker, ProgramContext, register_program_checker
-from ..scopes import LOCK_DISCIPLINE, module_tail
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from ...graph.summary import ClassSummary, FunctionSummary, ModuleSummary
+from ..registry import ProgramChecker, ProgramContext
 
 
 def _always_locked_methods(sites: list[tuple[str, str, bool]]) -> set[str]:
@@ -84,24 +86,33 @@ def _classes(
         yield cls, frames
 
 
-@register_program_checker
-class UnlockedSharedState(ProgramChecker):
+class LockDiscipline(ProgramChecker):
     """CONC001 — guarded state mutated outside a held-lock region."""
 
     code = "CONC001"
-    name = "unlocked-shared-state"
-    description = "lock-guarded mutable state mutated without holding the lock"
-    scopes = frozenset({"threaded"})
+    description = (
+        "lock-guarded state mutated without holding its lock, in a threaded "
+        "module or on a cross-module thread-reachable path"
+    )
 
     def check(self, ctx: ProgramContext) -> Iterator[Finding]:
+        reported: set[tuple[str, int, int]] = set()
+        for finding in self._local(ctx):
+            reported.add((finding.path, finding.line, finding.column))
+            yield finding
+        for finding in self._cross_module(ctx):
+            if (finding.path, finding.line, finding.column) not in reported:
+                yield finding
+
+    # -- zero hops: the threaded modules themselves ---------------------- #
+    def _local(self, ctx: ProgramContext) -> Iterator[Finding]:
         for relpath, summary in ctx.files.items():
-            if not self.applies(summary):
+            if "threaded" not in summary.scopes:
                 continue
-            discipline = LOCK_DISCIPLINE.get(module_tail(relpath), {})
-            mutable = set(summary.mutable_globals) - discipline.get("<module>", frozenset())
+            mutable = set(summary.mutable_globals)
             for mutation in summary.global_mutations:
                 if mutation.name in mutable and not mutation.module_locked:
-                    yield ctx.finding(
+                    yield Finding(
                         self.code,
                         f"module-level mutable '{mutation.name}' mutated from a "
                         "function in a threaded module — guard with a module lock "
@@ -111,15 +122,13 @@ class UnlockedSharedState(ProgramChecker):
                         mutation.col,
                     )
             for cls, frames in _classes(summary):
-                yield from self._check_class(ctx, relpath, cls, frames, discipline)
+                yield from self._check_class(relpath, cls, frames)
 
     def _check_class(
         self,
-        ctx: ProgramContext,
         relpath: str,
         cls: ClassSummary,
         frames: list[tuple[str, FunctionSummary]],
-        discipline: dict[str, frozenset[str]],
     ) -> Iterator[Finding]:
         if not cls.lock_attrs:
             return
@@ -131,7 +140,6 @@ class UnlockedSharedState(ProgramChecker):
             if m.class_locked
         }
         guarded -= set(cls.lock_attrs)
-        guarded -= discipline.get(cls.name, frozenset())
         if not guarded:
             return
         always_locked = _always_locked_methods(
@@ -147,7 +155,7 @@ class UnlockedSharedState(ProgramChecker):
                 continue
             for mutation in fn.mutations:
                 if mutation.attr in guarded and not mutation.class_locked:
-                    yield ctx.finding(
+                    yield Finding(
                         self.code,
                         f"'{cls.name}.{mutation.attr}' is lock-guarded (mutated under "
                         f"a held lock elsewhere) but mutated in '{method}' "
@@ -157,5 +165,102 @@ class UnlockedSharedState(ProgramChecker):
                         mutation.col,
                     )
 
+    # -- across modules: unlocked thread paths --------------------------- #
+    def _cross_module(self, ctx: ProgramContext) -> Iterator[Finding]:
+        graph = ctx.graph
+        reachable = _unlocked_cross_module(graph)
+        for fid, relpath, fn in graph.functions():
+            if fid not in reachable:
+                continue
+            module, _, qualname = fid.partition(":")
+            summary = graph.summaries[module]
+            entry = reachable[fid]
+            chain = f" [unlocked thread path: {entry} -> {fid}]" if entry != fid else ""
+            if fn.cls and not qualname.endswith(".__init__"):
+                cls = summary.classes.get(fn.cls)
+                if cls is not None and cls.lock_attrs:
+                    lock = cls.lock_attrs[0]
+                    for mutation in fn.mutations:
+                        if mutation.class_locked:
+                            continue
+                        yield Finding(
+                            self.code,
+                            f"'self.{mutation.attr}' of lock-bearing class "
+                            f"{fn.cls} mutated without holding 'self.{lock}' "
+                            f"on a cross-module thread-reachable path{chain}",
+                            relpath,
+                            mutation.line,
+                            mutation.col,
+                        )
+            if summary.module_locks and qualname != MODULE_FUNCTION:
+                for mutation in summary.global_mutations:
+                    # Global mutations are recorded module-wide; attribute
+                    # each to its containing function by line range.
+                    if mutation.module_locked or not _within(fn, summary, mutation.line):
+                        continue
+                    yield Finding(
+                        self.code,
+                        f"module global '{mutation.name}' mutated without "
+                        f"holding module lock "
+                        f"'{summary.module_locks[0]}' on a cross-module "
+                        f"thread-reachable path{chain}",
+                        relpath,
+                        mutation.line,
+                        mutation.col,
+                    )
 
-__all__ = ["UnlockedSharedState"]
+
+def _within(fn: FunctionSummary, summary: ModuleSummary, line: int) -> bool:
+    """``line`` falls inside ``fn`` (next function starts after it)."""
+    starts = sorted(
+        f.line for f in summary.functions.values() if f.qualname != MODULE_FUNCTION
+    )
+    following = [s for s in starts if s > fn.line]
+    upper = following[0] if following else float("inf")
+    return fn.line <= line < upper
+
+
+def _unlocked_cross_module(graph: ProgramGraph) -> dict[str, str]:
+    """Functions reachable from a threaded entry with no lock held on the
+    way, along a path that crossed a module boundary.
+
+    Returns ``fid → entry fid`` for chain reporting.
+    """
+    # State: (fid, crossed-module?) pairs; BFS over unlocked edges.
+    queue: deque[tuple[str, bool, str]] = deque()
+    seen: set[tuple[str, bool]] = set()
+    result: dict[str, str] = {}
+
+    for fid, _, _ in graph.functions():
+        if "threaded" in graph.local_scopes(fid):
+            queue.append((fid, False, fid))
+            seen.add((fid, False))
+    for edge in graph.edges:
+        if edge.via_thread and not edge.under_lock:
+            crossed = graph.module_of(edge.caller) != graph.module_of(edge.callee)
+            state = (edge.callee, crossed)
+            if state not in seen:
+                seen.add(state)
+                queue.append((edge.callee, crossed, edge.caller))
+                if crossed:
+                    result.setdefault(edge.callee, edge.caller)
+
+    while queue:
+        fid, crossed, entry = queue.popleft()
+        for edge in graph.out_edges.get(fid, ()):
+            if edge.under_lock:
+                continue
+            next_crossed = crossed or (
+                graph.module_of(edge.caller) != graph.module_of(edge.callee)
+            )
+            state = (edge.callee, next_crossed)
+            if state in seen:
+                continue
+            seen.add(state)
+            if next_crossed:
+                result.setdefault(edge.callee, entry)
+            queue.append((edge.callee, next_crossed, entry))
+    return result
+
+
+__all__ = ["LockDiscipline"]

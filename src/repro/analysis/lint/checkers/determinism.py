@@ -1,16 +1,17 @@
-"""DET001–DET004: the determinism checkers.
+"""DET001: the determinism rule.
 
-Each one rejects a pattern that has historically broken the repo's
-byte-identity contract: global RNG state, non-canonical JSON on wire
-paths, order-leaking set iteration, and wall-clock reads inside the
-algorithmic tier.
+Three patterns have historically broken the repo's byte-identity
+contract from inside solver code: global RNG state, order-leaking set
+iteration, and wall-clock reads.  Global RNG state and set order are
+hazards in ``deterministic`` code, a wall-clock read in ``clockfree``
+code.  DET001 reports each one in a module that carries the scope itself
+(zero hops) and in every helper that inherits the scope over call edges,
+citing the chain that reaches it.
 
 The detection logic lives in module-level ``iter_*`` generators over a
 module's nodes in ``ast.walk`` order (yielding ``(node, message)``
-pairs) that the summariser
-(:mod:`repro.analysis.graph.summary`) records as facts.  The rules here
-report the facts of modules that carry the scope themselves; DET101
-reports the same facts in helpers that inherit the scope over call edges.
+pairs) that the summariser (:mod:`repro.analysis.graph.summary`) records
+as each function's ``det_facts``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..registry import LocalFactChecker, register_program_checker
+from ..findings import Finding
+from ..registry import ProgramChecker, ProgramContext
 from ._imports import ImportMap, resolve_call_target
 
 #: ``random`` module functions that mutate/read the hidden global state.
@@ -56,12 +58,9 @@ _ORDER_INSENSITIVE = frozenset(
     {"all", "any", "frozenset", "len", "max", "min", "set", "sorted", "sum"}
 )
 
-#: Attribute calls that put bytes on a wire or into a saved trace.
-WRITE_SINKS = frozenset({"write", "sendall", "send", "sendto"})
-
 
 # --------------------------------------------------------------------------- #
-# Reusable fact iterators (shared with the whole-program summariser)
+# Fact iterators (run by the summariser)
 # --------------------------------------------------------------------------- #
 def iter_global_rng(
     nodes: Iterable[ast.AST], imports: ImportMap
@@ -102,123 +101,6 @@ def iter_wall_clock(
                 node,
                 f"wall-clock read '{target}' inside a deterministic module — "
                 "inject a clock (or move timing to the harness layer)",
-            )
-
-
-def _const_true(node: ast.expr | None) -> bool:
-    return isinstance(node, ast.Constant) and node.value is True
-
-
-def _canonical_separators(node: ast.expr) -> bool:
-    return (
-        isinstance(node, (ast.Tuple, ast.List))
-        and len(node.elts) == 2
-        and all(isinstance(e, ast.Constant) for e in node.elts)
-        and [e.value for e in node.elts] in ([",", ":"], [", ", ": "])
-    )
-
-
-def json_dump_canonicality(node: ast.Call, imports: ImportMap) -> str | None:
-    """Classify a call: ``None`` if not json.dumps/json.dump, else verdict.
-
-    Returns ``"canonical"`` when the call sorts keys with default or
-    canonical separators and no lossy ``default=`` hook, ``"noncanonical"``
-    otherwise, ``"unknown"`` when ``**kwargs`` makes the call unjudgeable.
-    """
-    target = resolve_call_target(node, imports)
-    if target not in ("json.dumps", "json.dump"):
-        return None
-    keywords = {kw.arg: kw.value for kw in node.keywords if kw.arg is not None}
-    if any(kw.arg is None for kw in node.keywords):
-        return "unknown"
-    if not _const_true(keywords.get("sort_keys")):
-        return "noncanonical"
-    if "default" in keywords:
-        return "noncanonical"
-    separators = keywords.get("separators")
-    if separators is not None and not _canonical_separators(separators):
-        return "noncanonical"
-    return "canonical"
-
-
-def iter_noncanonical_json(
-    nodes: Iterable[ast.AST], imports: ImportMap
-) -> Iterator[tuple[ast.AST, str]]:
-    """Every ``json.dumps``/``json.dump`` call that is not canonical."""
-    for node in nodes:
-        if not isinstance(node, ast.Call):
-            continue
-        target = resolve_call_target(node, imports)
-        if target not in ("json.dumps", "json.dump"):
-            continue
-        keywords = {kw.arg: kw.value for kw in node.keywords if kw.arg is not None}
-        has_kwargs = any(kw.arg is None for kw in node.keywords)
-        if not _const_true(keywords.get("sort_keys")) and not has_kwargs:
-            yield (
-                node,
-                f"{target} on a canonical path without sort_keys=True — "
-                "output bytes depend on dict construction order",
-            )
-        if "default" in keywords:
-            yield (
-                node,
-                f"{target} with a default= encoder on a canonical path — "
-                "lossy coercion (e.g. default=str) hides type drift; "
-                "normalise values explicitly before encoding",
-            )
-        separators = keywords.get("separators")
-        if separators is not None and not _canonical_separators(separators):
-            yield (
-                node,
-                f"{target} with non-canonical separators — use (',', ':') "
-                "compact or the default",
-            )
-
-
-def _stringified_receiver(node: ast.expr) -> str | None:
-    """``'str'``/``'repr'`` when ``node`` is ``str(X)``/``repr(X)`` of a non-literal."""
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("str", "repr")
-        and node.args
-        and not isinstance(node.args[0], ast.Constant)
-    ):
-        return node.func.id
-    return None
-
-
-def iter_stringified_writes(nodes: Iterable[ast.AST]) -> Iterator[tuple[ast.AST, str]]:
-    """``.write()``/``.sendall()`` of ``str(obj)``/``repr(obj)`` bytes.
-
-    ``handle.write(str(payload).encode())`` renders Python ``repr`` —
-    insertion-ordered dicts, hash-ordered sets — onto a wire or trace
-    surface.  Only direct stringification is flagged here; values that
-    arrive through helper calls are the interprocedural WIRE001's job.
-    """
-    for node in nodes:
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr in WRITE_SINKS):
-            continue
-        if not node.args:
-            continue
-        payload = node.args[0]
-        # Unwrap ``X.encode(...)`` — the common bytes-conversion step.
-        if (
-            isinstance(payload, ast.Call)
-            and isinstance(payload.func, ast.Attribute)
-            and payload.func.attr == "encode"
-        ):
-            payload = payload.func.value
-        kind = _stringified_receiver(payload)
-        if kind is not None:
-            yield (
-                node,
-                f"{kind}()-rendered object written to a wire/trace surface — "
-                "repr order is not canonical; encode with json.dumps("
-                "sort_keys=True) instead",
             )
 
 
@@ -307,92 +189,50 @@ def iter_set_order(
                 yield node.args[0], message
 
 
-# --------------------------------------------------------------------------- #
-# The rules: the facts of modules that carry the scope themselves
-# --------------------------------------------------------------------------- #
-@register_program_checker
-class UnseededGlobalRNG(LocalFactChecker):
-    """DET001 — ``random.*`` / ``np.random.*`` global state in solver code.
+class Determinism(ProgramChecker):
+    """DET001 — global RNG, set-order or wall-clock hazards in solver code.
 
-    Global RNG state is shared across every caller in the process: a
-    library import, a logging helper, or a second sweep point drawing
-    from it reorders everyone else's stream, so results stop being a
-    function of the per-point seed.  Solvers must accept a seeded
-    ``numpy.random.Generator`` (or ``random.Random``) instead.
+    Global RNG state is shared across every caller in the process, so a
+    second sweep point drawing from it reorders everyone else's stream;
+    set iteration order depends on insertion history and (salted) hashes,
+    so a set-ordered loop writing into records, shard lists or cache keys
+    varies run to run; and a wall-clock read leaks machine time into
+    records or couples control flow to machine speed.  Order-insensitive
+    consumers (``sorted``, ``sum``, ``min``/``max``, ``any``/``all``,
+    ``len``, set-to-set comprehension), seeded generators and monotonic
+    measurement clocks (``perf_counter``) are not flagged.
     """
 
     code = "DET001"
-    name = "unseeded-global-rng"
-    description = "global RNG state reachable from solver/kernel/backend code"
-    scopes = frozenset({"deterministic"})
-    kind = "rng"
+    description = (
+        "unseeded global RNG, order-leaking set iteration or a wall-clock read "
+        "in deterministic/clockfree code or in any helper it reaches"
+    )
+
+    #: The scope that makes each fact kind a hazard.
+    SCOPE_FOR_KIND = {"rng": "deterministic", "set-order": "deterministic", "clock": "clockfree"}
+
+    def check(self, ctx: ProgramContext) -> Iterator[Finding]:
+        for relpath, summary in ctx.files.items():
+            for fn in summary.functions.values():
+                for fact in fn.det_facts:
+                    if self.SCOPE_FOR_KIND[fact.kind] in summary.scopes:
+                        yield Finding(self.code, fact.message, relpath, fact.line, fact.col)
+        # Scope propagation never marks a scope inherited where it is local.
+        graph = ctx.graph
+        for fid, relpath, fn in graph.functions():
+            inherited = graph.inherited.get(fid, set())
+            for fact in fn.det_facts:
+                scope = self.SCOPE_FOR_KIND[fact.kind]
+                if scope in inherited:
+                    chain = graph.describe_chain(scope, fid)
+                    yield Finding(
+                        self.code,
+                        f"{fact.message} [reachable from {scope} code: {chain}]",
+                        relpath,
+                        fact.line,
+                        fact.col,
+                    )
 
 
-@register_program_checker
-class NonCanonicalJSON(LocalFactChecker):
-    """DET002 — non-canonical encodings on wire/trace surfaces.
-
-    Wire payloads, cache signatures, and CLI JSON are byte-compared
-    across backends and surfaces; an unsorted ``json.dumps`` (or the
-    file-object ``json.dump`` variant) ties the bytes to dict
-    construction order, a ``default=`` hook silently coerces unencodable
-    values, and a ``str(obj).encode()`` write renders repr order straight
-    onto the wire.
-    """
-
-    code = "DET002"
-    name = "non-canonical-json"
-    description = "non-canonical json.dumps/json.dump or stringified write on a wire path"
-    scopes = frozenset({"canonical"})
-    kind = "encoding"
-
-
-@register_program_checker
-class SetIterationOrder(LocalFactChecker):
-    """DET003 — iterating a ``set`` where the order can escape.
-
-    Python set iteration order depends on insertion history and element
-    hashes (salted for str); a set-ordered loop writing into records,
-    shard lists, or cache keys makes output bytes vary run to run.
-    Order-insensitive consumers (``sorted``, ``sum``, ``min``/``max``,
-    ``any``/``all``, ``len``, set-to-set comprehension) are exempt.
-    """
-
-    code = "DET003"
-    name = "set-iteration-order"
-    description = "set iteration whose order can escape into outputs"
-    scopes = frozenset({"deterministic"})
-    kind = "set-order"
-
-
-@register_program_checker
-class WallClockInSolver(LocalFactChecker):
-    """DET004 — wall-clock reads inside solver/mapreduce/kernel modules.
-
-    ``time.time()`` / ``datetime.now()`` inside the algorithmic tier
-    either leaks machine time into records (breaking byte-identity) or
-    couples control flow to machine speed (breaking replay).  Timing
-    belongs to the harness/bench layer, which injects its own clocks;
-    monotonic *measurement* clocks (``perf_counter``) are not flagged.
-    """
-
-    code = "DET004"
-    name = "wall-clock-in-solver"
-    description = "wall-clock call inside a deterministic module"
-    scopes = frozenset({"clockfree"})
-    kind = "clock"
-
-
-__all__ = [
-    "WRITE_SINKS",
-    "NonCanonicalJSON",
-    "SetIterationOrder",
-    "UnseededGlobalRNG",
-    "WallClockInSolver",
-    "iter_global_rng",
-    "iter_noncanonical_json",
-    "iter_set_order",
-    "iter_stringified_writes",
-    "iter_wall_clock",
-    "json_dump_canonicality",
-]
+__all__ = ["Determinism", "iter_global_rng", "iter_set_order", "iter_wall_clock"]

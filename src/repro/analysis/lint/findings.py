@@ -1,16 +1,8 @@
-"""The :class:`Finding` record every checker emits.
-
-A finding is identified for baseline purposes by ``(path, code,
-fingerprint-of-source-line)`` rather than by line *number*, so unrelated
-edits above a pre-existing finding do not invalidate the committed
-baseline; moving or editing the offending line itself does, which is
-exactly when a human should re-decide whether the exemption still holds.
-"""
+"""The :class:`Finding` record every checker emits."""
 
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass
 from typing import Any
 
@@ -20,7 +12,6 @@ class FindingStatus(enum.Enum):
 
     NEW = "new"
     SUPPRESSED = "suppressed"
-    BASELINED = "baselined"
 
 
 @dataclass
@@ -28,7 +19,7 @@ class Finding:
     """One rule violation at one source location.
 
     ``path`` is stored POSIX-style and relative to the lint root so the
-    committed baseline and the JSON report are machine-independent.
+    JSON report is machine-independent.
     """
 
     code: str
@@ -36,13 +27,7 @@ class Finding:
     path: str
     line: int
     column: int
-    snippet: str = ""
     status: FindingStatus = FindingStatus.NEW
-
-    def baseline_key(self) -> str:
-        """Stable identity used for baseline matching (line-number free)."""
-        digest = hashlib.sha256(self.snippet.strip().encode("utf-8")).hexdigest()[:16]
-        return f"{self.path}::{self.code}::{digest}"
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.column, self.code)
@@ -54,9 +39,7 @@ class Finding:
             "path": self.path,
             "line": self.line,
             "column": self.column,
-            "snippet": self.snippet,
             "status": self.status.value,
-            "baseline_key": self.baseline_key(),
         }
 
     def render(self) -> str:

@@ -2,23 +2,23 @@
 
 The checkers are not universally applicable — ``time.time()`` is fine in
 the service's uptime counter but a determinism bug inside a solver — so
-every scanned file is classed into zero or more *scopes* and each
-checker declares the scopes it polices:
+every scanned file is classed into zero or more *scopes*, and each
+rule polices the scope its hazard binds in:
 
 ``deterministic``
     Code whose outputs feed records, cache keys, or shard assignments:
     the solver cores, kernels, baselines, the MPC simulator, the sweep
     backends, the distributed tier, the registry, and the workload
-    generators.  Unseeded global RNG (DET001) and order-leaking set
-    iteration (DET003) are defects here.
+    generators.  Unseeded global RNG and order-leaking set iteration
+    (DET001) are defects here.
 ``canonical``
     Code that renders wire or cache payloads whose *bytes* are compared:
     the backends' signatures, the distributed protocol, the service
     response path, ``repro.solve``'s canonical JSON, and every CLI JSON
-    printer (CI byte-compares CLI output across backends).  DET002 binds
-    here.
+    printer (CI byte-compares CLI output across backends).  WIRE001
+    binds here.
 ``clockfree``
-    The algorithmic tier, where a wall-clock read (DET004) either leaks
+    The algorithmic tier, where a wall-clock read (DET001) either leaks
     nondeterminism into records or silently couples results to machine
     speed.  Timing *measurement* belongs to the harness/bench layer,
     which is deliberately outside this scope.
@@ -34,10 +34,9 @@ scopes with a magic comment anywhere in the file::
 
     # repro-lint: scope=deterministic,canonical
 
-The ``LOCK_DISCIPLINE`` map is CONC001's escape hatch for attributes
-whose single-threaded lifecycle the AST cannot see; entries are
-deliberately explicit (module tail → class → attribute names) so every
-exemption is greppable and reviewed.
+A scope reaches further than its modules: the program graph propagates
+it to every function the module's code calls (see
+:mod:`repro.analysis.graph.program`).
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from pathlib import PurePosixPath
 
 __all__ = [
     "ALL_SCOPES",
-    "LOCK_DISCIPLINE",
     "SCOPE_RULES",
     "classify",
     "module_tail",
@@ -90,19 +88,6 @@ SCOPE_RULES: tuple[tuple[str, str], ...] = (
     ("distributed/", "threaded"),
     ("backends/", "threaded"),
 )
-
-#: CONC001 lock-discipline declarations: module tail → class name →
-#: attribute names exempt from the held-lock requirement, with the
-#: rationale right here where review sees it.
-#:
-#: Currently empty — and a cautionary tale.  The previous entry exempted
-#: ``WorkerState._thread`` with the rationale "only the single service
-#: thread touches it"; CONC101's cross-module reachability analysis
-#: falsified that (``SolverService.aclose`` runs ``close()`` on an
-#: executor thread while ``start()`` runs on the event loop), so the
-#: mutations were put under the lock instead.  Prefer fixing the code;
-#: an entry here asserts a lifecycle claim no checker verifies.
-LOCK_DISCIPLINE: dict[str, dict[str, frozenset[str]]] = {}
 
 _SCOPE_COMMENT = re.compile(r"#\s*repro-lint:\s*scope=([A-Za-z0-9_,\-]+)")
 

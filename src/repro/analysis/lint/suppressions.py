@@ -3,13 +3,16 @@
 Syntax (the comment may share a line with code or stand alone)::
 
     x = random.random()      # repro-lint: disable=DET001
-    # repro-lint: disable-file=DET002
+    # repro-lint: disable-file=WIRE001
 
 A *line* suppression silences the named codes for findings reported on
 that physical line; a *file* suppression silences them for the whole
 module.  ``disable=all`` / ``disable-file=all`` silence every code —
 reserve it for generated files.  Comments are recognised via
-:mod:`tokenize`, so the marker text inside a string literal is inert.
+:mod:`tokenize`, so the marker text inside a string literal is inert;
+only a file whose text contains a directive is tokenized.  A comment naming a code no rule has is a per-file error (the runner
+checks :attr:`Suppressions.codes`), so a typo or a retired code cannot
+silently stop suppressing.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = ["Suppressions", "parse_suppressions"]
 
 _LINE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 _FILE = re.compile(r"#\s*repro-lint:\s*disable-file=([A-Za-z0-9_,\s]+)")
+_ANY = re.compile(r"#\s*repro-lint:\s*disable")
 
 
 @dataclass
@@ -33,6 +37,11 @@ class Suppressions:
 
     by_line: dict[int, frozenset[str]] = field(default_factory=dict)
     whole_file: frozenset[str] = frozenset()
+
+    @property
+    def codes(self) -> frozenset[str]:
+        """Every code any directive names (``all`` included)."""
+        return self.whole_file.union(*self.by_line.values())
 
     def matches(self, finding: Finding) -> bool:
         if "all" in self.whole_file or finding.code in self.whole_file:
@@ -51,6 +60,8 @@ def parse_suppressions(source: str) -> Suppressions:
     Unreadable files (tokenize errors) yield no suppressions; the runner
     reports the parse failure separately.
     """
+    if "repro-lint:" not in source or not _ANY.search(source):
+        return Suppressions()
     by_line: dict[int, set[str]] = {}
     whole_file: set[str] = set()
     try:

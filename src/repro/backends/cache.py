@@ -135,7 +135,7 @@ class ResultCache:
         path = self.path_for(point)
         # Insertion order is preserved (no key sorting) so a reloaded record
         # renders identically to a freshly computed one.
-        text = json.dumps(payload, indent=2)  # repro-lint: disable=DET002
+        text = json.dumps(payload, indent=2)  # repro-lint: disable=WIRE001
         # The temp name must be unique per writer: several processes may share
         # one cache directory (mp sweeps, the solver service), and a fixed
         # `<digest>.tmp` lets their write/replace pairs interleave — one writer

@@ -410,12 +410,16 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="determinism & concurrency static analysis (see docs/ANALYSIS.md)",
         description=(
-            "Run the repro static-analysis pass: AST checkers that prove the "
-            "determinism and lock-discipline invariants the runtime test suite "
-            "can only sample (unseeded RNG, non-canonical JSON on wire paths, "
-            "order-leaking set iteration, wall-clock reads in solvers, "
-            "unlocked shared state, registry conformance).  Exits non-zero on "
-            "any finding not in the committed baseline."
+            "Run the repro static-analysis pass: one rule per hazard, each "
+            "reporting a hazard in the module it sits in and in every helper "
+            "that module's code reaches — DET001 determinism (unseeded RNG, "
+            "order-leaking set iteration, wall-clock reads in solvers), "
+            "WIRE001 wire canonicality (non-canonical JSON on wire paths), "
+            "CONC001 lock discipline (unlocked shared state) and MPC001 "
+            "round-callable importability.  A finding is accepted only by a "
+            "'repro-lint: disable=CODE' comment on its line.  Exits 1 on "
+            "any unsuppressed finding or per-file error, 2 when no Python "
+            "files are found."
         ),
     )
     lint.add_argument(
@@ -427,39 +431,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("--json", action="store_true", help="emit the canonical JSON report")
     lint.add_argument(
-        "--sarif",
-        metavar="FILE",
-        help="also write a SARIF 2.1.0 report to FILE ('-' for stdout)",
-    )
-    lint.add_argument(
-        "--baseline",
-        default="lint-baseline.json",
-        metavar="FILE",
-        help="baseline file of accepted pre-existing findings "
-        "(default: lint-baseline.json under --root)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true", help="ignore the baseline file entirely"
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to accept every current finding, then exit 0",
-    )
-    lint.add_argument(
         "--root",
         default=".",
         metavar="DIR",
-        help="directory findings/baseline paths are relative to (default: cwd)",
+        help="directory finding paths are relative to (default: cwd)",
     )
     lint.add_argument(
-        "--verbose", "-v", action="store_true", help="also list baselined/suppressed findings"
+        "--verbose", "-v", action="store_true", help="also list suppressed findings"
     )
     lint.set_defaults(handler=_run_lint)
 
     fig1 = sub.add_parser("figure1", help="run the Figure-1 experiments")
     fig1.add_argument("--seed", type=int, default=2018)
-    fig1.add_argument("--trials", type=int, default=1)
+    fig1.add_argument("--trials", type=_positive_int, default=1)
     fig1.add_argument(
         "--only",
         nargs="*",
@@ -474,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     single = sub.add_parser("experiment", help="run one experiment and print its record")
     single.add_argument("name", choices=sorted(experiment_names()))
     single.add_argument("--seed", type=int, default=2018)
-    single.add_argument("--trials", type=int, default=1)
+    single.add_argument("--trials", type=_positive_int, default=1)
     single.add_argument("--json", action="store_true")
     _add_scenario_option(single)
     _add_backend_options(single)
@@ -737,35 +721,9 @@ def _run_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def _run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from pathlib import Path
 
-    from .analysis.lint import (
-        lint_paths,
-        load_baseline,
-        render_json,
-        render_sarif,
-        render_text,
-        write_baseline,
-    )
+    from .analysis.lint import lint_paths, render_json, render_text
 
-    root = Path(args.root).resolve()
-    baseline_path = Path(args.baseline)
-    if not baseline_path.is_absolute():
-        baseline_path = root / baseline_path
-    baseline = None if args.no_baseline else load_baseline(baseline_path)
-    report = lint_paths(args.paths, root=root, baseline=baseline)
-    if args.update_baseline:
-        before = set((baseline or load_baseline(baseline_path)).entries)
-        updated = write_baseline(report.findings, baseline_path)
-        total = sum(updated.entries.values())
-        pruned = len(before - set(updated.entries))
-        note = f", {pruned} stale entr{'y' if pruned == 1 else 'ies'} pruned" if pruned else ""
-        print(f"baseline written: {baseline_path} ({total} entries{note})")
-        return 0
-    if args.sarif:
-        sarif = render_sarif(report)
-        if args.sarif == "-":
-            print(sarif)
-        else:
-            Path(args.sarif).write_text(sarif + "\n", encoding="utf-8")
+    report = lint_paths(args.paths, root=Path(args.root).resolve())
     print(render_json(report) if args.json else render_text(report, verbose=args.verbose))
     if report.files_scanned == 0:
         print("error: no python files found under the given paths", file=sys.stderr)

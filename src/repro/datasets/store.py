@@ -145,7 +145,7 @@ def save_dataset(
         # Ingestion boundary: arbitrary caller-supplied extras are coerced
         # to JSON here, *before* the header bytes are fingerprinted — the
         # checksum covers the coerced form, so the round-trip is stable.
-        header["extra"] = json.loads(json.dumps(dict(extra), default=str))  # repro-lint: disable=DET002
+        header["extra"] = json.loads(json.dumps(dict(extra), default=str))  # repro-lint: disable=WIRE001
     header_bytes = np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     # np.savez writes ZIP_STORED members, which is what makes mmap loading
     # work.  Write through an open handle so the archive lands at *exactly*

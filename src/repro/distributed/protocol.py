@@ -167,7 +167,7 @@ def encode_point(point: SweepPoint) -> dict[str, Any]:
     try:
         # A validation round-trip, not a wire rendering: the result is
         # immediately parsed back, so key order never reaches any bytes.
-        payload = json.loads(json.dumps(raw, allow_nan=False))  # repro-lint: disable=DET002
+        payload = json.loads(json.dumps(raw, allow_nan=False))  # repro-lint: disable=WIRE001
     except (TypeError, ValueError) as exc:
         raise WorkerProtocolError(
             f"point {point.experiment!r} has kwargs that cannot cross the "

@@ -120,15 +120,15 @@ class AlgorithmSpec:
         so points pickle to worker processes and cache signatures resolve).
     kind:
         Workload kind the solver consumes: ``"graph"`` or ``"setcover"``.
+    bounds:
+        The :mod:`repro.analysis.bounds` hook producing the row's
+        :class:`~repro.analysis.bounds.TheoremBound`.
     aliases:
         Additional accepted names (e.g. the raw ``fig1-*`` row name).
     guarantee:
         Human-readable approximation guarantee (e.g. ``"2-approximation"``).
     theorem:
         The paper theorem the guarantee comes from.
-    bounds:
-        The :mod:`repro.analysis.bounds` hook producing the row's
-        :class:`~repro.analysis.bounds.TheoremBound`.
     baselines:
         Names of the comparison baselines the experiment records.
     description:
@@ -142,10 +142,10 @@ class AlgorithmSpec:
     experiment: str
     solver: Callable[..., Any]
     kind: str
+    bounds: Callable[..., Any]
     aliases: tuple[str, ...] = ()
     guarantee: str = ""
     theorem: str = ""
-    bounds: Callable[..., Any] | None = None
     baselines: tuple[str, ...] = ()
     description: str = ""
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -256,15 +256,40 @@ def _populate() -> None:
         _POPULATING = False
 
 
+def _check_solver_signature(fn: Callable[..., Any]) -> None:
+    """The spec derives its parameters from the solver's signature, so the
+    solver must take exactly one positional parameter (the trial RNG) and
+    every tunable keyword-only, with no catch-all."""
+    positional = 0
+    for parameter in inspect.signature(fn).parameters.values():
+        if parameter.kind is inspect.Parameter.VAR_POSITIONAL:
+            raise RegistryError(f"solver {fn.__name__!r} takes *{parameter.name}")
+        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
+            raise RegistryError(
+                f"solver {fn.__name__!r} takes **{parameter.name}, which hides "
+                "its accepted parameters from the spec"
+            )
+        if parameter.kind in (
+            inspect.Parameter.POSITIONAL_ONLY,
+            inspect.Parameter.POSITIONAL_OR_KEYWORD,
+        ):
+            positional += 1
+    if positional != 1:
+        raise RegistryError(
+            f"solver {fn.__name__!r} takes {positional} positional parameters; it "
+            "must take exactly one (the trial RNG) with every tunable keyword-only"
+        )
+
+
 def register_algorithm(
     name: str,
     *,
     kind: str,
+    bounds: Callable[..., Any],
     experiment: str | None = None,
     aliases: tuple[str, ...] | list[str] = (),
     guarantee: str = "",
     theorem: str = "",
-    bounds: Callable[..., Any] | None = None,
     baselines: tuple[str, ...] | list[str] = (),
     description: str | None = None,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
@@ -273,11 +298,23 @@ def register_algorithm(
     The decorator returns the function unchanged — registration attaches
     metadata *about* the solver without wrapping it, so its import path
     (the cache-key identity) and its pickling behaviour are untouched.
+    A malformed registration raises :class:`RegistryError` when its
+    module is imported: a non-``str`` name, an unknown ``kind``, no
+    ``bounds`` hook, or a solver signature the spec cannot derive its
+    parameters from.
     """
+    if not isinstance(name, str):
+        raise RegistryError(f"algorithm name must be a str, not {type(name).__name__}")
     if kind not in ("graph", "setcover"):
         raise RegistryError(f"kind must be 'graph' or 'setcover', not {kind!r}")
+    if bounds is None:
+        raise RegistryError(
+            f"algorithm {name!r} has no bounds hook; every row needs its "
+            "theorem bound for the guarantee check"
+        )
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
+        _check_solver_signature(fn)
         doc = description
         if doc is None:
             docstring = inspect.getdoc(fn) or ""

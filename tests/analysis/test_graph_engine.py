@@ -29,12 +29,8 @@ def build(tree: dict[str, str]):
     return build_program(summaries)
 
 
-def edge_pairs(graph, *, include_weak: bool = False):
-    return {
-        (e.caller, e.callee)
-        for e in graph.edges
-        if include_weak or not e.weak
-    }
+def edge_pairs(graph):
+    return {(e.caller, e.callee) for e in graph.edges}
 
 
 # --------------------------------------------------------------------------- #
@@ -151,10 +147,10 @@ class TestCallGraph:
                 """,
             }
         )
-        pairs = edge_pairs(graph, include_weak=True)
+        pairs = edge_pairs(graph)
         assert ("pkg.core.a:use", "pkg.util.impl:public") in pairs
-        # ``_private`` is not exported by the star import; no strong edge.
-        assert ("pkg.core.b:leak", "pkg.util.impl:_private") not in edge_pairs(graph)
+        # ``_private`` is not exported by the star import; no edge.
+        assert ("pkg.core.b:leak", "pkg.util.impl:_private") not in pairs
 
     def test_function_level_import_creates_edge(self):
         graph = build(
@@ -344,7 +340,7 @@ class TestScopePropagation:
             """,
         }
         graph = build(tree)
-        for fid in graph.functions():
+        for fid, _, _ in graph.functions():
             if scope not in graph.inherited.get(fid, set()):
                 continue
             chain = graph.chain(scope, fid)
@@ -362,18 +358,18 @@ class TestScopePropagation:
             return x
         """
         graph_b = build(extended)
-        for fid in graph_a.functions():
+        for fid, _, _ in graph_a.functions():
             assert graph_a.effective_scopes(fid) == graph_b.effective_scopes(fid)
 
     def test_propagation_is_idempotent(self):
         a = build(self.TREE)
         b = build(self.TREE)
-        assert {f: sorted(a.inherited.get(f, set())) for f in a.functions()} == {
-            f: sorted(b.inherited.get(f, set())) for f in b.functions()
+        assert {f: sorted(a.inherited.get(f, set())) for f, _, _ in a.functions()} == {
+            f: sorted(b.inherited.get(f, set())) for f, _, _ in b.functions()
         }
         assert [
-            (e.caller, e.callee, e.weak, e.via_thread) for e in a.edges
-        ] == [(e.caller, e.callee, e.weak, e.via_thread) for e in b.edges]
+            (e.caller, e.callee, e.under_lock, e.via_thread) for e in a.edges
+        ] == [(e.caller, e.callee, e.under_lock, e.via_thread) for e in b.edges]
 
 
 # --------------------------------------------------------------------------- #
@@ -437,23 +433,18 @@ class TestModuleSummary:
         assert holder.methods == ["__init__", "add", "note", "run"]
 
     def test_lock_views_split_class_and_module_locks(self):
-        # ``under_lock`` (CONC101) counts any recognised lock; the
-        # ``class_locked``/``module_locked`` flags (CONC001) only the lock
-        # that can guard the state.
+        # An attribute is guarded only by its class's own locks and a
+        # module global only by a module lock.
         summary = self.summary()
 
         def views(qualname):
-            return [
-                (m.attr, m.under_lock, m.class_locked)
-                for m in summary.functions[qualname].mutations
-            ]
+            return [(m.attr, m.class_locked) for m in summary.functions[qualname].mutations]
 
-        assert views("Holder.add") == [("_items", True, True)]
-        assert views("Holder.note") == [("other", True, False)]
+        assert views("Holder.add") == [("_items", True)]
+        assert views("Holder.note") == [("other", False)]
         assert [
-            (g.name, g.line, g.under_lock, g.module_locked)
-            for g in summary.global_mutations
-        ] == [("_STATE", 22, True, False)]
+            (g.name, g.line, g.module_locked) for g in summary.global_mutations
+        ] == [("_STATE", 22, False)]
 
     def test_det_facts_bucket_into_the_outermost_frame(self):
         summary = self.summary()
@@ -466,13 +457,11 @@ class TestModuleSummary:
         ]
         assert summary.functions["emit"].det_facts == []
 
-    def test_module_facts_hold_encodings_and_registrations(self):
+    def test_module_facts_hold_encodings(self):
+        # The registration defect at line 38 is register_algorithm's to
+        # raise at import, not a lint fact.
         facts = [(f.kind, f.line) for f in self.summary().facts]
-        assert facts == [
-            ("encoding", 35),
-            ("registration", 38),
-            ("registration", 38),
-        ]
+        assert facts == [("encoding", 35)]
 
     def test_class_in_module_level_block_is_a_module_class(self):
         summary = summarize_module(

@@ -1,10 +1,10 @@
-"""TP/TN fixture suites for the interprocedural checkers (WIRE001, DET101,
-CONC101, MPC001).
+"""TP/TN fixture suites for the rules' inherited findings (WIRE001,
+DET001, CONC001, MPC001).
 
 Mirrors ``test_lint_checkers.py``'s idiom, but each fixture is a
 *multi-module* tree fed through :func:`lint_sources` so the defect (or
-its absence) only manifests across a module boundary — exactly the cases
-the per-module checkers cannot see.
+its absence) only manifests across a module boundary — the cases a
+rule's zero-hop pass cannot see.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class TestWIRE001:
 
     def test_true_negative_local_canonical_module_is_det002s_case(self):
         # A direct non-canonical encode *in* a canonical-scoped module is
-        # DET002's finding; WIRE001 must not double-report it.
+        # reported once, at the encoder, not again at the sink.
         findings = run(
             {
                 "pkg/wire.py": """
@@ -115,8 +115,32 @@ class TestWIRE001:
                 """,
             }
         )
-        assert "WIRE001" not in codes(findings)
-        assert "DET002" in codes(findings)
+        assert [(f.code, f.line, f.column) for f in findings] == [("WIRE001", 6, 14)]
+
+    def test_true_positive_taint_forty_returns_away(self):
+        # The serialization fixpoint runs to completion: each sweep
+        # carries the verdict one return further up a chain whose names
+        # sort callers first.
+        hops = 40
+        helpers = ["import json\n"]
+        for i in range(hops):
+            helpers.append(f"def h{i:02d}(obj):\n    return h{i + 1:02d}(obj)\n")
+        helpers.append(f"def h{hops:02d}(obj):\n    return json.dumps(obj)\n")
+        findings = run(
+            {
+                "pkg/wire.py": """
+                # repro-lint: scope=canonical
+                from pkg.util.chain import h00
+
+                def respond(fh, obj):
+                    fh.write(h00(obj))
+                """,
+                "pkg/util/chain.py": "\n".join(helpers),
+            }
+        )
+        wire = [f for f in findings if f.code == "WIRE001"]
+        assert [(f.path, f.line) for f in wire] == [("pkg/wire.py", 6)]
+        assert "pkg.util.chain:h00()" in wire[0].message
 
     def test_true_negative_helper_not_on_wire_path(self):
         findings = run(
@@ -160,9 +184,9 @@ class TestWIRE001:
 
 
 # --------------------------------------------------------------------------- #
-# DET101 — determinism hazards in transitively-reached helpers
+# DET001 — determinism hazards in transitively-reached helpers
 # --------------------------------------------------------------------------- #
-class TestDET101:
+class TestDET001Inherited:
     def test_true_positive_unseeded_rng_in_reached_helper(self):
         findings = run(
             {
@@ -182,7 +206,7 @@ class TestDET101:
                 """,
             }
         )
-        det = [f for f in findings if f.code == "DET101"]
+        det = [f for f in findings if f.code == "DET001"]
         assert len(det) == 1
         assert det[0].path == "pkg/util/noise.py"
         assert "reachable from deterministic code" in det[0].message
@@ -205,7 +229,7 @@ class TestDET101:
                 """,
             }
         )
-        det = [f for f in findings if f.code == "DET101"]
+        det = [f for f in findings if f.code == "DET001"]
         assert len(det) == 1
         assert det[0].path == "pkg/util/stamp.py"
 
@@ -229,7 +253,7 @@ class TestDET101:
                 """,
             }
         )
-        assert "DET101" not in codes(findings)
+        assert "DET001" not in codes(findings)
 
     def test_true_negative_unreachable_helper(self):
         findings = run(
@@ -248,9 +272,10 @@ class TestDET101:
                 """,
             }
         )
-        assert "DET101" not in codes(findings)
+        assert "DET001" not in codes(findings)
 
     def test_locally_scoped_hazard_stays_det001(self):
+        # The zero-hop case is reported once, without a call chain.
         findings = run(
             {
                 "pkg/solver.py": """
@@ -263,14 +288,14 @@ class TestDET101:
                 """,
             }
         )
-        assert "DET001" in codes(findings)
-        assert "DET101" not in codes(findings)
+        assert [(f.code, f.line) for f in findings] == [("DET001", 6)]
+        assert "reachable from" not in findings[0].message
 
 
 # --------------------------------------------------------------------------- #
-# CONC101 — cross-module lock discipline
+# CONC001 — cross-module lock discipline
 # --------------------------------------------------------------------------- #
-class TestCONC101:
+class TestCONC001CrossModule:
     STATE = """
     import threading
 
@@ -310,7 +335,7 @@ class TestCONC101:
                 "pkg/state.py": self.STATE,
             }
         )
-        conc = [f for f in findings if f.code == "CONC101"]
+        conc = [f for f in findings if f.code == "CONC001"]
         assert len(conc) == 1
         assert conc[0].path == "pkg/state.py"
         assert "_thread" in conc[0].message
@@ -330,7 +355,7 @@ class TestCONC101:
                 "pkg/state.py": self.LOCKED_STATE,
             }
         )
-        assert "CONC101" not in codes(findings)
+        assert "CONC001" not in codes(findings)
 
     def test_true_negative_path_dominating_lock_at_call_site(self):
         findings = run(
@@ -350,7 +375,7 @@ class TestCONC101:
                 "pkg/state.py": self.STATE,
             }
         )
-        assert "CONC101" not in codes(findings)
+        assert "CONC001" not in codes(findings)
 
     def test_true_negative_intra_module_is_conc001s_case(self):
         findings = run(
@@ -373,7 +398,38 @@ class TestCONC101:
                 """,
             }
         )
-        assert "CONC101" not in codes(findings)
+        assert "CONC001" not in codes(findings)
+
+    def test_cross_module_path_to_a_local_finding_reports_it_once(self):
+        findings = run(
+            {
+                "pkg/app.py": """
+                # repro-lint: scope=threaded
+                from pkg.store import Store
+
+                def handle():
+                    store = Store()
+                    store.reset()
+                """,
+                "pkg/store.py": """
+                # repro-lint: scope=threaded
+                import threading
+
+                class Store:
+                    def __init__(self):
+                        self._lock = threading.Lock()
+                        self.items = []
+
+                    def put(self, x):
+                        with self._lock:
+                            self.items.append(x)
+
+                    def reset(self):
+                        self.items.clear()
+                """,
+            }
+        )
+        assert [(f.code, f.path, f.line) for f in findings] == [("CONC001", "pkg/store.py", 15)]
 
     def test_true_positive_thread_registration_entry(self):
         # The registering module carries no scope at all; the Thread
@@ -398,7 +454,7 @@ class TestCONC101:
                 "pkg/state.py": self.STATE,
             }
         )
-        conc = [f for f in findings if f.code == "CONC101"]
+        conc = [f for f in findings if f.code == "CONC001"]
         assert len(conc) == 1
         assert conc[0].path == "pkg/state.py"
 
@@ -423,7 +479,7 @@ class TestCONC101:
                 """,
             }
         )
-        conc = [f for f in findings if f.code == "CONC101"]
+        conc = [f for f in findings if f.code == "CONC001"]
         assert len(conc) == 1
         assert "_CACHE" in conc[0].message
 

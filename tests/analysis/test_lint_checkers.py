@@ -99,9 +99,9 @@ class TestDET001:
 
 
 # --------------------------------------------------------------------------- #
-# DET002 — non-canonical JSON on wire paths
+# WIRE001 — non-canonical JSON on wire paths (zero hops)
 # --------------------------------------------------------------------------- #
-class TestDET002:
+class TestWIRE001Local:
     def test_true_positive_missing_sort_keys(self):
         findings = run(
             """
@@ -112,7 +112,7 @@ class TestDET002:
                 return json.dumps(payload)
             """
         )
-        assert codes(findings) == ["DET002"]
+        assert codes(findings) == ["WIRE001"]
 
     def test_true_positive_lossy_default(self):
         findings = run(
@@ -124,7 +124,7 @@ class TestDET002:
                 return json.dumps(payload, sort_keys=True, default=str)
             """
         )
-        assert codes(findings) == ["DET002"]
+        assert codes(findings) == ["WIRE001"]
         assert "default=" in findings[0].message
 
     def test_true_positive_odd_separators(self):
@@ -137,7 +137,7 @@ class TestDET002:
                 return json.dumps(payload, sort_keys=True, separators=(";", "="))
             """
         )
-        assert codes(findings) == ["DET002"]
+        assert codes(findings) == ["WIRE001"]
 
     def test_true_negative_canonical(self):
         findings = run(
@@ -172,17 +172,17 @@ class TestDET002:
             import json
 
             def render(payload):
-                return json.dumps(payload)  # repro-lint: disable=DET002
+                return json.dumps(payload)  # repro-lint: disable=WIRE001
             """
         )
         assert codes(findings, FindingStatus.NEW) == []
-        assert codes(findings, FindingStatus.SUPPRESSED) == ["DET002"]
+        assert codes(findings, FindingStatus.SUPPRESSED) == ["WIRE001"]
 
 
 # --------------------------------------------------------------------------- #
-# DET003 — set iteration order
+# DET001 — set iteration order
 # --------------------------------------------------------------------------- #
-class TestDET003:
+class TestDET001SetOrder:
     @pytest.mark.parametrize(
         "body",
         [
@@ -201,7 +201,7 @@ class TestDET003:
                 {body}
             """
         )
-        assert codes(findings) == ["DET003"]
+        assert codes(findings) == ["DET001"]
 
     def test_true_positive_tracked_name(self):
         findings = run(
@@ -213,7 +213,7 @@ class TestDET003:
                     out.append(item)
             """
         )
-        assert codes(findings) == ["DET003"]
+        assert codes(findings) == ["DET001"]
 
     @pytest.mark.parametrize(
         "body",
@@ -254,18 +254,18 @@ class TestDET003:
             """
             # repro-lint: scope=deterministic
             def solve(xs, out):
-                for x in set(xs):  # repro-lint: disable=DET003
+                for x in set(xs):  # repro-lint: disable=DET001
                     out.append(x)
             """
         )
         assert codes(findings, FindingStatus.NEW) == []
-        assert codes(findings, FindingStatus.SUPPRESSED) == ["DET003"]
+        assert codes(findings, FindingStatus.SUPPRESSED) == ["DET001"]
 
 
 # --------------------------------------------------------------------------- #
-# DET004 — wall-clock reads in solver modules
+# DET001 — wall-clock reads in solver modules
 # --------------------------------------------------------------------------- #
-class TestDET004:
+class TestDET001WallClock:
     def test_true_positive_time_and_datetime(self):
         findings = run(
             """
@@ -279,7 +279,7 @@ class TestDET004:
                 return started, stamp
             """
         )
-        assert codes(findings) == ["DET004", "DET004"]
+        assert codes(findings) == ["DET001", "DET001"]
 
     def test_true_negative_monotonic_measurement(self):
         findings = run(
@@ -313,11 +313,11 @@ class TestDET004:
             import time
 
             def solve():
-                return time.time()  # repro-lint: disable=DET004
+                return time.time()  # repro-lint: disable=DET001
             """
         )
         assert codes(findings, FindingStatus.NEW) == []
-        assert codes(findings, FindingStatus.SUPPRESSED) == ["DET004"]
+        assert codes(findings, FindingStatus.SUPPRESSED) == ["DET001"]
 
 
 # --------------------------------------------------------------------------- #
@@ -609,84 +609,3 @@ class TestCONC001:
         )
         assert codes(findings, FindingStatus.NEW) == []
         assert codes(findings, FindingStatus.SUPPRESSED) == ["CONC001"]
-
-
-# --------------------------------------------------------------------------- #
-# REG001 — registry conformance
-# --------------------------------------------------------------------------- #
-class TestREG001:
-    def test_true_positive_missing_kind_and_bounds(self):
-        findings = run(
-            """
-            from repro.registry import register_algorithm
-
-            @register_algorithm("thing", experiment="fig1-thing")
-            def thing_experiment(rng, *, n=10):
-                return n
-            """
-        )
-        assert codes(findings) == ["REG001", "REG001"]
-
-    def test_true_positive_positional_tunable(self):
-        findings = run(
-            """
-            from repro.registry import register_algorithm
-
-            def bound():
-                return 2.0
-
-            @register_algorithm("thing", kind="graph", bounds=bound)
-            def thing_experiment(rng, n=10):
-                return n
-            """
-        )
-        assert codes(findings) == ["REG001"]
-        assert "positional" in findings[0].message
-
-    def test_true_positive_unknown_kind_and_kwargs(self):
-        findings = run(
-            """
-            from repro.registry import register_algorithm
-
-            def bound():
-                return 2.0
-
-            @register_algorithm("thing", kind="matrix", bounds=bound)
-            def thing_experiment(rng, **params):
-                return params
-            """
-        )
-        assert sorted(codes(findings)) == ["REG001", "REG001"]
-
-    def test_true_negative_conformant(self):
-        findings = run(
-            """
-            from repro.registry import register_algorithm
-
-            def bound():
-                return 2.0
-
-            @register_algorithm(
-                "thing",
-                experiment="fig1-thing",
-                kind="graph",
-                bounds=bound,
-            )
-            def thing_experiment(rng, *, n=10, scenario=None):
-                return n
-            """
-        )
-        assert codes(findings) == []
-
-    def test_suppressed(self):
-        findings = run(
-            """
-            from repro.registry import register_algorithm
-
-            @register_algorithm("thing", experiment="fig1-thing")  # repro-lint: disable=REG001
-            def thing_experiment(rng, *, n=10):
-                return n
-            """
-        )
-        assert codes(findings, FindingStatus.NEW) == []
-        assert codes(findings, FindingStatus.SUPPRESSED) == ["REG001", "REG001"]

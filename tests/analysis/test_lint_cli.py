@@ -1,10 +1,12 @@
-"""`repro lint` CLI behaviour: exit codes, JSON, baseline workflow, self-check."""
+"""`repro lint` CLI behaviour: exit codes, JSON, per-file errors, self-check."""
 
 from __future__ import annotations
 
 import json
 import textwrap
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 
@@ -58,17 +60,6 @@ class TestLintCLI:
         # Canonical: re-encoding the parsed payload reproduces the bytes.
         assert out.strip() == json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        _tree(tmp_path)
-        root = str(tmp_path)
-        assert main(["lint", "pkg", "--root", root, "--update-baseline"]) == 0
-        assert (tmp_path / "lint-baseline.json").exists()
-        assert main(["lint", "pkg", "--root", root]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-        # --no-baseline sees the debt again.
-        assert main(["lint", "pkg", "--root", root, "--no-baseline"]) == 1
-
     def test_no_files_exit_two(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert main(["lint", "empty", "--root", str(tmp_path)]) == 2
@@ -93,16 +84,35 @@ class TestLintCLI:
         assert "pkg/service/racy.py:6:5: CONC001" in out
         assert "FAIL 3 files scanned" in out
 
-    def test_explicit_baseline_path(self, tmp_path, capsys):
+    def test_missing_path_is_a_per_file_error(self, tmp_path, capsys):
         _tree(tmp_path)
-        root = str(tmp_path)
-        baseline = str(tmp_path / "custom-baseline.json")
-        assert main(["lint", "pkg", "--root", root, "--baseline", baseline, "--update-baseline"]) == 0
-        assert main(["lint", "pkg", "--root", root, "--baseline", baseline]) == 0
+        assert main(["lint", "pkg", "pkgx", "--root", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "error: pkgx: no such file or directory" in out
+        # The files under the path that exists are still linted and reported.
+        assert "pkg/service/racy.py:6:5: CONC001" in out
+        assert "FAIL 2 files scanned" in out
+
+    @pytest.mark.parametrize("code", ["DET002", "DET003", "DET004", "DET101", "CONC101", "REG001"])
+    def test_unknown_disable_code_is_a_per_file_error(self, tmp_path, capsys, code):
+        pkg = _tree(tmp_path)
+        (pkg / "core" / "clean.py").write_text(f"X = sorted({{1, 2}})  # repro-lint: disable={code}\n")
+        assert main(["lint", "pkg", "--root", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert f"error: pkg/core/clean.py: unknown lint code(s) ['{code}'] in a disable comment" in out
+        assert "pkg/service/racy.py:6:5: CONC001" in out
+
+    def test_help_lists_three_options(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # keep the usage on one line
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage == "usage: repro lint [-h] [--json] [--root DIR] [--verbose] [PATH ...]"
 
 
 class TestSelfCheck:
-    """The gate CI enforces: the shipped tree is clean against its baseline."""
+    """The gate CI enforces: the shipped tree has no unsuppressed finding."""
 
     def test_repro_lint_src_is_clean(self, capsys):
         assert (REPO_ROOT / "src" / "repro").is_dir()
@@ -110,17 +120,8 @@ class TestSelfCheck:
         out = capsys.readouterr().out
         assert exit_code == 0, f"repro lint src is not clean:\n{out}"
 
-    def test_committed_baseline_parses_and_is_current_format(self):
-        baseline = REPO_ROOT / "lint-baseline.json"
-        assert baseline.exists(), "lint-baseline.json must be committed at the repo root"
-        payload = json.loads(baseline.read_text())
-        assert payload["version"] == 1
-        assert all(
-            isinstance(k, str) and isinstance(v, int) for k, v in payload["entries"].items()
-        )
-
     def test_deliberate_suppressions_are_visible_in_verbose_output(self, capsys):
-        # The three reviewed DET002 exemptions (cache insertion-order render,
+        # The three reviewed WIRE001 exemptions (cache insertion-order render,
         # store ingestion boundary, protocol validation round-trip) must
         # surface as suppressed — not silently out of scope.
         assert main(["lint", "src", "--root", str(REPO_ROOT), "--verbose"]) == 0

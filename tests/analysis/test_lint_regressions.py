@@ -5,10 +5,10 @@ Each test pins the *behaviour* the fix restored; the corresponding
 pattern is simultaneously rejected by a checker (tests/analysis/
 test_lint_checkers.py), so the defect class cannot come back silently.
 
-1. DET002 @ cli.py — ``repro algorithms --json`` rendered the registry
+1. WIRE001 (then DET002) @ cli.py — ``repro algorithms --json`` rendered the registry
    without ``sort_keys``, drifting from the service's canonical
    ``GET /algorithms`` bytes despite both claiming one source of truth.
-2. DET002 @ cli.py — record JSON used ``default=str``: an ``np.int64``
+2. WIRE001 (then DET002) @ cli.py — record JSON used ``default=str``: an ``np.int64``
    metric would serialize as a *string* on the CLI surface while the
    library/service canonical path emits a number.
 3. CONC001 @ distributed/worker.py — ``WorkerState.start`` wrote the
@@ -94,8 +94,8 @@ class TestWorkerRestartDiscipline:
 
 
 class TestWorkerThreadHandleDiscipline:
-    """CONC101 @ distributed/worker.py (ISSUE 10): ``start``/``close``
-    mutated ``_thread`` without the lock.  The old CONC001 exemption
+    """CONC001's cross-module pass (then CONC101) @ distributed/worker.py:
+    ``start``/``close`` mutated ``_thread`` without the lock.  The old exemption
     claimed a single lifecycle thread; the cross-module analysis showed
     ``SolverService.aclose`` runs ``close()`` on an executor thread while
     ``start()`` runs on the event loop.  Both now hold the lock, so

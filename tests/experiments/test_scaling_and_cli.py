@@ -81,6 +81,16 @@ class TestCliParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "not-a-real-experiment"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["figure1", "--trials", "0"], ["experiment", "fig1-mis", "--trials", "-2"]],
+    )
+    def test_nonpositive_trials_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--trials: must be a positive integer" in capsys.readouterr().err
+
     def test_ablation_choices(self):
         args = build_parser().parse_args(["ablation", "mu", "--algorithm", "mis"])
         assert args.sweep == "mu" and args.algorithm == "mis"

@@ -134,17 +134,79 @@ class TestNameResolution:
             assert get_algorithm(spec.name).experiment == spec.experiment
 
 
+def _bound():
+    return 2.0
+
+
+def _solver(rng, *, n=10):
+    return n
+
+
+class TestMalformedRegistration:
+    """A registration the spec cannot trust raises when its module is
+    imported; nothing is registered."""
+
+    def _register(self, name="malformed-demo", solver=_solver, **options):
+        from repro.registry import register_algorithm
+
+        options.setdefault("kind", "graph")
+        options.setdefault("bounds", _bound)
+        register_algorithm(name, experiment="fig1-malformed-demo", **options)(solver)
+
+    def test_name_must_be_a_str(self):
+        from repro.registry import RegistryError
+
+        with pytest.raises(RegistryError, match="name must be a str, not int"):
+            self._register(name=7)
+
+    def test_kind_must_be_graph_or_setcover(self):
+        from repro.registry import RegistryError
+
+        with pytest.raises(RegistryError, match="kind must be 'graph' or 'setcover'"):
+            self._register(kind="matrix")
+
+    def test_bounds_is_required(self):
+        from repro.registry import register_algorithm
+
+        with pytest.raises(TypeError, match="bounds"):
+            register_algorithm("malformed-demo", kind="graph")
+
+    def test_bounds_must_not_be_none(self):
+        from repro.registry import RegistryError
+
+        with pytest.raises(RegistryError, match="no bounds hook"):
+            self._register(bounds=None)
+
+    @pytest.mark.parametrize(
+        "solver, message",
+        [
+            (lambda rng, n=10: n, "takes 2 positional parameters"),
+            (lambda *, n=10: n, "takes 0 positional parameters"),
+            (lambda rng, *rest: rest, r"takes \*rest"),
+            (lambda rng, **params: params, r"takes \*\*params"),
+        ],
+        ids=["positional-tunable", "no-rng", "var-positional", "var-keyword"],
+    )
+    def test_solver_signature_must_derive_params(self, solver, message):
+        from repro.registry import RegistryError, algorithm_names
+
+        with pytest.raises(RegistryError, match=message):
+            self._register(solver=solver)
+        assert "malformed-demo" not in algorithm_names()
+
+
 class TestRegressions:
     def test_solve_works_without_experiment_alias(self):
         # Registering without listing the experiment name as an alias must
         # still solve: request_point resolves via the requested name, never
         # via the experiment name.
+        from repro.analysis.bounds import mis_bound
         from repro.experiments.figure1 import mis_experiment
         from repro.registry import build_request, register_algorithm, request_point
         from repro.registry import spec as spec_module
 
         register_algorithm(
-            "no-alias-demo", experiment="fig1-no-alias-demo", kind="graph"
+            "no-alias-demo", experiment="fig1-no-alias-demo", kind="graph", bounds=mis_bound
         )(mis_experiment)
         try:
             point = request_point(build_request("no-alias-demo", params={"n": 30}))
@@ -157,13 +219,14 @@ class TestRegressions:
     def test_duplicate_experiment_name_is_rejected(self):
         # The experiment name is the cache-key identity and the Figure-1
         # row key; two specs must never share one.
+        from repro.analysis.bounds import mis_bound
         from repro.experiments.figure1 import mis_experiment
         from repro.registry import RegistryError, register_algorithm
 
         with pytest.raises(RegistryError, match="fig1-mis.*already registered"):
-            register_algorithm("rogue", experiment="fig1-mis", kind="graph")(
-                mis_experiment
-            )
+            register_algorithm(
+                "rogue", experiment="fig1-mis", kind="graph", bounds=mis_bound
+            )(mis_experiment)
 
     def test_figure1_overrides_accept_per_row_scenario(self):
         # Pre-registry behaviour: a per-row {"scenario": ...} override wins
