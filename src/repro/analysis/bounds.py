@@ -141,14 +141,19 @@ def matching_mu0_bound(n: int, m: int) -> TheoremBound:
 
 
 def b_matching_bound(n: int, m: int, b: int, mu: float, epsilon: float) -> TheoremBound:
-    """Theorem D.3: ``(3 − 2/max(2,b) + 2ε)``-approx b-matching."""
+    """Theorem D.3: ``(3 − 2/max(2,b) + 2ε)``-approx b-matching.
+
+    The space term ``b·log(1/ε)·n^{1+µ}`` floors its log factor at 1, as the
+    driver floors its budget factor, so the bound stays positive for ε ≥ 1.
+    """
     c = max(mu, math.log(max(m, 2)) / math.log(max(n, 2)) - 1.0)
     ratio = 3.0 - 2.0 / max(2, b) + 2.0 * epsilon
+    log_factor = max(1.0, math.log(1.0 / max(epsilon, 1e-9)))
     return TheoremBound(
         name="Theorem D.3 (weighted b-matching)",
         approximation=ratio,
         rounds=c / mu if mu > 0 else math.log(max(n, 2)),
-        space_per_machine=b * math.log(1.0 / max(epsilon, 1e-9)) * float(n) ** (1.0 + mu),
+        space_per_machine=b * log_factor * float(n) ** (1.0 + mu),
     )
 
 

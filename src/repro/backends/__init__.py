@@ -31,7 +31,7 @@ from .cache import ResultCache
 from .distributed import DistributedBackend
 from .parallel import MultiprocessingBackend
 from .serial import SerialBackend
-from .sweep import BACKENDS, get_backend, run_sweep, sweep_records
+from .sweep import BACKENDS, get_backend, run_sweep
 
 __all__ = [
     "BACKENDS",
@@ -49,5 +49,4 @@ __all__ = [
     "point_signature",
     "run_sweep",
     "spawn_rngs",
-    "sweep_records",
 ]

@@ -1,8 +1,9 @@
 """``run_sweep`` — the single entry point every experiment sweep goes through.
 
-All sweep drivers (Figure-1 grids, ablations, scaling curves, benchmark
-harness) build a list of :class:`~repro.backends.base.SweepPoint` and hand
-it to :func:`run_sweep`, which:
+All sweep drivers (the Figure-1 rows and the ablation and scaling grids
+over them, the solve facade, the service) build a list of
+:class:`~repro.backends.base.SweepPoint` and hand it to :func:`run_sweep`,
+which:
 
 1. resolves the backend (an instance, a registry name like ``"mp"``, or
    the default :class:`~repro.backends.serial.SerialBackend`);
@@ -21,7 +22,7 @@ here, and every sweep in the repository can use it.
 from __future__ import annotations
 
 import os
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .base import Backend, PointResult, SweepPoint
 from .batch import BatchBackend
@@ -30,7 +31,7 @@ from .distributed import DistributedBackend
 from .parallel import MultiprocessingBackend
 from .serial import SerialBackend
 
-__all__ = ["BACKENDS", "get_backend", "run_sweep", "sweep_records"]
+__all__ = ["BACKENDS", "get_backend", "run_sweep"]
 
 #: Registry of selectable backend names (the CLI's ``--backend`` choices).
 BACKENDS = {
@@ -134,8 +135,3 @@ def run_sweep(
                 cache.store(point, result)
 
     return [result for result in results if result is not None]
-
-
-def sweep_records(results: Sequence[PointResult]) -> list[Any]:
-    """Flatten sweep results into a single record list (input order kept)."""
-    return [record for result in results for record in result.records]

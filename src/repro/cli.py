@@ -21,13 +21,11 @@ Installed as ``python -m repro``.  Subcommands:
     Run a single named experiment with a chosen seed / trial count and print
     its full record (parameters, metrics, theoretical bounds).
 
-``ablation``
-    Run one of the ablation sweeps (``mu``, ``eta`` or ``epsilon``) and print
-    the sweep table.
-
-``scaling``
-    Run one of the scaling sweeps (``n``, ``c`` or ``space``) and print the
-    growth curve.
+``ablation`` / ``scaling``
+    Run a named grid — one Figure-1 row swept over µ, η (as µ) or ε, or
+    over the workload's ``n`` or ``c`` — and print its records, which carry
+    the row's theorem bounds and certificate check like ``figure1``'s.
+    ``--algorithm`` picks the row by registry name.
 
 ``data``
     Dataset tools (see ``docs/DATASETS.md``): ``convert`` parses a raw
@@ -62,10 +60,12 @@ Installed as ``python -m repro``.  Subcommands:
 :class:`~repro.service.ServiceConfig` field (the worker defaults to
 ``--backend serial``); an out-of-range value is a usage error (exit 2).
 
-The experiment subcommands accept ``--scenario NAME`` / ``--scenario
-file:PATH`` to run on a named workload or an ingested dataset instead of
-the built-in generators (``scaling c`` excepted — its sweep variable *is*
-the generator's densification exponent).
+The experiment subcommands accept ``--seed`` (default 2018), ``--json``
+and ``--scenario NAME`` / ``--scenario file:PATH`` to run on a named
+workload or an ingested dataset instead of the built-in generators
+(``scaling n`` and ``scaling c`` excepted — their sweep variable shapes the
+generated workload).  A scenario of the wrong kind for a row, or an
+``--algorithm`` with no grid for the sweep, is a usage error (exit 2).
 
 Every experiment subcommand accepts the execution-backend flags:
 
@@ -117,26 +117,13 @@ from .datasets import (
     DatasetError,
     detect_format,
     load_file,
-    read_header,
     resolve_scenario,
     save_dataset,
 )
-from .experiments import (
-    rounds_vs_c,
-    rounds_vs_n,
-    run_figure1,
-    space_vs_mu,
-    sweep_epsilon,
-    sweep_mu,
-    sweep_sample_budget,
-)
+from .experiments import GRIDS, find_grid, run_figure1
+from .experiments.grids import grid_pairs
 from .experiments.harness import ExperimentRecord
-from .registry import (
-    RegistryError,
-    UnknownAlgorithmError,
-    experiment_names,
-    iter_algorithms,
-)
+from .registry import RegistryError, experiment_names, iter_algorithms
 from .registry import solve as registry_solve
 from .service import ServiceConfig, serve
 
@@ -213,6 +200,12 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="cache completed points here; re-runs skip finished work",
     )
+
+
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """Attach the experiment subcommands' ``--seed`` and ``--json`` flags."""
+    parser.add_argument("--seed", type=int, default=2018)
+    parser.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
 
 def _add_scenario_option(parser: argparse.ArgumentParser) -> None:
@@ -442,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.set_defaults(handler=_run_lint)
 
     fig1 = sub.add_parser("figure1", help="run the Figure-1 experiments")
-    fig1.add_argument("--seed", type=int, default=2018)
     fig1.add_argument("--trials", type=_positive_int, default=1)
     fig1.add_argument(
         "--only",
@@ -450,50 +442,36 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(experiment_names()),
         help="restrict to these experiments",
     )
-    fig1.add_argument("--json", action="store_true", help="emit JSON instead of a table")
+    _add_run_options(fig1)
     _add_scenario_option(fig1)
     _add_backend_options(fig1)
     fig1.set_defaults(handler=_run_figure1)
 
     single = sub.add_parser("experiment", help="run one experiment and print its record")
     single.add_argument("name", choices=sorted(experiment_names()))
-    single.add_argument("--seed", type=int, default=2018)
     single.add_argument("--trials", type=_positive_int, default=1)
-    single.add_argument("--json", action="store_true")
+    _add_run_options(single)
     _add_scenario_option(single)
     _add_backend_options(single)
     single.set_defaults(handler=_run_single)
 
-    ablation = sub.add_parser("ablation", help="run an ablation sweep")
-    ablation.add_argument("sweep", choices=["mu", "eta", "epsilon"])
-    ablation.add_argument("--seed", type=int, default=2018)
-    ablation.add_argument(
-        "--algorithm",
-        default="matching",
-        help="for the mu sweep: matching | vertex-cover | mis",
-    )
-    ablation.add_argument(
-        "--problem",
-        default=None,
-        help="for eta/epsilon sweeps: matching|set-cover / set-cover|b-matching",
-    )
-    ablation.add_argument("--json", action="store_true")
-    _add_scenario_option(ablation)
-    _add_backend_options(ablation)
-    ablation.set_defaults(handler=_run_ablation)
-
-    scaling = sub.add_parser("scaling", help="run a scaling sweep")
-    scaling.add_argument("sweep", choices=["n", "c", "space"])
-    scaling.add_argument("--seed", type=int, default=2018)
-    scaling.add_argument(
-        "--algorithm",
-        default="matching",
-        help="for the n sweep: matching | vertex-cover | mis",
-    )
-    scaling.add_argument("--json", action="store_true")
-    _add_scenario_option(scaling)
-    _add_backend_options(scaling)
-    scaling.set_defaults(handler=_run_scaling)
+    for command, about in (
+        ("ablation", "sweep one Figure-1 row over µ, η (as µ = exponent − 1) or ε"),
+        ("scaling", "sweep one Figure-1 row over the workload's n or c, or over µ for space"),
+    ):
+        grids = sub.add_parser(command, help=about, description=about)
+        grids.add_argument("sweep", choices=[sweep for name, sweep in GRIDS if name == command])
+        grids.add_argument(
+            "--algorithm",
+            default=None,
+            metavar="NAME",
+            help="registry name of the row to sweep, the first listed by default "
+            f"({grid_pairs(command)})",
+        )
+        _add_run_options(grids)
+        _add_scenario_option(grids)
+        _add_backend_options(grids)
+        grids.set_defaults(handler=_run_grid)
 
     _add_listener(
         sub, "serve", 8080, ServiceConfig(),
@@ -699,17 +677,14 @@ def _run_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             parser.error("--params-json must be a JSON object")
         params.update(decoded)
     params.update(dict(args.params))
-    try:
-        result = registry_solve(
-            args.algorithm,
-            scenario=args.scenario,
-            params=params,
-            seed=args.seed,
-            trials=args.trials,
-            **_backend_kwargs(args),
-        )
-    except (UnknownAlgorithmError, RegistryError) as exc:
-        parser.error(str(exc))
+    result = registry_solve(
+        args.algorithm,
+        scenario=args.scenario,
+        params=params,
+        seed=args.seed,
+        trials=args.trials,
+        **_backend_kwargs(args),
+    )
     if args.pretty:
         print(json.dumps(result.payload(), indent=2, sort_keys=True))
     else:
@@ -758,16 +733,30 @@ def _run_algorithms(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return 0
 
 
-def _run_figure1(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _run_points(args: argparse.Namespace, **selection: object) -> int:
+    """Run Figure-1 points, print their records; exit 1 if any is invalid."""
     records = run_figure1(
-        args.seed,
-        experiments=args.only or None,
-        trials=args.trials,
-        scenario=args.scenario,
-        **_backend_kwargs(args),
+        args.seed, scenario=args.scenario, **selection, **_backend_kwargs(args)
     )
     _print_records(records, args.json)
     return 0 if all(r.valid for r in records) else 1
+
+
+def _run_figure1(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    return _run_points(args, experiments=args.only or None, trials=args.trials)
+
+
+def _run_grid(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    try:
+        grid = find_grid(args.command, args.sweep, args.algorithm)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if grid.sweeps_workload and args.scenario is not None:
+        parser.error(
+            f"{args.command} {args.sweep} sweeps the generated workload's "
+            f"{grid.param}; --scenario is not meaningful there"
+        )
+    return _run_points(args, cells=grid.cells())
 
 
 def _run_single(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -786,32 +775,6 @@ def _run_single(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         rows = [[k, v, record.bounds.get(k, "")] for k, v in sorted(record.metrics.items())]
         print(format_table(["metric", "measured", "theoretical bound"], rows))
     return 0 if record.valid else 1
-
-
-def _run_ablation(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    rng = np.random.default_rng(args.seed)
-    kwargs = _backend_kwargs(args) | {"scenario": args.scenario}
-    if args.sweep == "mu":
-        records = sweep_mu(rng, algorithm=args.algorithm, **kwargs)
-    elif args.sweep == "eta":
-        records = sweep_sample_budget(rng, problem=args.problem or "matching", **kwargs)
-    else:
-        records = sweep_epsilon(rng, problem=args.problem or "set-cover", **kwargs)
-    _print_records(records, args.json)
-    return 0
-
-
-def _run_scaling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    rng = np.random.default_rng(args.seed)
-    kwargs = _backend_kwargs(args)
-    if args.sweep == "n":
-        records = rounds_vs_n(rng, algorithm=args.algorithm, scenario=args.scenario, **kwargs)
-    elif args.sweep == "c":
-        records = rounds_vs_c(rng, **kwargs)
-    else:
-        records = space_vs_mu(rng, scenario=args.scenario, **kwargs)
-    _print_records(records, args.json)
-    return 0
 
 
 def _format_bytes(size: int) -> str:
@@ -853,17 +816,14 @@ def _run_data(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     if args.data_command == "list":
         rows = [
-            [s.name, s.kind, "yes" if s.sized else "no", s.description]
+            [s.name, s.kind, s.description]
             for s in (SCENARIOS[name] for name in sorted(SCENARIOS))
         ]
         if args.json:
-            payload = [
-                {"name": r[0], "kind": r[1], "sized": r[2] == "yes", "description": r[3]}
-                for r in rows
-            ]
+            payload = [{"name": r[0], "kind": r[1], "description": r[2]} for r in rows]
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            print(format_table(["scenario", "kind", "sized", "description"], rows))
+            print(format_table(["scenario", "kind", "description"], rows))
             print("\nplus 'file:<path>' for any dataset file (raw or converted .npz).")
         return 0
 
@@ -1009,18 +969,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "workers", None) is not None and args.backend != "distributed":
         parser.error("--workers is only meaningful with --backend distributed")
     if getattr(args, "scenario", None) is not None:
-        if args.command == "scaling" and args.sweep == "c":
-            parser.error(
-                "scaling c sweeps the generator's densification exponent; "
-                "--scenario is not meaningful there"
-            )
         try:
             resolve_scenario(args.scenario)
         except (ValueError, OSError) as exc:
             parser.error(str(exc))
     try:
         return args.handler(args, parser)
-    except DatasetError as exc:
+    except (DatasetError, RegistryError) as exc:
         parser.error(str(exc))
 
 

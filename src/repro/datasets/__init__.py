@@ -11,7 +11,7 @@ into a system that can be pointed at arbitrary workloads:
   loading, so converted datasets load in milliseconds;
 * :mod:`repro.datasets.scenarios` — the named workload registry
   (``"social-sparse"``, ``"coverage-planning"``, … plus ``file:<path>``)
-  that the ``--scenario`` flags on every experiment driver resolve through.
+  that the experiment drivers' ``--scenario`` flags resolve through.
 
 See ``docs/DATASETS.md`` for formats, the store layout, and the scenario
 table; ``repro data convert|info|list`` is the CLI surface.
@@ -32,7 +32,6 @@ from .scenarios import (
     InstanceCache,
     Scenario,
     build_scenario,
-    build_scenario_sized,
     canonical_scenario_spec,
     ensure_edge_weights,
     file_fingerprint,
@@ -77,7 +76,6 @@ __all__ = [
     "InstanceCache",
     "Scenario",
     "build_scenario",
-    "build_scenario_sized",
     "canonical_scenario_spec",
     "ensure_edge_weights",
     "file_fingerprint",

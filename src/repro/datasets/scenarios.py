@@ -1,14 +1,13 @@
 """Named workload scenarios: one string that resolves to a full workload.
 
 A *scenario* answers "what input should this experiment run on?" with a
-single spec string, so every driver (`figure1`, `scaling`, `ablation`) and
-the CLI can be pointed at any workload without new code:
+single spec string, so every driver (`figure1`, `experiment`, `ablation`)
+and the CLI can be pointed at any workload without new code:
 
 * **named scenarios** (``"social-sparse"``, ``"powerlaw-dense"``,
   ``"bipartite-b-matching"``, ``"coverage-planning"``) resolve to a
   generator configuration.  They build deterministically from the RNG they
-  are handed, and the size-parameterisable ones also support
-  :meth:`Scenario.build_sized` for scaling sweeps;
+  are handed;
 * **file scenarios** (``file:<path>``) resolve to a dataset on disk — a
   stored ``.npz`` instance (:mod:`repro.datasets.store`) or any raw format
   :mod:`repro.datasets.ingest` can parse.  They have a fixed size and
@@ -56,7 +55,6 @@ __all__ = [
     "InstanceCache",
     "Scenario",
     "build_scenario",
-    "build_scenario_sized",
     "canonical_scenario_spec",
     "ensure_edge_weights",
     "file_fingerprint",
@@ -76,54 +74,44 @@ _FINGERPRINT_MARKER = "#sha256="
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named workload: a kind, a builder, and (optionally) a sized builder."""
+    """A named workload: a kind and a builder."""
 
     name: str
     kind: str  # "graph" | "setcover"
     description: str
     build: Callable[[np.random.Generator], Any] = field(repr=False)
-    build_sized: Callable[[int, np.random.Generator], Any] | None = field(
-        default=None, repr=False
-    )
     source: str = "generator"
 
     def __post_init__(self) -> None:
         if self.kind not in ("graph", "setcover"):
             raise ValueError(f"scenario kind must be 'graph' or 'setcover', not {self.kind!r}")
 
-    @property
-    def sized(self) -> bool:
-        """Whether the scenario can be built at an arbitrary size ``n``."""
-        return self.build_sized is not None
-
 
 # --------------------------------------------------------------------------- #
 # The built-in registry
 # --------------------------------------------------------------------------- #
-def _social_sparse(n: int, rng: np.random.Generator) -> Graph:
+def _social_sparse(rng: np.random.Generator) -> Graph:
     # Sparse social-network shape: heavy-tailed degrees, c ≈ 0.12 (the low
     # end of the densification exponents Leskovec et al. report).
-    return power_law_graph(n, edge_count_for_exponent(n, 0.12), rng, exponent=2.3)
+    return power_law_graph(300, edge_count_for_exponent(300, 0.12), rng, exponent=2.3)
 
 
-def _powerlaw_dense(n: int, rng: np.random.Generator) -> Graph:
+def _powerlaw_dense(rng: np.random.Generator) -> Graph:
     # Dense power-law shape: c ≈ 0.45, flatter tail (hub-dominated).
-    return power_law_graph(n, edge_count_for_exponent(n, 0.45), rng, exponent=2.1)
+    return power_law_graph(180, edge_count_for_exponent(180, 0.45), rng, exponent=2.1)
 
 
-def _bipartite_b_matching(n: int, rng: np.random.Generator) -> Graph:
-    # Assignment-style workload for the (b-)matching experiments: two sides,
-    # weighted edges, m = n^{1.3} capped at the bipartite maximum.
-    left = n // 2
-    right = n - left
-    m = min(edge_count_for_exponent(n, 0.3), left * right)
-    return random_bipartite_graph(left, right, m, rng, weights="uniform")
+def _bipartite_b_matching(rng: np.random.Generator) -> Graph:
+    # Assignment-style workload for the (b-)matching experiments: two sides
+    # of 80, weighted edges, m = n^{1.3} capped at the bipartite maximum.
+    m = min(edge_count_for_exponent(160, 0.3), 80 * 80)
+    return random_bipartite_graph(80, 80, m, rng, weights="uniform")
 
 
-def _coverage_planning(n: int, rng: np.random.Generator) -> SetCoverInstance:
-    # Facility/coverage planning shape for the greedy regime (m ≪ n): many
-    # candidate sites, few demand points, weighted sites.
-    return random_coverage_instance(n, max(20, n // 4), rng, density=0.08)
+def _coverage_planning(rng: np.random.Generator) -> SetCoverInstance:
+    # Facility/coverage planning shape for the greedy regime (m ≪ n): 220
+    # candidate sites, 55 demand points, weighted sites.
+    return random_coverage_instance(220, 55, rng, density=0.08)
 
 
 SCENARIOS: dict[str, Scenario] = {}
@@ -144,8 +132,7 @@ register_scenario(
         name="social-sparse",
         kind="graph",
         description="sparse power-law social graph (c≈0.12, tail exponent 2.3)",
-        build=lambda rng: _social_sparse(300, rng),
-        build_sized=_social_sparse,
+        build=_social_sparse,
     )
 )
 register_scenario(
@@ -153,8 +140,7 @@ register_scenario(
         name="powerlaw-dense",
         kind="graph",
         description="dense power-law graph (c≈0.45, hub-dominated tail 2.1)",
-        build=lambda rng: _powerlaw_dense(180, rng),
-        build_sized=_powerlaw_dense,
+        build=_powerlaw_dense,
     )
 )
 register_scenario(
@@ -162,8 +148,7 @@ register_scenario(
         name="bipartite-b-matching",
         kind="graph",
         description="weighted bipartite assignment graph (m=n^1.3, two equal sides)",
-        build=lambda rng: _bipartite_b_matching(160, rng),
-        build_sized=_bipartite_b_matching,
+        build=_bipartite_b_matching,
     )
 )
 register_scenario(
@@ -171,8 +156,7 @@ register_scenario(
         name="coverage-planning",
         kind="setcover",
         description="coverage-planning set cover (m≪n, density 0.08, weighted sites)",
-        build=lambda rng: _coverage_planning(220, rng),
-        build_sized=_coverage_planning,
+        build=_coverage_planning,
     )
 )
 
@@ -324,7 +308,6 @@ def resolve_scenario(spec: str) -> Scenario:
             kind=kind,
             description=f"dataset file {path} ({info.get('format', '?')})",
             build=lambda rng, _obj=obj: _obj,
-            build_sized=None,
             source=spec,
         )
     if spec not in SCENARIOS:
@@ -382,30 +365,6 @@ def build_scenario(
     scenario = resolve_scenario(spec)
     _check_kind(scenario, expect, context)
     return scenario.build(rng)
-
-
-def build_scenario_sized(
-    spec: str,
-    n: int,
-    rng: np.random.Generator,
-    *,
-    expect: str | None = None,
-    context: str | None = None,
-) -> Graph | SetCoverInstance:
-    """Like :func:`build_scenario` but at an explicit size ``n``.
-
-    Raises ``ValueError`` for fixed-size scenarios (``file:`` datasets),
-    which cannot be rebuilt at an arbitrary size.
-    """
-    scenario = resolve_scenario(spec)
-    _check_kind(scenario, expect, context)
-    if not scenario.sized:
-        raise ValueError(
-            f"scenario {scenario.name!r} has a fixed size and cannot be rebuilt at n={n}; "
-            "size sweeps need a generator-backed scenario"
-        )
-    assert scenario.build_sized is not None
-    return scenario.build_sized(int(n), rng)
 
 
 def ensure_edge_weights(

@@ -1,12 +1,14 @@
-"""Experiment harness: Figure-1 reproduction and ablation sweeps.
+"""Experiment harness: the Figure-1 rows and the named grids over them.
 
 Every sweep here is expressed as independent, self-seeded
-:class:`~repro.backends.SweepPoint` evaluations executed through
+:class:`~repro.backends.SweepPoint` evaluations built by
+:func:`figure1_points` and executed through
 :func:`~repro.backends.run_sweep`, so it can run on any execution backend
-(serial, multiprocessing, batch) with identical results.
+(serial, multiprocessing, batch) with identical results.  The ablation and
+scaling sweeps are :class:`Grid` entries of :data:`GRIDS`: one registered
+row swept over one parameter.
 """
 
-from .ablations import sweep_epsilon, sweep_mu, sweep_sample_budget
 from .figure1 import (
     figure1_points,
     b_matching_experiment,
@@ -21,16 +23,17 @@ from .figure1 import (
     vertex_colouring_experiment,
     vertex_cover_experiment,
 )
-from .harness import ExperimentRecord, aggregate_records, run_trials, seeded_rngs
-from .scaling import rounds_vs_c, rounds_vs_n, space_vs_mu
+from .grids import GRIDS, Grid, find_grid
+from .harness import ExperimentRecord, aggregate_records
 
 __all__ = [
     "ExperimentRecord",
     "aggregate_records",
-    "run_trials",
-    "seeded_rngs",
     "figure1_points",
     "run_figure1",
+    "GRIDS",
+    "Grid",
+    "find_grid",
     "vertex_cover_experiment",
     "set_cover_f_experiment",
     "set_cover_greedy_experiment",
@@ -41,10 +44,4 @@ __all__ = [
     "b_matching_experiment",
     "vertex_colouring_experiment",
     "edge_colouring_experiment",
-    "sweep_mu",
-    "sweep_sample_budget",
-    "sweep_epsilon",
-    "rounds_vs_n",
-    "rounds_vs_c",
-    "space_vs_mu",
 ]

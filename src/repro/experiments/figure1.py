@@ -26,7 +26,7 @@ the guarantee.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from ..core.local_ratio import (
 )
 from ..datasets import (
     build_scenario,
-    canonical_scenario_spec,
     ensure_edge_weights,
     resolve_scenario,
     scenario_params,
@@ -77,11 +76,8 @@ from ..graphs import (
     is_proper_vertex_colouring,
     is_vertex_cover,
 )
-from ..registry import (
-    get_algorithm,
-    iter_algorithms,
-    register_algorithm,
-)
+from ..registry import iter_algorithms, register_algorithm
+from ..registry.solve import _validate_scenario
 from ..setcover import (
     is_cover,
     random_coverage_instance,
@@ -573,8 +569,6 @@ def b_matching_experiment(
     record.metrics["max_space_per_machine"] = float(metrics.max_space_per_machine)
     greedy = greedy_b_matching(graph, b)
     record.metrics["greedy_weight"] = greedy.weight
-    # The b-matching LP bound: b·fractional matching is loose; use greedy·2 as
-    # a cheap sanity reference and the fractional-matching-style LP as bound.
     record.metrics["ratio_vs_greedy"] = maximization_ratio(result.weight, greedy.weight)
     record.valid = is_b_matching(graph, result.edge_ids, b)
     return record
@@ -699,41 +693,44 @@ def figure1_points(
     *,
     experiments: list[str] | None = None,
     trials: int = 1,
-    overrides: Mapping[str, Mapping[str, object]] | None = None,
     scenario: str | None = None,
+    cells: Sequence[tuple[str, Mapping[str, object]]] | None = None,
 ) -> list[SweepPoint]:
     """Build the sweep points for the (selected) Figure-1 experiments.
 
     Each point's seed is the pair ``(seed, row_index)`` with ``row_index``
     taken from the registry order, so a point's randomness is independent of
     which subset of rows is selected and of the execution backend.
-    ``overrides`` maps experiment names to keyword arguments for that row's
-    experiment function (e.g. ``{"fig1-mis": {"n": 60}}``).  ``scenario``
-    runs every selected row on that workload instead of its built-in
-    generator (the spec string travels in the point kwargs, so caching and
-    worker processes see it).
+    ``cells`` replaces ``experiments`` with ``(experiment, overrides)``
+    pairs, where ``overrides`` are keyword arguments for that row's
+    experiment function (e.g. ``("fig1-mis", {"n": 60})``) and a row may
+    appear more than once (the grids of :mod:`repro.experiments.grids`).
+    ``scenario`` runs every point on that workload instead of its row's
+    built-in generator (the spec string travels in the point kwargs, so
+    caching and worker processes see it); a scenario of the wrong kind for
+    a row raises :class:`~repro.registry.RegistryError` before anything
+    runs.
     """
     rows = {spec.experiment: spec for spec in iter_algorithms()}
-    if experiments is None:
-        names = scenario_experiments(scenario) if scenario is not None else list(rows)
-    else:
-        names = list(experiments)
-    if scenario is not None:
-        # Pin file: specs to their content fingerprint so cache signatures
-        # track the dataset's bytes, not just its path.
-        scenario = canonical_scenario_spec(scenario)
+    if cells is None:
+        if experiments is None:
+            experiments = scenario_experiments(scenario) if scenario is not None else list(rows)
+        cells = [(name, {}) for name in experiments]
+    elif experiments is not None:
+        raise ValueError("pass experiments or cells, not both")
     row_index = {name: index for index, name in enumerate(rows)}
     points: list[SweepPoint] = []
-    for name in names:
+    for name, params in cells:
         if name not in rows:
             raise KeyError(f"unknown Figure-1 experiment {name!r}")
-        row_overrides = dict((overrides or {}).get(name, {}))
-        # A per-row "scenario" override wins over the sweep-wide one (the
-        # pre-registry behaviour of kwargs.setdefault).
-        row_scenario = row_overrides.pop("scenario", scenario)
+        params = dict(params)
+        # A per-row "scenario" override wins over the sweep-wide one.  The
+        # kind check pins file: specs to their content fingerprint, so cache
+        # signatures track the dataset's bytes, not just its path.
+        row_scenario = _validate_scenario(rows[name], params.pop("scenario", scenario))
         points.append(
             rows[name].build_point(
-                params=row_overrides,
+                params=params,
                 scenario=row_scenario,
                 seed=(seed, row_index[name]),
                 trials=max(1, trials),
@@ -751,24 +748,25 @@ def run_figure1(
     jobs: int | None = None,
     cache: ResultCache | str | None = None,
     reduce: str = "mean",
-    overrides: Mapping[str, Mapping[str, object]] | None = None,
     scenario: str | None = None,
+    cells: Sequence[tuple[str, Mapping[str, object]]] | None = None,
 ) -> list[ExperimentRecord]:
-    """Run the (selected) Figure-1 experiments and return one record per row.
+    """Run the (selected) Figure-1 experiments and return one record per point.
 
-    Rows are independent sweep points executed through
+    Points are built by :func:`figure1_points` (one per selected row, or one
+    per grid cell with ``cells``) and executed through
     :func:`~repro.backends.run_sweep`, so they can run serially, fanned out
     over worker processes (``backend="mp"``), or against a disk cache; the
-    records are identical in every case.  With ``trials > 1`` each row's
+    records are identical in every case.  With ``trials > 1`` each point's
     trial records are combined via :func:`aggregate_records`.  With
     ``scenario`` set, rows run on that named or ``file:`` workload; when
-    ``experiments`` is not given, the selection defaults to the rows
-    compatible with the scenario's workload kind.
+    neither ``experiments`` nor ``cells`` is given, the selection defaults
+    to the rows compatible with the scenario's workload kind.
     """
     from .harness import aggregate_records
 
     points = figure1_points(
-        seed, experiments=experiments, trials=trials, overrides=overrides, scenario=scenario
+        seed, experiments=experiments, trials=trials, scenario=scenario, cells=cells
     )
     results = run_sweep(points, backend=backend, jobs=jobs, cache=cache)
     records: list[ExperimentRecord] = []

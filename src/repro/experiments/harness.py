@@ -1,4 +1,4 @@
-"""Experiment harness: repetition over seeds, aggregation, result records.
+"""Experiment harness: result records and their aggregation over trials.
 
 All Figure-1 experiments follow the same shape: build a synthetic workload
 from a seed, run the paper's MPC algorithm plus one or more baselines,
@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import mean
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from ..backends import Backend, SweepPoint, run_sweep, spawn_rngs
-
-__all__ = ["ExperimentRecord", "aggregate_records", "run_trials", "seeded_rngs"]
+__all__ = ["ExperimentRecord", "aggregate_records"]
 
 
 @dataclass
@@ -46,38 +42,6 @@ class ExperimentRecord:
         row.update({k: v for k, v in self.metrics.items()})
         row.update({f"bound:{k}": v for k, v in self.bounds.items()})
         return row
-
-
-def seeded_rngs(seed: int, trials: int) -> list[np.random.Generator]:
-    """Independent generators for ``trials`` repetitions derived from one seed."""
-    return spawn_rngs(seed, trials)
-
-
-def run_trials(
-    experiment: Callable[[np.random.Generator], ExperimentRecord],
-    *,
-    seed: int = 0,
-    trials: int = 3,
-    backend: Backend | str | None = None,
-) -> list[ExperimentRecord]:
-    """Run ``experiment`` once per derived RNG and return all records.
-
-    The trials form a single :class:`~repro.backends.SweepPoint` routed
-    through :func:`~repro.backends.run_sweep`; with a non-serial backend the
-    experiment callable must be module-level (picklable).  Experiment
-    parameters belong in the callable itself (bind them with
-    ``functools.partial`` or a wrapper) — this signature deliberately takes
-    no pass-through kwargs so harness options can never be mistaken for
-    experiment parameters.
-    """
-    point = SweepPoint(
-        experiment=getattr(experiment, "__name__", "experiment"),
-        fn=experiment,
-        seed=seed,
-        trials=trials,
-    )
-    [result] = run_sweep([point], backend=backend)
-    return list(result.records)
 
 
 def aggregate_records(
@@ -112,7 +76,3 @@ def aggregate_records(
         notes={"trials": len(records), "reduce": reduce},
     )
 
-
-def records_to_rows(records: Iterable[ExperimentRecord]) -> list[Mapping[str, object]]:
-    """Convenience: flatten records for :func:`repro.analysis.tables.render_records`."""
-    return [record.as_row() for record in records]

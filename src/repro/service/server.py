@@ -212,7 +212,6 @@ class SolverService:
                 listing = {
                     name: {
                         "kind": scenario.kind,
-                        "sized": scenario.sized,
                         "description": scenario.description,
                     }
                     for name, scenario in sorted(SCENARIOS.items())

@@ -82,6 +82,16 @@ class TestBoundFormulae:
         )
         assert b_matching_bound(100, 1000, 1, 0.25, 0.0).approximation == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
+    def test_b_matching_space_stays_positive_for_large_epsilon(self, epsilon):
+        # log(1/ε) is 0 at ε = 1 and negative above it; the factor floors at 1.
+        bound = b_matching_bound(90, 1000, 3, 0.3, epsilon)
+        assert bound.space_per_machine == pytest.approx(3 * 90**1.3)
+
+    def test_b_matching_space_unchanged_for_small_epsilon(self):
+        bound = b_matching_bound(90, 1000, 3, 0.25, 0.15)
+        assert bound.space_per_machine == 3 * math.log(1 / 0.15) * 90**1.25
+
     def test_colouring_bound_above_delta(self):
         bound = colouring_bound(500, 5000, delta=60, mu=0.25)
         assert bound.approximation > 60

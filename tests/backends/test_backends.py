@@ -25,7 +25,6 @@ from repro.backends import (
     point_signature,
     run_sweep,
     spawn_rngs,
-    sweep_records,
 )
 from repro.experiments import run_figure1
 from repro.experiments.harness import ExperimentRecord
@@ -68,6 +67,13 @@ class TestSweepPointContract:
         c = [rng.random() for rng in spawn_rngs((5, 1), 2)]
         assert a == b and a != c
 
+    def test_spawn_rngs_gives_independent_generators(self):
+        draws = [rng.random() for rng in spawn_rngs(7, 4)]
+        assert len(draws) == 4 and len(set(draws)) == 4
+
+    def test_spawn_rngs_gives_at_least_one_generator(self):
+        assert len(spawn_rngs(0, 0)) == 1
+
     def test_signatures_separate_seed_from_config(self):
         p1 = SweepPoint("toy", _toy_point, {"scale": 1.0}, seed=0)
         p2 = SweepPoint("toy", _toy_point, {"scale": 1.0}, seed=1)
@@ -99,14 +105,13 @@ class TestDeterminismAcrossBackends:
     def test_figure1_grid_identical_serial_vs_mp_vs_batch(self):
         """The acceptance check: a small Figure-1 grid produces identical
         RunMetrics-derived records on every backend."""
-        overrides = {"fig1-mis": {"n": 60, "c": 0.4}, "fig1-vertex-colouring": {"n": 80}}
+        cells = [("fig1-mis", {"n": 60, "c": 0.4}), ("fig1-vertex-colouring", {"n": 80})]
         grids = {
             name: run_figure1(
                 seed=11,
-                experiments=["fig1-mis", "fig1-vertex-colouring"],
                 backend=name,
                 jobs=2 if name == "mp" else None,
-                overrides=overrides,
+                cells=cells,
             )
             for name in ("serial", "mp", "batch")
         }
@@ -141,7 +146,7 @@ class TestBatchBackend:
         ]
         results = BatchBackend().run(points)
         assert _CALLS == ["a", "a", "a"]
-        flat = [r.metrics["value"] for r in sweep_records(results)]
+        flat = [r.metrics["value"] for res in results for r in res.records]
         assert len(set(flat)) == 3
 
 

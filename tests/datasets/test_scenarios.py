@@ -10,7 +10,6 @@ from repro.datasets import (
     InstanceCache,
     Scenario,
     build_scenario,
-    build_scenario_sized,
     ensure_edge_weights,
     instance_cache_stats,
     register_scenario,
@@ -45,12 +44,6 @@ class TestRegistry:
         b = build_scenario("social-sparse", np.random.default_rng(7))
         assert a.edge_u.tobytes() == b.edge_u.tobytes()
         assert a.edge_v.tobytes() == b.edge_v.tobytes()
-
-    def test_sized_builds_scale(self):
-        small = build_scenario_sized("powerlaw-dense", 60, np.random.default_rng(0))
-        large = build_scenario_sized("powerlaw-dense", 240, np.random.default_rng(0))
-        assert small.num_vertices == 60 and large.num_vertices == 240
-        assert small.num_edges < large.num_edges
 
     def test_register_duplicate_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -100,7 +93,7 @@ class TestResolution:
         path = tmp_path / "g.npz"
         save_dataset(path, graph)
         scenario = resolve_scenario(f"file:{path}")
-        assert scenario.kind == "graph" and not scenario.sized
+        assert scenario.kind == "graph"
         built = scenario.build(np.random.default_rng(0))
         assert built.num_edges == 50
         assert built.weights.tobytes() == graph.weights.tobytes()
@@ -118,12 +111,6 @@ class TestResolution:
         with pytest.raises(ValueError, match="my-experiment needs a graph"):
             build_scenario(f"file:{path}", np.random.default_rng(0), expect="graph",
                            context="my-experiment")
-
-    def test_sized_build_rejected_for_file_scenarios(self, tmp_path, rng):
-        path = tmp_path / "g.npz"
-        save_dataset(path, gnm_graph(10, 20, rng))
-        with pytest.raises(ValueError, match="fixed size"):
-            build_scenario_sized(f"file:{path}", 100, np.random.default_rng(0))
 
 
 class TestInstanceCache:

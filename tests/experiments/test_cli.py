@@ -1,71 +1,17 @@
-"""Tests for the scaling sweeps and the command-line interface."""
+"""Tests for the command-line interface."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import rounds_vs_c, rounds_vs_n, space_vs_mu
+from repro.experiments import ExperimentRecord
 
-
-class TestScalingSweeps:
-    def test_rounds_vs_n_matching_stays_flat(self):
-        records = rounds_vs_n(
-            np.random.default_rng(0), sizes=(60, 180), c=0.45, mu=0.3, algorithm="matching"
-        )
-        assert len(records) == 2
-        # O(c/µ) iterations: independent of n up to small noise.
-        assert abs(records[0].metrics["iterations"] - records[1].metrics["iterations"]) <= 2
-
-    def test_rounds_vs_n_matching_constant_round_shape(self):
-        records = rounds_vs_n(
-            np.random.default_rng(21), sizes=(80, 160, 320), c=0.45, mu=0.3, algorithm="matching"
-        )
-        iterations = [r.metrics["iterations"] for r in records]
-        # Quadrupling n must not even double the iteration count.
-        assert max(iterations) <= 2 * max(1.0, min(iterations)) + 1
-
-    @pytest.mark.parametrize(
-        "seed,sizes,c,mu", [(1, (60, 120), 0.4, 0.3), (22, (80, 240), 0.45, 0.35)]
-    )
-    def test_rounds_vs_n_mis_records_luby(self, seed, sizes, c, mu):
-        records = rounds_vs_n(
-            np.random.default_rng(seed), sizes=sizes, c=c, mu=mu, algorithm="mis"
-        )
-        for record in records:
-            # Hungry-greedy sweeps stay within a small factor of (and typically
-            # below) Luby's log n rounds on densified graphs.
-            assert record.metrics["iterations"] <= record.metrics["luby_rounds"] + 3
-
-    def test_rounds_vs_n_vertex_cover(self):
-        records = rounds_vs_n(
-            np.random.default_rng(2), sizes=(50, 100), algorithm="vertex-cover"
-        )
-        assert all(r.metrics["iterations"] >= 1 for r in records)
-
-    def test_rounds_vs_n_invalid_algorithm(self):
-        with pytest.raises(ValueError):
-            rounds_vs_n(np.random.default_rng(0), algorithm="bogus")
-
-    @pytest.mark.parametrize(
-        "seed,n,cs", [(3, 120, (0.3, 0.6)), (23, 150, (0.3, 0.5, 0.7))]
-    )
-    def test_rounds_vs_c_monotone_shape(self, seed, n, cs):
-        records = rounds_vs_c(np.random.default_rng(seed), n=n, cs=cs, mu=0.2)
-        assert records[0].metrics["iterations"] <= records[-1].metrics["iterations"] + 1
-
-    @pytest.mark.parametrize(
-        "seed,n,mus", [(4, 120, (0.15, 0.5)), (24, 150, (0.15, 0.3, 0.5))]
-    )
-    def test_space_vs_mu_grows(self, seed, n, mus):
-        records = space_vs_mu(np.random.default_rng(seed), n=n, mus=mus)
-        assert records[0].metrics["peak_sample_words"] <= records[-1].metrics["peak_sample_words"]
-        for record in records:
-            assert record.metrics["peak_sample_words"] <= record.bounds["peak_sample_words"]
-
+#: A graph dataset fixture (Matrix Market), for the ``file:`` scenario cases.
+TOY_MTX = Path(__file__).resolve().parents[1] / "data" / "toy.mtx"
 
 class TestCliParser:
     def test_requires_subcommand(self):
@@ -94,6 +40,60 @@ class TestCliParser:
     def test_ablation_choices(self):
         args = build_parser().parse_args(["ablation", "mu", "--algorithm", "mis"])
         assert args.sweep == "mu" and args.algorithm == "mis"
+
+    @pytest.mark.parametrize("command", ["figure1", "experiment fig1-mis", "ablation mu", "scaling n"])
+    def test_experiment_subcommands_share_seed_and_json(self, command):
+        args = build_parser().parse_args(command.split() + ["--json"])
+        assert args.seed == 2018 and args.json
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["ablation", "mu", "--algorithm", "bogus"],
+                "valid pairs: mu --algorithm matching|vertex-cover|mis;",
+                id="unknown-algorithm",
+            ),
+            pytest.param(
+                ["ablation", "mu", "--scenario", "coverage-planning"],
+                "'fig1-matching' needs graph",
+                id="wrong-scenario-kind",
+            ),
+            pytest.param(
+                ["scaling", "n", "--scenario", f"file:{TOY_MTX}"],
+                "--scenario is not meaningful there",
+                id="scenario-on-size-sweep",
+            ),
+            pytest.param(
+                ["figure1", "--only", "fig1-mis", "fig1-set-cover-f", "--scenario", "social-sparse"],
+                "'fig1-set-cover-f' needs setcover",
+                id="wrong-scenario-kind-for-one-row",
+            ),
+            pytest.param(
+                ["scaling", "c", "--algorithm", "mis"],
+                "c --algorithm matching;",
+                id="no-grid-for-c",
+            ),
+            pytest.param(
+                ["ablation", "epsilon", "--algorithm", "mis"],
+                "epsilon --algorithm set-cover-greedy|b-matching",
+                id="no-grid-for-epsilon",
+            ),
+        ],
+    )
+    def test_bad_experiment_input_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_problem_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["ablation", "eta", "--problem", "set-cover"])
+
+    def test_grids_take_no_trials(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["scaling", "space", "--trials", "2"])
 
 
 class TestCliExecution:
@@ -124,7 +124,24 @@ class TestCliExecution:
         exit_code = main(["ablation", "eta", "--seed", "4", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert exit_code == 0
-        assert all("iterations" in item["metrics"] for item in payload)
+        assert [item["parameters"]["mu"] for item in payload] == [0.05, 0.15, 0.3]
+        assert all("sampling_iterations" in item["metrics"] for item in payload)
+        assert all(item["valid"] and item["bounds"]["rounds"] > 0 for item in payload)
+
+    def test_ablation_epsilon_defaults_to_greedy_set_cover(self, capsys):
+        assert main(["ablation", "epsilon", "--seed", "4", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {item["experiment"] for item in payload} == {"fig1-set-cover-greedy"}
+        assert [item["parameters"]["epsilon"] for item in payload] == [0.1, 0.25, 0.5, 1.0]
+
+    def test_grid_with_an_invalid_cell_exits_1(self, capsys, monkeypatch):
+        import repro.cli
+
+        monkeypatch.setattr(
+            repro.cli, "run_figure1", lambda *a, **k: [ExperimentRecord("x", valid=False)]
+        )
+        assert main(["scaling", "space"]) == 1
+        assert "INVALID" in capsys.readouterr().out
 
     def test_module_entry_point_importable(self):
         import repro.__main__  # noqa: F401  (import must not execute main)
@@ -182,16 +199,18 @@ class TestCliBackends:
         assert capsys.readouterr().out == first
 
     def test_ablation_backend_batch(self, capsys):
-        exit_code = main(["ablation", "eta", "--seed", "4", "--backend", "batch", "--json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert exit_code == 0
-        assert all("iterations" in item["metrics"] for item in payload)
+        argv = ["ablation", "eta", "--seed", "4", "--json"]
+        assert main(argv) == 0
+        serial_out = capsys.readouterr().out
+        assert main(argv + ["--backend", "batch"]) == 0
+        assert capsys.readouterr().out == serial_out
 
     def test_scaling_space_json(self, capsys):
         exit_code = main(["scaling", "space", "--seed", "5", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert exit_code == 0
-        assert all("peak_sample_words" in item["metrics"] for item in payload)
+        assert all("max_space_per_machine" in item["metrics"] for item in payload)
+        assert all("space_per_machine" in item["bounds"] for item in payload)
 
 
 class TestCliRegistryCommands:

@@ -11,8 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.experiments.figure1 as figure1
 from repro.analysis import within_guarantee
 from repro.experiments import (
+    GRIDS,
     b_matching_experiment,
     edge_colouring_experiment,
     matching_experiment,
@@ -304,6 +306,32 @@ class TestColouringExperiments:
         # First-fit local colouring may use up to 2∆_i − 1 per group; the overall
         # count must still be far below the trivial 2∆ bound plus group overhead.
         assert record.metrics["colours_used"] <= 2 * record.parameters["delta"] + record.metrics["num_groups"]
+
+
+class TestGridCells:
+    #: The metric each row's round claim is read on, as in the row tests above.
+    ROUND_KEY = {
+        "fig1-matching": "sampling_iterations",
+        "fig1-mis": "sweeps",
+        "fig1-set-cover-greedy": "inner_iterations",
+    }
+
+    @pytest.mark.parametrize(
+        "grid",
+        [grid for grids in GRIDS.values() for grid in grids],
+        ids=[f"{c}-{s}-{g.algorithm}" for (c, s), grids in GRIDS.items() for g in grids],
+    )
+    def test_preset_cells_keep_their_rows_shape(self, grid, monkeypatch):
+        def reference(*args, **kwargs):
+            raise AssertionError("a grid cell ran an exact or cover-LP reference")
+
+        for name in ("exact_matching", "lp_vertex_cover_bound", "lp_set_cover_bound"):
+            monkeypatch.setattr(figure1, name, reference)
+        records = run_figure1(SHAPE_SEED, cells=grid.cells())
+        assert [r.parameters[grid.param] for r in records] == list(grid.values)
+        for record in records:
+            assert_round_shape(record, self.ROUND_KEY.get(record.experiment, "rounds"))
+            assert_space_shape(record)
 
 
 class TestRegistry:

@@ -2,41 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.experiments import ExperimentRecord, aggregate_records, run_trials, seeded_rngs
-from repro.experiments.harness import records_to_rows
-
-
-class TestSeededRngs:
-    def test_count_and_independence(self):
-        rngs = seeded_rngs(7, 4)
-        assert len(rngs) == 4
-        draws = [rng.random() for rng in rngs]
-        assert len(set(draws)) == 4
-
-    def test_reproducible(self):
-        a = [rng.random() for rng in seeded_rngs(3, 3)]
-        b = [rng.random() for rng in seeded_rngs(3, 3)]
-        assert a == b
-
-    def test_at_least_one(self):
-        assert len(seeded_rngs(0, 0)) == 1
-
-
-class TestRunTrials:
-    def test_runs_once_per_rng(self):
-        calls = []
-
-        def experiment(rng: np.random.Generator) -> ExperimentRecord:
-            value = float(rng.random())
-            calls.append(value)
-            return ExperimentRecord("demo", metrics={"value": value})
-
-        records = run_trials(experiment, seed=1, trials=5)
-        assert len(records) == 5
-        assert len(set(calls)) == 5
+from repro.experiments import ExperimentRecord, aggregate_records
 
 
 class TestAggregateRecords:
@@ -85,7 +53,3 @@ class TestRecordFlattening:
         assert row["rounds"] == 3.0
         assert row["bound:rounds"] == 2.0
         assert row["experiment"] == "e"
-
-    def test_records_to_rows(self):
-        rows = records_to_rows([ExperimentRecord("a"), ExperimentRecord("b")])
-        assert [r["experiment"] for r in rows] == ["a", "b"]

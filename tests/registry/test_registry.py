@@ -229,12 +229,11 @@ class TestRegressions:
             )(mis_experiment)
 
     def test_figure1_overrides_accept_per_row_scenario(self):
-        # Pre-registry behaviour: a per-row {"scenario": ...} override wins
-        # over (or substitutes for) the sweep-wide scenario argument.
+        # A cell's {"scenario": ...} override wins over (or substitutes for)
+        # the sweep-wide scenario argument.
         from repro.experiments.figure1 import figure1_points
 
-        [point] = figure1_points(0, experiments=["fig1-mis"],
-                                 overrides={"fig1-mis": {"scenario": "powerlaw-dense", "n": 40}})
+        [point] = figure1_points(0, cells=[("fig1-mis", {"scenario": "powerlaw-dense", "n": 40})])
         assert point.kwargs["scenario"] == "powerlaw-dense"
         assert point.kwargs["n"] == 40
 
