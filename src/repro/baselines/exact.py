@@ -15,8 +15,10 @@ or column, one per set membership), so an LP's memory grows with the
 number of nonzeros, not with ``m × n``.
 
 For maximum weight matching an exact combinatorial optimum is available at
-moderate sizes through NetworkX's blossom implementation
-(:func:`repro.baselines.greedy_matching.exact_matching`).
+moderate sizes through the blossom algorithm
+(:func:`repro.baselines.greedy_matching.exact_matching`, which runs
+:mod:`repro.baselines.blossom`, a list-based port of NetworkX's
+``max_weight_matching``).
 """
 
 from __future__ import annotations

@@ -3,14 +3,11 @@
 * :func:`greedy_matching` — sort edges by weight and add greedily; the
   classical sequential 2-approximation for maximum weight matching.
 * :func:`exact_matching` — exact maximum weight matching via the blossom
-  algorithm (NetworkX); used by the experiment harness to compute true
-  approximation ratios on moderate-size graphs.  The matching must stay
-  NetworkX's own, since Figure 1's exact column records its decisions;
-  only the graph it runs on is ours.  Blossom's ``slack()`` reads every
-  weight through ``G[v][w]``, and a plain ``nx.Graph`` answers each
-  ``G[v]`` with a fresh ``AtlasView``.  The ``nx.Graph`` subclass built
-  here returns the adjacency dict itself, which removes that cost and
-  keeps the node and neighbour order, so blossom picks the same pairs.
+  algorithm (:mod:`repro.baselines.blossom`, a list-based port of
+  NetworkX's ``max_weight_matching``); used by the experiment harness to
+  compute true approximation ratios on moderate-size graphs.  Figure 1's
+  exact column records blossom's decisions, so the port makes NetworkX's:
+  the same pairs in the same order, hence the same weight bits.
 * :func:`greedy_b_matching` — the natural greedy generalization under vertex
   capacities (also a baseline for Appendix D's algorithm).
 * :func:`exact_b_matching_small` — brute force over edge subsets, only for
@@ -20,7 +17,6 @@
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -29,6 +25,7 @@ import numpy as np
 from ..core.results import MatchingResult
 from ..graphs.graph import Graph
 from ..graphs.validation import is_b_matching
+from .blossom import max_weight_matching
 
 __all__ = [
     "greedy_matching",
@@ -79,32 +76,10 @@ def greedy_b_matching(graph: Graph, b: Mapping[int, int] | Sequence[int] | int) 
     return MatchingResult(chosen, weight, algorithm="greedy-b-matching")
 
 
-@cache
-def _adjacency_graph_type() -> type:
-    """An ``nx.Graph`` whose ``G[v]`` is the adjacency dict itself, not a new view.
-
-    Built on first use, so importing this module does not import NetworkX.
-    """
-    import networkx as nx
-
-    class AdjacencyGraph(nx.Graph):
-        def __getitem__(self, v):
-            return self._adj[v]
-
-    return AdjacencyGraph
-
-
 def exact_matching(graph: Graph) -> MatchingResult:
-    """Exact maximum weight matching (blossom algorithm via NetworkX)."""
-    import networkx as nx
-
+    """Exact maximum weight matching (the blossom algorithm)."""
     edges = list(zip(graph.edge_u.tolist(), graph.edge_v.tolist()))
-    g = _adjacency_graph_type()()
-    # Vertices in id order, then edges in edge-id order: the node and
-    # neighbour order blossom's decisions depend on.
-    g.add_nodes_from(range(graph.num_vertices))
-    g.add_weighted_edges_from((u, v, w) for (u, v), w in zip(edges, graph.weights.tolist()))
-    pairs = nx.max_weight_matching(g, maxcardinality=False)
+    pairs = max_weight_matching(graph.num_vertices, edges, graph.weights.tolist())
     # Translate vertex pairs back to edge ids (edges are stored with u < v).
     edge_of = {pair: e for e, pair in enumerate(edges)}
     chosen = [edge_of[(a, b) if a < b else (b, a)] for a, b in pairs]

@@ -138,6 +138,8 @@ def mpc_weighted_set_cover(
     gathered back through the matching aggregation tree, so each sampling
     iteration costs ``O(c/µ)`` rounds.
     """
+    if mu <= 0:
+        raise ValueError("mu must be positive")
     params = mpc_parameters_for_instance(instance, mu)
     result = randomized_local_ratio_set_cover(instance, params.eta, rng)
 
@@ -200,6 +202,8 @@ def mpc_weighted_vertex_cover(
     summed at the central machine — a constant number of rounds per
     iteration instead of a broadcast tree.
     """
+    if mu <= 0:
+        raise ValueError("mu must be positive")
     instance = SetCoverInstance.from_vertex_cover(graph, vertex_weights)
     params = mpc_parameters_for_instance(instance, mu)
     result = randomized_local_ratio_set_cover(instance, params.eta, rng)
@@ -303,10 +307,13 @@ def mpc_weighted_matching(
 ) -> tuple[MatchingResult, RunMetrics]:
     """Theorem 5.6: 2-approximate maximum weight matching.
 
-    ``O(c/µ)`` rounds with ``η = n^{1+µ}``; passing ``mu = 0`` (so
-    ``η = n``) gives the ``O(log n)``-round, ``O(n)``-space configuration of
-    Theorem C.2.
+    ``O(c/µ)`` rounds with ``η = n^{1+µ}``.  ``mu`` must be positive: the
+    ``c/µ`` round bound is undefined at 0.  Passing ``eta=n`` with a small
+    ``mu`` gives the ``O(log n)``-round, ``O(n)``-space configuration of
+    Theorem C.2, as the ``fig1-matching-mu0`` row runs it.
     """
+    if mu <= 0:
+        raise ValueError("mu must be positive")
     params = mpc_parameters_for_graph(graph, mu)
     if eta is None:
         eta = params.eta
@@ -352,6 +359,8 @@ def mpc_weighted_b_matching(
     The per-machine budget grows to ``O(b·log(1/ε)·n^{1+µ})`` words, exactly
     as stated in the theorem.
     """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive for the ε-adjusted reduction")
     params = mpc_parameters_for_graph(graph, mu)
     b_max = int(np.max(b)) if not np.isscalar(b) else int(b)
     delta = epsilon / (1.0 + epsilon)

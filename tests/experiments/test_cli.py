@@ -261,3 +261,25 @@ class TestCliRegistryCommands:
     def test_solve_rejects_malformed_param(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "mis", "-p", "not-a-pair"])
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "fig1-vertex-cover",
+            "fig1-set-cover-f",
+            "fig1-matching",
+            "fig1-mis",
+            "fig1-maximal-clique",
+            "fig1-set-cover-greedy",
+        ],
+    )
+    def test_solve_rejects_zero_mu(self, row):
+        # Every c/µ bound is undefined at µ = 0: the driver refuses it
+        # before any bound divides by it.
+        with pytest.raises(ValueError, match="mu must be positive"):
+            main(["solve", row, "-p", "mu=0"])
+
+    def test_solve_rejects_zero_epsilon_for_b_matching(self):
+        # The ε-adjusted reduction's space budget takes log(1/δ), δ = ε/(1+ε).
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            main(["solve", "fig1-b-matching", "-p", "epsilon=0"])

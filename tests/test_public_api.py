@@ -13,6 +13,16 @@ import pytest
 import repro
 
 
+def _run_python(code: str) -> bytes:
+    """Stdout of ``code`` run by a fresh interpreter that imports this checkout's repro."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True
+    ).stdout
+
+
 class TestApiSurface:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
@@ -22,19 +32,32 @@ class TestApiSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_import_leaves_networkx_and_scipy_unloaded(self):
-        # The baselines import them on first use; the package, CLI and
-        # service must not pay for them at import time.
+        # The LP baselines import scipy on first use and nothing imports
+        # networkx; the package, CLI and service must not pay for either at
+        # import time.
         code = (
             "import sys, repro, repro.cli, repro.service; "
             "print(sorted(m for m in ('networkx', 'scipy') if m in sys.modules))"
         )
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        assert _run_python(code).decode().strip() == "[]"
+
+    def test_exact_matching_needs_no_networkx(self):
+        # networkx is a test oracle only: with it unimportable, the exact
+        # matching column comes out byte for byte the same.
+        code = (
+            "import sys\n"
+            "class BlockNetworkx:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'networkx':\n"
+            "            raise ImportError('networkx is blocked')\n"
+            "sys.meta_path.insert(0, BlockNetworkx())\n"
+            "import repro\n"
+            "result = repro.solve('fig1-matching', params={'n': 60}, seed=3)\n"
+            "assert 'optimal_weight' in result.records[0].metrics\n"
+            "sys.stdout.buffer.write(result.canonical_json())\n"
         )
-        assert out.stdout.strip() == "[]"
+        unblocked = repro.solve("fig1-matching", params={"n": 60}, seed=3).canonical_json()
+        assert _run_python(code) == unblocked
 
     def test_subpackages_importable(self):
         import repro.analysis
