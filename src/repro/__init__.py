@@ -27,9 +27,10 @@ This package provides:
 * :mod:`repro.backends` — pluggable execution backends (serial,
   multiprocessing, batch) plus a disk result-cache, behind the single
   :func:`repro.backends.run_sweep` entry point;
-* :mod:`repro.kernels` — vectorized NumPy kernels for the algorithm hot
-  paths, byte-identical to the retained pure-Python references
-  (``docs/PERFORMANCE.md``), timed per kernel by ``perfbench/``;
+* :mod:`repro.kernels` — the algorithm hot paths: vectorized NumPy
+  kernels where that pays, byte-identical to the retained pure-Python
+  references, and plain loops elsewhere (``docs/PERFORMANCE.md``), timed
+  per kernel by ``perfbench/``;
 * :mod:`repro.datasets` — real-dataset ingestion (SNAP/Matrix
   Market/DIMACS/set-cover text), the ``.npz`` instance store, and the
   named workload scenario registry behind every ``--scenario`` flag

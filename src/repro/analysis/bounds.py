@@ -80,7 +80,11 @@ def set_cover_f_bound(n: int, m: int, f: int, mu: float) -> TheoremBound:
 def set_cover_greedy_bound(
     n: int, m: int, delta: int, mu: float, epsilon: float, weight_ratio: float = 1.0
 ) -> TheoremBound:
-    """Theorem 4.6: ``(1+ε)H_∆``-approx, ``O(log Φ · log_{1+ε}(∆·w_max/w_min) · log n / (µ² log² m))`` rounds."""
+    """Theorem 4.6: ``(1+ε)H_∆``-approx, ``O(log Φ · log_{1+ε}(∆·w_max/w_min) · log n / (µ² log² m))`` rounds.
+
+    The approximation is floored at 1: with no elements (``∆ = 0``) the
+    empty cover is optimal, while ``(1+ε)H_0`` would be 0.
+    """
     phi = max(2.0, float(n) * float(m))
     weight_term = max(2.0, delta * max(1.0, weight_ratio))
     rounds = (
@@ -91,7 +95,7 @@ def set_cover_greedy_bound(
     )
     return TheoremBound(
         name="Theorem 4.6 (greedy weighted set cover)",
-        approximation=(1.0 + epsilon) * harmonic(delta),
+        approximation=max(1.0, (1.0 + epsilon) * harmonic(delta)),
         rounds=rounds,
         space_per_machine=float(m) ** (1.0 + mu) * math.log(max(n, 2)),
     )

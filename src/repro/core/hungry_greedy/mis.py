@@ -41,8 +41,8 @@ def sequential_greedy_mis(
     yet blocked, blocking its neighbours.  Used for the "finish on the
     central machine" steps of Algorithms 2 and 6 and as a standalone
     sequential baseline.  Returns only the newly added vertices.  The scan
-    runs through the batched :func:`~repro.kernels.mis.greedy_mis_pass`
-    kernel (byte-identical to the per-vertex loop it replaced).
+    is :func:`~repro.kernels.mis.greedy_mis_pass`, a per-vertex loop
+    (batching it lost on every measured shape).
     """
     n = graph.num_vertices
     blocked = np.zeros(n, dtype=bool) if blocked is None else blocked.copy()

@@ -29,10 +29,12 @@ induced by their random samples — this is exactly the property ("elements
 can be processed in a fairly arbitrary order") that the paper's randomized
 local ratio technique exploits.
 
-The weight-reduction loops themselves live in :mod:`repro.kernels`: the
-batched NumPy kernels produce byte-identical results to the pure-Python
-loops retained in :mod:`repro.kernels.reference` (golden tests enforce
-this), so these functions are thin drivers around instance/graph state.
+The weight-reduction loops themselves live in :mod:`repro.kernels`, so
+these functions are thin drivers around instance/graph state.  The set
+cover reduction is a batched NumPy kernel, byte-identical to the
+pure-Python loop retained in :mod:`repro.kernels.reference` (golden tests
+enforce this); the vertex cover, matching and b-matching reductions and
+the stack unwinds are the plain loops.
 """
 
 from __future__ import annotations

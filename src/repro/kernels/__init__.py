@@ -1,4 +1,4 @@
-"""Vectorized NumPy kernels for the paper's algorithm hot paths.
+"""The paper's algorithm hot paths, vectorized with NumPy where it pays.
 
 This package is the performance layer between the data structures
 (:class:`~repro.graphs.graph.Graph`, CSR adjacency;
@@ -7,19 +7,22 @@ algorithm layer (``repro.core.*``, ``repro.baselines.*``):
 
 * :mod:`~repro.kernels.csr` — flat CSR gathers and the occurs-once scan
   that powers the batched window loops;
-* :mod:`~repro.kernels.local_ratio` — batched subtract-and-freeze weight
-  reductions (set cover, vertex cover, matching, b-matching), the central
-  machine pass of Algorithm 4, and vectorized stack unwinding;
+* :mod:`~repro.kernels.local_ratio` — the subtract-and-freeze loops: the
+  set cover reduction and the central machine pass of Algorithm 4 are
+  window-batched; the vertex cover, matching and b-matching reductions
+  and the two stack unwinds are plain loops;
 * :mod:`~repro.kernels.coverage` — incremental uncovered-count maintenance
   for the greedy set cover algorithms;
-* :mod:`~repro.kernels.mis` — batched greedy MIS scan and residual-degree
-  maintenance;
+* :mod:`~repro.kernels.mis` — the per-vertex greedy MIS scan and the
+  vectorized residual-degree update;
 * :mod:`~repro.kernels.reference` — the retained pure-Python loops the
-  kernels are golden-tested against.
+  vectorized kernels are golden-tested against.
 
-Every kernel is *byte-identical* to its reference: same floating point
-operations applied in an equivalent order, same result lists, same RNG
-consumption (kernels draw no randomness).  See ``docs/PERFORMANCE.md``.
+A loop is vectorized only where that saves more than 1% of the
+benchmark's ``mpc`` pass at its call site.  Every vectorized kernel is
+*byte-identical* to its reference: same floating point operations applied
+in an equivalent order, same result lists, same RNG consumption (kernels
+draw no randomness).  See ``docs/PERFORMANCE.md``.
 """
 
 from .coverage import CoverageCounter

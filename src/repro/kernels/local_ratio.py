@@ -1,20 +1,20 @@
-"""Vectorized local ratio kernels (batched subtract-and-freeze loops).
+"""Local ratio kernels: the subtract-and-freeze loops of Theorems 2.1 / 5.1 and Appendix D.
 
-The sequential local ratio algorithms (Theorems 2.1 / 5.1 and Appendix D of
-the paper) walk a processing order one item at a time, reading and writing a
-small neighbourhood of shared state per item: the residual weights of an
-element's owner sets, or the potentials ``φ`` of an edge's endpoints.  Two
-items only interact when those neighbourhoods overlap.
+The sequential local ratio algorithms of the paper walk a processing order
+one item at a time, reading and writing a small neighbourhood of shared
+state per item: the residual weights of an element's owner sets, or the
+potentials ``φ`` of an edge's endpoints.  Two items only interact when
+those neighbourhoods overlap.
 
-Every kernel here exploits that with the same *window batching* scheme:
+:func:`set_cover_reduction` and :func:`central_matching_pass` exploit that
+with the same *window batching* scheme:
 
 1. draw a window: the carried-over deferred items followed by the next
    unvisited items of the order (the carry is at most one window long, so a
    round never touches — or copies — the untouched tail of the order);
-2. drop items that are already dead (covered elements, non-positive
-   residuals, exhausted capacities): every death rule in these algorithms
-   is monotone, so dead-now implies dead-at-its-sequential-turn, and
-   skipping has no side effects;
+2. drop items that are already dead (set cover's covered elements):
+   coverage is monotone, so dead-now implies dead-at-its-sequential-turn,
+   and skipping has no side effects;
 3. accept every window item whose touched ids all occur for the *first*
    time at that item (:func:`~repro.kernels.csr.first_occurrence_mask`) —
    accepted items are pairwise disjoint and no earlier window item touches
@@ -40,6 +40,16 @@ order and restore the sequential emission order with one final argsort.
 The result is bitwise identical to the pure-Python loops retained in
 :mod:`repro.kernels.reference` — the golden-equivalence tests under
 ``tests/kernels/`` enforce exactly that.
+
+The other five functions are the plain loops, because batching them did
+not pay: the three reductions (:func:`vertex_cover_reduction`,
+:func:`matching_reduction`, :func:`b_matching_reduction`) serve only the
+classical ``local_ratio_*`` algorithms of
+:mod:`repro.core.local_ratio.sequential`, which no MPC driver calls, and
+batching the two stack unwinds (:func:`unwind_matching`,
+:func:`unwind_b_matching`) saved under 1% of the benchmark's ``mpc`` pass
+while losing to the loop at Figure-1 sizes (``docs/PERFORMANCE.md`` has
+the measurements).
 """
 
 from __future__ import annotations
@@ -81,13 +91,6 @@ def _next_window(window: int, accepted: int, live: int) -> int:
     return window
 
 
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * a.size, dtype=np.int64)
-    out[0::2] = a
-    out[1::2] = b
-    return out
-
-
 def _ordered(values: list[np.ndarray], positions: list[np.ndarray]) -> np.ndarray:
     """Concatenate per-round emissions and restore original-order positions."""
     flat_values = np.concatenate(values)
@@ -107,11 +110,9 @@ class _WindowCursor:
 
     __slots__ = ("ids", "positions", "next", "carry_ids", "carry_pos")
 
-    def __init__(self, ids: np.ndarray, positions: np.ndarray | None = None):
+    def __init__(self, ids: np.ndarray, positions: np.ndarray):
         self.ids = ids
-        self.positions = (
-            np.arange(ids.size, dtype=np.int64) if positions is None else positions
-        )
+        self.positions = positions
         self.next = 0
         self.carry_ids = ids[:0]
         self.carry_pos = self.positions[:0]
@@ -256,56 +257,19 @@ def vertex_cover_reduction(
     order: np.ndarray,
     chosen: list[int],
 ) -> int:
-    """Batched local ratio reduction for weighted vertex cover over an edge order."""
-    order = np.asarray(order, dtype=np.int64)
+    """Local ratio reduction for weighted vertex cover over an edge order."""
     selected_before = len(chosen)
-    num_vertices = residual.size
-    scratch = np.empty(num_vertices, dtype=np.int64)
-    cursor = _WindowCursor(order)
-    new_vertices: list[np.ndarray] = []
-    new_keys: list[np.ndarray] = []
-    window = _INITIAL_WINDOW
-    while not cursor.exhausted():
-        window_ids, window_pos = cursor.draw(window)
-        endpoint_u = edge_u[window_ids]
-        endpoint_v = edge_v[window_ids]
-        # Covered endpoints stay covered, so an edge skippable now is
-        # skippable at its sequential turn too — drop it here.
-        live = ~(in_cover[endpoint_u] | in_cover[endpoint_v])
-        if not live.all():
-            window_ids = window_ids[live]
-            window_pos = window_pos[live]
-            endpoint_u = endpoint_u[live]
-            endpoint_v = endpoint_v[live]
-        if window_ids.size == 0:
-            cursor.defer(window_ids, window_pos)
-            window = _next_window(window, 0, 0)
+    for edge in np.asarray(order, dtype=np.int64):
+        u, v = int(edge_u[edge]), int(edge_v[edge])
+        if in_cover[u] or in_cover[v]:
             continue
-        first = first_occurrence_mask(_interleave(endpoint_u, endpoint_v), scratch)
-        accept = first[0::2] & first[1::2]
-        active_u = endpoint_u[accept]
-        active_v = endpoint_v[accept]
-        eps = np.minimum(residual[active_u], residual[active_v])
-        residual[active_u] -= eps
-        residual[active_v] -= eps
-        # Per edge the sequential loop examines u then v; the interleave
-        # plus the even/odd key reproduces that emission order.
-        endpoints = _interleave(active_u, active_v)
-        newly_zero = (residual[endpoints] <= 1e-12) & ~in_cover[endpoints]
-        if np.any(newly_zero):
-            vertices_now = endpoints[newly_zero]
-            in_cover[vertices_now] = True
-            keys = (
-                2 * np.repeat(window_pos[accept], 2)
-                + np.tile(np.array([0, 1], dtype=np.int64), active_u.size)
-            )[newly_zero]
-            new_vertices.append(vertices_now)
-            new_keys.append(keys)
-        deferred = ~accept
-        cursor.defer(window_ids[deferred], window_pos[deferred])
-        window = _next_window(window, int(accept.sum()), window_ids.size)
-    if new_vertices:
-        chosen.extend(_ordered(new_vertices, new_keys).tolist())
+        eps = float(min(residual[u], residual[v]))
+        residual[u] -= eps
+        residual[v] -= eps
+        for vertex in (u, v):
+            if residual[vertex] <= 1e-12 and not in_cover[vertex]:
+                in_cover[vertex] = True
+                chosen.append(int(vertex))
     return len(chosen) - selected_before
 
 
@@ -320,45 +284,17 @@ def matching_reduction(
     order: np.ndarray,
     stack: list[int],
 ) -> int:
-    """Batched Paz–Schwartzman reduction: push positive-residual edges, update ``φ``."""
-    order = np.asarray(order, dtype=np.int64)
+    """Paz–Schwartzman reduction: push positive-residual edges, update ``φ``."""
     pushed_before = len(stack)
-    num_vertices = phi.size
-    scratch = np.empty(num_vertices, dtype=np.int64)
-    cursor = _WindowCursor(order)
-    pushed_edges: list[np.ndarray] = []
-    pushed_pos: list[np.ndarray] = []
-    window = _INITIAL_WINDOW
-    while not cursor.exhausted():
-        window_ids, window_pos = cursor.draw(window)
-        endpoint_u = edge_u[window_ids]
-        endpoint_v = edge_v[window_ids]
-        residual = weights[window_ids] - phi[endpoint_u] - phi[endpoint_v]
-        # φ only grows, so an edge dead now is dead at its sequential turn
-        # too — drop it here instead of deferring a guaranteed no-op.
-        live = residual > 1e-12
-        if not live.all():
-            window_ids = window_ids[live]
-            window_pos = window_pos[live]
-            endpoint_u = endpoint_u[live]
-            endpoint_v = endpoint_v[live]
-            residual = residual[live]
-        if window_ids.size == 0:
-            cursor.defer(window_ids, window_pos)
-            window = _next_window(window, 0, 0)
+    for edge in np.asarray(order, dtype=np.int64):
+        edge = int(edge)
+        u, v = int(edge_u[edge]), int(edge_v[edge])
+        residual = float(weights[edge]) - phi[u] - phi[v]
+        if residual <= 1e-12:
             continue
-        first = first_occurrence_mask(_interleave(endpoint_u, endpoint_v), scratch)
-        accept = first[0::2] & first[1::2]
-        reductions = residual[accept]
-        phi[endpoint_u[accept]] += reductions
-        phi[endpoint_v[accept]] += reductions
-        pushed_edges.append(window_ids[accept])
-        pushed_pos.append(window_pos[accept])
-        deferred = ~accept
-        cursor.defer(window_ids[deferred], window_pos[deferred])
-        window = _next_window(window, int(accept.sum()), window_ids.size)
-    if pushed_edges:
-        stack.extend(_ordered(pushed_edges, pushed_pos).tolist())
+        phi[u] += residual
+        phi[v] += residual
+        stack.append(edge)
     return len(stack) - pushed_before
 
 
@@ -375,51 +311,18 @@ def b_matching_reduction(
     order: np.ndarray,
     stack: list[int],
 ) -> int:
-    """Batched ε-adjusted reduction: live edges push and reduce by ``residual / b``."""
-    order = np.asarray(order, dtype=np.int64)
+    """ε-adjusted reduction: live edges push and reduce by ``residual / b``."""
     pushed_before = len(stack)
-    num_vertices = phi.size
-    scratch = np.empty(num_vertices, dtype=np.int64)
-    cursor = _WindowCursor(order)
-    pushed_edges: list[np.ndarray] = []
-    pushed_pos: list[np.ndarray] = []
-    window = _INITIAL_WINDOW
-    while not cursor.exhausted():
-        window_ids, window_pos = cursor.draw(window)
-        endpoint_u = edge_u[window_ids]
-        endpoint_v = edge_v[window_ids]
-        window_w = weights[window_ids]
-        phi_u = phi[endpoint_u]
-        phi_v = phi[endpoint_v]
-        # The ε-adjusted death rule is monotone in φ: dead now means dead at
-        # the sequential turn, so drop instead of deferring.
-        live = window_w > (1.0 + epsilon) * (phi_u + phi_v) + 1e-12
-        if not live.all():
-            window_ids = window_ids[live]
-            window_pos = window_pos[live]
-            endpoint_u = endpoint_u[live]
-            endpoint_v = endpoint_v[live]
-            window_w = window_w[live]
-            phi_u = phi_u[live]
-            phi_v = phi_v[live]
-        if window_ids.size == 0:
-            cursor.defer(window_ids, window_pos)
-            window = _next_window(window, 0, 0)
+    for edge in np.asarray(order, dtype=np.int64):
+        edge = int(edge)
+        u, v = int(edge_u[edge]), int(edge_v[edge])
+        w = float(weights[edge])
+        if w <= (1.0 + epsilon) * (phi[u] + phi[v]) + 1e-12:
             continue
-        first = first_occurrence_mask(_interleave(endpoint_u, endpoint_v), scratch)
-        accept = first[0::2] & first[1::2]
-        residual = window_w[accept] - phi_u[accept] - phi_v[accept]
-        accept_u = endpoint_u[accept]
-        accept_v = endpoint_v[accept]
-        phi[accept_u] += residual / capacities[accept_u]
-        phi[accept_v] += residual / capacities[accept_v]
-        pushed_edges.append(window_ids[accept])
-        pushed_pos.append(window_pos[accept])
-        deferred = ~accept
-        cursor.defer(window_ids[deferred], window_pos[deferred])
-        window = _next_window(window, int(accept.sum()), window_ids.size)
-    if pushed_edges:
-        stack.extend(_ordered(pushed_edges, pushed_pos).tolist())
+        residual = w - phi[u] - phi[v]
+        phi[u] += residual / capacities[u]
+        phi[v] += residual / capacities[v]
+        stack.append(edge)
     return len(stack) - pushed_before
 
 
@@ -519,42 +422,16 @@ def central_matching_pass(
 def unwind_matching(
     edge_u: np.ndarray, edge_v: np.ndarray, num_vertices: int, stack: Sequence[int]
 ) -> list[int]:
-    """Unwind a matching stack (LIFO) with a vectorized endpoint-blocked mask."""
-    reversed_stack = np.asarray(list(stack), dtype=np.int64)[::-1]
+    """Unwind a matching stack (LIFO), taking every edge whose endpoints are both free."""
     matched = np.zeros(num_vertices, dtype=bool)
-    scratch = np.empty(num_vertices, dtype=np.int64)
-    cursor = _WindowCursor(reversed_stack)
-    taken: list[np.ndarray] = []
-    taken_pos: list[np.ndarray] = []
-    window = _INITIAL_WINDOW
-    while not cursor.exhausted():
-        window_ids, window_pos = cursor.draw(window)
-        endpoint_u = edge_u[window_ids]
-        endpoint_v = edge_v[window_ids]
-        # Matched endpoints stay matched: edges blocked now are blocked at
-        # their sequential turn too — drop them here.
-        live = ~(matched[endpoint_u] | matched[endpoint_v])
-        if not live.all():
-            window_ids = window_ids[live]
-            window_pos = window_pos[live]
-            endpoint_u = endpoint_u[live]
-            endpoint_v = endpoint_v[live]
-        if window_ids.size == 0:
-            cursor.defer(window_ids, window_pos)
-            window = _next_window(window, 0, 0)
-            continue
-        first = first_occurrence_mask(_interleave(endpoint_u, endpoint_v), scratch)
-        accept = first[0::2] & first[1::2]
-        matched[endpoint_u[accept]] = True
-        matched[endpoint_v[accept]] = True
-        taken.append(window_ids[accept])
-        taken_pos.append(window_pos[accept])
-        deferred = ~accept
-        cursor.defer(window_ids[deferred], window_pos[deferred])
-        window = _next_window(window, int(accept.sum()), window_ids.size)
-    if not taken:
-        return []
-    return _ordered(taken, taken_pos).tolist()
+    matching: list[int] = []
+    for edge_id in reversed(list(stack)):
+        u, v = int(edge_u[edge_id]), int(edge_v[edge_id])
+        if not matched[u] and not matched[v]:
+            matched[u] = True
+            matched[v] = True
+            matching.append(int(edge_id))
+    return matching
 
 
 def unwind_b_matching(
@@ -564,39 +441,12 @@ def unwind_b_matching(
     capacities: np.ndarray,
 ) -> list[int]:
     """Unwind a b-matching stack (LIFO) respecting remaining endpoint capacities."""
-    reversed_stack = np.asarray(list(stack), dtype=np.int64)[::-1]
-    remaining_capacity = capacities.astype(np.int64).copy()
-    num_vertices = remaining_capacity.size
-    scratch = np.empty(num_vertices, dtype=np.int64)
-    cursor = _WindowCursor(reversed_stack)
-    taken: list[np.ndarray] = []
-    taken_pos: list[np.ndarray] = []
-    window = _INITIAL_WINDOW
-    while not cursor.exhausted():
-        window_ids, window_pos = cursor.draw(window)
-        endpoint_u = edge_u[window_ids]
-        endpoint_v = edge_v[window_ids]
-        # Capacities only decrease: an edge with an exhausted endpoint now is
-        # rejected at its sequential turn too — drop it here.
-        live = (remaining_capacity[endpoint_u] > 0) & (remaining_capacity[endpoint_v] > 0)
-        if not live.all():
-            window_ids = window_ids[live]
-            window_pos = window_pos[live]
-            endpoint_u = endpoint_u[live]
-            endpoint_v = endpoint_v[live]
-        if window_ids.size == 0:
-            cursor.defer(window_ids, window_pos)
-            window = _next_window(window, 0, 0)
-            continue
-        first = first_occurrence_mask(_interleave(endpoint_u, endpoint_v), scratch)
-        accept = first[0::2] & first[1::2]
-        remaining_capacity[endpoint_u[accept]] -= 1
-        remaining_capacity[endpoint_v[accept]] -= 1
-        taken.append(window_ids[accept])
-        taken_pos.append(window_pos[accept])
-        deferred = ~accept
-        cursor.defer(window_ids[deferred], window_pos[deferred])
-        window = _next_window(window, int(accept.sum()), window_ids.size)
-    if not taken:
-        return []
-    return _ordered(taken, taken_pos).tolist()
+    remaining = capacities.astype(np.int64).copy()
+    chosen: list[int] = []
+    for edge_id in reversed(list(stack)):
+        u, v = int(edge_u[edge_id]), int(edge_v[edge_id])
+        if remaining[u] > 0 and remaining[v] > 0:
+            remaining[u] -= 1
+            remaining[v] -= 1
+            chosen.append(int(edge_id))
+    return chosen

@@ -1,12 +1,17 @@
 """Retained pure-Python reference loops for the vectorized kernels.
 
-Each function mirrors a kernel in :mod:`repro.kernels.local_ratio`,
-:mod:`repro.kernels.coverage` or :mod:`repro.kernels.mis` — same signature,
-same state mutations — but processes items one at a time exactly like the
-pre-kernel algorithm layer did.  The golden-equivalence tests
-(``tests/kernels/``) run kernel and reference side by side on randomized
-instances and assert byte-identical outputs (chosen lists, stacks, and
-every mutated float array).
+Each function mirrors a kernel that stays vectorized —
+:func:`~repro.kernels.local_ratio.set_cover_reduction`,
+:func:`~repro.kernels.local_ratio.central_matching_pass`,
+:func:`~repro.kernels.mis.blocked_degree_decrements`, the uncovered counts
+of :class:`~repro.kernels.coverage.CoverageCounter` and the greedy set
+cover built on them — with the same signature and the same state
+mutations, but processes items one at a time exactly like the pre-kernel
+algorithm layer did.  The golden-equivalence tests (``tests/kernels/``) run
+kernel and reference side by side on randomized instances and assert
+byte-identical outputs (chosen lists, stacks, and every mutated float
+array).  Kernels that are plain loops themselves have no reference here;
+their outputs are pinned by digests in the same tests.
 
 Do not optimise these: their value is being the obviously-sequential
 specification the kernels are checked against.
@@ -14,20 +19,12 @@ specification the kernels are checked against.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 __all__ = [
     "set_cover_reduction_reference",
-    "vertex_cover_reduction_reference",
-    "matching_reduction_reference",
-    "b_matching_reduction_reference",
     "central_matching_pass_reference",
-    "unwind_matching_reference",
-    "unwind_b_matching_reference",
     "uncovered_counts_reference",
-    "greedy_mis_pass_reference",
     "blocked_degree_decrements_reference",
     "greedy_set_cover_reference",
 ]
@@ -66,74 +63,6 @@ def set_cover_reduction_reference(
     return len(chosen) - selected_before
 
 
-def vertex_cover_reduction_reference(
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    residual: np.ndarray,
-    in_cover: np.ndarray,
-    order: np.ndarray,
-    chosen: list[int],
-) -> int:
-    selected_before = len(chosen)
-    for edge in np.asarray(order, dtype=np.int64):
-        u, v = int(edge_u[edge]), int(edge_v[edge])
-        if in_cover[u] or in_cover[v]:
-            continue
-        eps = float(min(residual[u], residual[v]))
-        residual[u] -= eps
-        residual[v] -= eps
-        for vertex in (u, v):
-            if residual[vertex] <= 1e-12 and not in_cover[vertex]:
-                in_cover[vertex] = True
-                chosen.append(int(vertex))
-    return len(chosen) - selected_before
-
-
-def matching_reduction_reference(
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    weights: np.ndarray,
-    phi: np.ndarray,
-    order: np.ndarray,
-    stack: list[int],
-) -> int:
-    pushed_before = len(stack)
-    for edge in np.asarray(order, dtype=np.int64):
-        edge = int(edge)
-        u, v = int(edge_u[edge]), int(edge_v[edge])
-        residual = float(weights[edge]) - phi[u] - phi[v]
-        if residual <= 1e-12:
-            continue
-        phi[u] += residual
-        phi[v] += residual
-        stack.append(edge)
-    return len(stack) - pushed_before
-
-
-def b_matching_reduction_reference(
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    weights: np.ndarray,
-    capacities: np.ndarray,
-    epsilon: float,
-    phi: np.ndarray,
-    order: np.ndarray,
-    stack: list[int],
-) -> int:
-    pushed_before = len(stack)
-    for edge in np.asarray(order, dtype=np.int64):
-        edge = int(edge)
-        u, v = int(edge_u[edge]), int(edge_v[edge])
-        w = float(weights[edge])
-        if w <= (1.0 + epsilon) * (phi[u] + phi[v]) + 1e-12:
-            continue
-        residual = w - phi[u] - phi[v]
-        phi[u] += residual / capacities[u]
-        phi[v] += residual / capacities[v]
-        stack.append(edge)
-    return len(stack) - pushed_before
-
-
 def central_matching_pass_reference(
     edge_u: np.ndarray,
     edge_v: np.ndarray,
@@ -166,37 +95,6 @@ def central_matching_pass_reference(
         on_stack[edge] = True
         stack.append(edge)
     return len(stack) - pushed_before
-
-
-def unwind_matching_reference(
-    edge_u: np.ndarray, edge_v: np.ndarray, num_vertices: int, stack: Sequence[int]
-) -> list[int]:
-    matched = np.zeros(num_vertices, dtype=bool)
-    matching: list[int] = []
-    for edge_id in reversed(list(stack)):
-        u, v = int(edge_u[edge_id]), int(edge_v[edge_id])
-        if not matched[u] and not matched[v]:
-            matched[u] = True
-            matched[v] = True
-            matching.append(int(edge_id))
-    return matching
-
-
-def unwind_b_matching_reference(
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    stack: Sequence[int],
-    capacities: np.ndarray,
-) -> list[int]:
-    remaining = capacities.astype(np.int64).copy()
-    chosen: list[int] = []
-    for edge_id in reversed(list(stack)):
-        u, v = int(edge_u[edge_id]), int(edge_v[edge_id])
-        if remaining[u] > 0 and remaining[v] > 0:
-            remaining[u] -= 1
-            remaining[v] -= 1
-            chosen.append(int(edge_id))
-    return chosen
 
 
 def uncovered_counts_reference(instance, covered: np.ndarray) -> np.ndarray:
@@ -243,26 +141,6 @@ def greedy_set_cover_reference(instance) -> list[int]:
         num_covered += int(np.count_nonzero(newly))
         covered[elems] = True
     return chosen
-
-
-def greedy_mis_pass_reference(
-    adj_indptr: np.ndarray,
-    adj_indices: np.ndarray,
-    candidates: np.ndarray,
-    blocked: np.ndarray,
-    added: list[int],
-) -> int:
-    added_before = len(added)
-    for v in np.asarray(candidates, dtype=np.int64):
-        v = int(v)
-        if blocked[v]:
-            continue
-        added.append(v)
-        blocked[v] = True
-        neighbours = adj_indices[adj_indptr[v] : adj_indptr[v + 1]]
-        if neighbours.size:
-            blocked[neighbours] = True
-    return len(added) - added_before
 
 
 def blocked_degree_decrements_reference(

@@ -58,6 +58,12 @@ class TestBoundFormulae:
         assert bound.approximation == pytest.approx(1.2 * harmonic(50))
         assert bound.rounds > 0
 
+    def test_greedy_set_cover_approximation_floors_at_one(self):
+        # ∆ = 0 (no elements): H_0 = 0, but a ratio guarantee is never below 1.
+        assert set_cover_greedy_bound(220, 0, delta=0, mu=0.4, epsilon=0.2).approximation == 1.0
+        # ∆ ≥ 1 keeps the exact (1+ε)·H_∆.
+        assert set_cover_greedy_bound(220, 60, delta=1, mu=0.4, epsilon=0.2).approximation == 1.2
+
     def test_mis_simple_vs_improved(self):
         improved = mis_bound(200, 4000, 0.25)
         simple = mis_bound(200, 4000, 0.25, simple=True)

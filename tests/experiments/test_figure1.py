@@ -8,11 +8,15 @@ shape — end to end.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+import repro
 import repro.experiments.figure1 as figure1
 from repro.analysis import within_guarantee
+from repro.cli import main
 from repro.experiments import (
     GRIDS,
     b_matching_experiment,
@@ -28,6 +32,7 @@ from repro.experiments import (
     vertex_cover_experiment,
 )
 from repro.registry import experiment_names
+from repro.service import parse_solve_request, solve_direct
 
 
 def _rng(seed: int = 0) -> np.random.Generator:
@@ -348,3 +353,39 @@ class TestRegistry:
         records = run_figure1(seed=3, experiments=["fig1-vertex-colouring", "fig1-mis"])
         assert len(records) == 2
         assert all(record.valid for record in records)
+
+
+class TestCertificateVerdict:
+    """A failed certificate check reaches the record as ``valid: false``.
+
+    Each row checks its answer once, with the certificate it imports into
+    :mod:`repro.experiments.figure1`; patching that name to reject every
+    answer must give an invalid record on each surface, not a crash.
+    """
+
+    CERTIFICATE = {
+        "fig1-vertex-cover": "is_vertex_cover",
+        "fig1-set-cover-f": "is_cover",
+        "fig1-set-cover-greedy": "is_cover",
+        "fig1-mis": "is_maximal_independent_set",
+        "fig1-maximal-clique": "is_maximal_clique",
+        "fig1-matching": "is_matching",
+        "fig1-matching-mu0": "is_matching",
+        "fig1-b-matching": "is_b_matching",
+        "fig1-vertex-colouring": "is_proper_vertex_colouring",
+        "fig1-edge-colouring": "is_proper_edge_colouring",
+    }
+
+    def test_every_row_has_a_certificate(self):
+        assert sorted(self.CERTIFICATE) == sorted(experiment_names())
+
+    @pytest.mark.parametrize("experiment", sorted(CERTIFICATE))
+    def test_rejected_answer_is_an_invalid_record(self, experiment, monkeypatch, capsys):
+        monkeypatch.setattr(figure1, self.CERTIFICATE[experiment], lambda *a, **k: False)
+        assert repro.solve(experiment, seed=3).valid is False
+        response = json.loads(solve_direct(parse_solve_request({"algorithm": experiment})))
+        assert [record["valid"] for record in response["records"]] == [False]
+        capsys.readouterr()
+        assert main(["figure1", "--only", experiment, "--json"]) == 1
+        records = json.loads(capsys.readouterr().out)
+        assert [record["valid"] for record in records] == [False]

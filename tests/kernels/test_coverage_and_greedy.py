@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from repro.graphs.generators import gnm_graph
 from repro.kernels import CoverageCounter, blocked_degree_decrements, greedy_mis_pass
 from repro.kernels.reference import (
     blocked_degree_decrements_reference,
-    greedy_mis_pass_reference,
     greedy_set_cover_reference,
     uncovered_counts_reference,
 )
@@ -123,21 +124,34 @@ def test_epsilon_greedy_counter_backed_path(seed):
 # --------------------------------------------------------------------------- #
 # MIS helpers
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("seed", SEEDS)
-def test_greedy_mis_pass_matches_reference(seed):
+def greedy_mis_pass_outputs(seed: int) -> tuple:
+    """Accepted count, accepted vertices and final blocked mask of one scan."""
     rng = np.random.default_rng(seed)
     graph = gnm_graph(70, 280, rng)
     indptr, indices = graph.adjacency()
     candidates = rng.permutation(70)
-    blocked_seed = rng.random(70) < 0.2
-    blocked_ref = blocked_seed.copy()
-    blocked_ker = blocked_seed.copy()
-    added_ref: list[int] = []
-    added_ker: list[int] = []
-    greedy_mis_pass_reference(indptr, indices, candidates, blocked_ref, added_ref)
-    greedy_mis_pass(indptr, indices, candidates, blocked_ker, added_ker)
-    assert added_ker == added_ref
-    assert np.array_equal(blocked_ker, blocked_ref)
+    blocked = rng.random(70) < 0.2
+    added: list[int] = []
+    count = greedy_mis_pass(indptr, indices, candidates, blocked, added)
+    return int(count), [int(v) for v in added], blocked.tolist()
+
+
+#: sha256 of ``repr(greedy_mis_pass_outputs(seed))``, recorded while the
+#: scan was still compared with a copy of itself kept as its reference.
+GREEDY_MIS_PASS_DIGESTS = {
+    0: "61d6bd29cb9ad322ef78e95f4a16f26e8f5fd094a29ac032bafdf39814bc99f3",
+    1: "26f36ac02377cdcbebc524b6636de6b69407a90a2a78a116d0e31e89d6233742",
+    2: "faa86234e54a2efd463c3189fd767bc51c4bb4001ad9ccc2d91a3c115ed9feb6",
+    3: "fbd41c7804d2da3975e7bb2b9bf3f292747fefda0ed9e3d1e193c366f1fe1f06",
+    4: "6ca3d78217b682686873cbd97479da5da284c45115a4187174b072939fdb782c",
+    5: "d65037c7e75048740f76ee17f0ab87ce8482c19af915549ac4fc02a984bb46ce",
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_greedy_mis_pass_digest(seed):
+    outputs = greedy_mis_pass_outputs(seed)
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == GREEDY_MIS_PASS_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
