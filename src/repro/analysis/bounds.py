@@ -156,7 +156,7 @@ def b_matching_bound(n: int, m: int, b: int, mu: float, epsilon: float) -> Theor
     return TheoremBound(
         name="Theorem D.3 (weighted b-matching)",
         approximation=ratio,
-        rounds=c / mu if mu > 0 else math.log(max(n, 2)),
+        rounds=c / mu,
         space_per_machine=b * log_factor * float(n) ** (1.0 + mu),
     )
 

@@ -47,17 +47,19 @@ def greedy_vertex_colouring(
     if vertices is None:
         vertices = np.arange(graph.num_vertices)
     vertices = np.asarray(vertices, dtype=np.int64)
-    member = np.zeros(graph.num_vertices, dtype=bool)
-    member[vertices] = True
+    member_mask = np.zeros(graph.num_vertices, dtype=bool)
+    member_mask[vertices] = True
+    member = member_mask.tolist()
     if order is None:
         order = vertices
+    indptr, neighbours = graph.adjacency()
+    bounds = indptr.tolist()
     colours: dict[int, int] = {}
-    for v in order:
-        v = int(v)
+    for v in np.asarray(order, dtype=np.int64).tolist():
         taken = {
-            colours[int(w)]
-            for w in graph.neighbors(v)
-            if member[w] and int(w) in colours
+            colours[w]
+            for w in neighbours[bounds[v] : bounds[v + 1]].tolist()
+            if member[w] and w in colours
         }
         colour = 0
         while colour in taken:
@@ -138,8 +140,8 @@ def mapreduce_vertex_colouring(
     for group in range(kappa):
         members = np.flatnonzero(group_of == group)
         local = greedy_vertex_colouring(graph, vertices=members)
-        for v in members:
-            colours[int(v)] = (group, local[int(v)])
+        for v in members.tolist():
+            colours[v] = (group, local[v])
         edge_count = int(group_edge_counts[group]) if group < group_edge_counts.size else 0
         iterations.append(
             IterationStats(

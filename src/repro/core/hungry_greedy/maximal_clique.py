@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...graphs.graph import Graph
+from ...kernels.csr import gather_rows
 from ..results import CliqueResult, IterationStats
 
 __all__ = ["hungry_greedy_maximal_clique", "sequential_greedy_maximal_clique"]
@@ -56,21 +57,16 @@ class _CliqueState:
         self.in_clique[v] = True
         self.candidate[v] = False
         self.num_candidates -= 1
-        neighbours = set(int(x) for x in self.graph.neighbors(v))
-        removed = [
-            int(u)
-            for u in np.flatnonzero(self.candidate)
-            if int(u) not in neighbours
-        ]
-        for u in removed:
-            self.candidate[u] = False
-        self.num_candidates -= len(removed)
-        # Candidates adjacent to a removed vertex lose one candidate-neighbour.
-        for u in removed + [v]:
-            for x in self.graph.neighbors(u):
-                x = int(x)
-                if self.candidate[x]:
-                    self.deg_in_p[x] -= 1
+        n = self.graph.num_vertices
+        indptr, indices = self.graph.adjacency()
+        adjacent = np.zeros(n, dtype=bool)
+        adjacent[indices[indptr[v] : indptr[v + 1]]] = True
+        removed = np.flatnonzero(self.candidate & ~adjacent)
+        self.candidate[removed] = False
+        self.num_candidates -= removed.size
+        # Candidates lose one candidate-neighbour per adjacent removed vertex (or v).
+        flat, _ = gather_rows(indptr, indices, np.append(removed, v))
+        self.deg_in_p -= np.bincount(flat[self.candidate[flat]], minlength=n)
 
     def candidates(self) -> np.ndarray:
         return np.flatnonzero(self.candidate)

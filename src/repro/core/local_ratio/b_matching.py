@@ -98,6 +98,7 @@ def randomized_local_ratio_b_matching(
 
     # Precompute incident edge ids per vertex once; alive filtering is cheap.
     incident = [graph.incident_edges(v) for v in range(n)]
+    capacities_list = capacities.tolist()
 
     iteration = 0
     while alive.any():
@@ -112,6 +113,11 @@ def randomized_local_ratio_b_matching(
         sample_words = 0
         pushed_this_round = 0
         sampled_total = 0
+        # φ as a list, written back once; alive edges start off the stack,
+        # so only this iteration's pushes (``pushed``) can be on it.
+        potentials = phi.tolist()
+        pushed: set[int] = set()
+        stack_before = len(stack)
         for v in range(n):
             inc = incident[v]
             if inc.size == 0:
@@ -127,39 +133,37 @@ def randomized_local_ratio_b_matching(
             sampled_total += candidates.size
             sample_words += 3 * int(candidates.size)
             # Central machine: repeatedly take the heaviest remaining sampled
-            # edge (by residual weight) and apply the ε-adjusted reduction
-            # (Lines 11-17).  Edges that have already died under the ε-rule
-            # are skipped without consuming the push budget; once the largest
-            # residual is non-positive every remaining candidate at v is dead.
+            # edge (by residual weight, first on ties) and apply the
+            # ε-adjusted reduction (Lines 11-17).  Edges that have already
+            # died under the ε-rule are skipped without consuming the push
+            # budget; once the largest residual is non-positive every
+            # remaining candidate at v is dead.
             budget = int(pushes_per_vertex[v]) if not full_sample else candidates.size
-            remaining = np.asarray(candidates, dtype=np.int64)
+            # (edge, u, v, w) per candidate; one on the stack is never the heaviest.
+            columns = (candidates, edge_u[candidates], edge_v[candidates], weights[candidates])
+            remaining = [c for c in zip(*(a.tolist() for a in columns)) if c[0] not in pushed]
             pushes_done = 0
-            while remaining.size and pushes_done < budget:
-                res = np.where(
-                    on_stack[remaining],
-                    -np.inf,
-                    weights[remaining] - phi[edge_u[remaining]] - phi[edge_v[remaining]],
-                )
-                best_pos = int(np.argmax(res))
-                best_edge = int(remaining[best_pos])
-                best_res = float(res[best_pos])
+            while remaining and pushes_done < budget:
+                best, best_res = 0, -np.inf
+                for i, (_, lo, hi, w) in enumerate(remaining):
+                    res = w - potentials[lo] - potentials[hi]
+                    if res > best_res:
+                        best, best_res = i, res
                 if best_res <= 1e-12:
                     break
-                dead_threshold = (1.0 + epsilon) * (
-                    phi[edge_u[best_edge]] + phi[edge_v[best_edge]]
-                )
-                if weights[best_edge] <= dead_threshold + 1e-12:
+                edge, uu, vv, w = remaining.pop(best)
+                dead_threshold = (1.0 + epsilon) * (potentials[uu] + potentials[vv])
+                if w <= dead_threshold + 1e-12:
                     # Dead under the ε-adjusted rule: drop it and keep looking.
-                    remaining = np.delete(remaining, best_pos)
                     continue
-                uu, vv = int(edge_u[best_edge]), int(edge_v[best_edge])
-                phi[uu] += best_res / capacities[uu]
-                phi[vv] += best_res / capacities[vv]
-                on_stack[best_edge] = True
-                stack.append(best_edge)
+                potentials[uu] += best_res / capacities_list[uu]
+                potentials[vv] += best_res / capacities_list[vv]
+                pushed.add(edge)
+                stack.append(edge)
                 pushed_this_round += 1
                 pushes_done += 1
-                remaining = np.delete(remaining, best_pos)
+        phi[:] = potentials
+        on_stack[stack[stack_before:]] = True
 
         iterations.append(
             IterationStats(

@@ -357,8 +357,11 @@ def mpc_weighted_b_matching(
     """Theorem D.3: ``(3 − 2/b + 2ε)``-approximate maximum weight b-matching.
 
     The per-machine budget grows to ``O(b·log(1/ε)·n^{1+µ})`` words, exactly
-    as stated in the theorem.
+    as stated in the theorem.  ``mu`` must be positive: the ``c/µ`` round
+    bound is undefined at 0.
     """
+    if mu <= 0:
+        raise ValueError("mu must be positive")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive for the ε-adjusted reduction")
     params = mpc_parameters_for_graph(graph, mu)

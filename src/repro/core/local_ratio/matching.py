@@ -143,7 +143,7 @@ def randomized_local_ratio_matching(
         boundaries = np.searchsorted(sample_hosts, np.arange(n + 1))
 
         # Central machine: walk the vertices, pick the heaviest sampled edge
-        # with positive residual weight, reduce, push (batched kernel).
+        # with positive residual weight, reduce, push.
         pushed_this_round = central_matching_pass(
             edge_u, edge_v, weights, phi, on_stack, sample_edges, boundaries, stack
         )

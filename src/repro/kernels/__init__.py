@@ -8,9 +8,10 @@ algorithm layer (``repro.core.*``, ``repro.baselines.*``):
 * :mod:`~repro.kernels.csr` — flat CSR gathers and the occurs-once scan
   that powers the batched window loops;
 * :mod:`~repro.kernels.local_ratio` — the subtract-and-freeze loops: the
-  set cover reduction and the central machine pass of Algorithm 4 are
-  window-batched; the vertex cover, matching and b-matching reductions
-  and the two stack unwinds are plain loops;
+  set cover reduction is window-batched; the central machine pass of
+  Algorithm 4 walks Python lists of the sampled edges; the vertex cover,
+  matching and b-matching reductions and the two stack unwinds are plain
+  loops;
 * :mod:`~repro.kernels.coverage` — incremental uncovered-count maintenance
   for the greedy set cover algorithms;
 * :mod:`~repro.kernels.mis` — the per-vertex greedy MIS scan and the

@@ -11,16 +11,15 @@ operations the kernels need:
 * :func:`first_occurrence_mask` — flag, for a flat id array, which entries
   are the first occurrence of their id.
 
-``first_occurrence_mask`` powers the batch selection of the kernels: the
-sequential local ratio / greedy loops process items one at a time, and two
-items only interact when they touch a common id (a shared owner set, a
-shared endpoint, a shared neighbour).  Within a window of the processing
-order, accept every item *all* of whose touched ids occur for the first
-time at that item.  Such items are pairwise disjoint (a shared id would
-make the later occurrence non-first) and no earlier window item touches
-their ids (an earlier toucher would own the first occurrence), so the whole
-accepted set can be executed as one vectorized batch against the
-window-entry state.  Rejected items are deferred *in order* to the next
+``first_occurrence_mask`` powers the batch selection of the set cover
+kernel: the sequential local ratio loop processes items one at a time, and
+two items only interact when they touch a common id (a shared owner set).
+Within a window of the processing order, accept every item *all* of whose
+touched ids occur for the first time at that item.  Such items are
+pairwise disjoint (a shared id would make the later occurrence non-first)
+and no earlier window item touches their ids (an earlier toucher would own
+the first occurrence), so the whole accepted set can be executed as one
+vectorized batch against the window-entry state.  Rejected items are deferred *in order* to the next
 window; any later item conflicting with a deferred one is itself rejected
 (the deferred item holds the earlier occurrence), so deferred items run
 only after every earlier conflicting item has been applied and before every

@@ -6,19 +6,18 @@ state per item: the residual weights of an element's owner sets, or the
 potentials ``φ`` of an edge's endpoints.  Two items only interact when
 those neighbourhoods overlap.
 
-:func:`set_cover_reduction` and :func:`central_matching_pass` exploit that
-with the same *window batching* scheme:
+:func:`set_cover_reduction` exploits that with *window batching*:
 
 1. draw a window: the carried-over deferred items followed by the next
    unvisited items of the order (the carry is at most one window long, so a
    round never touches — or copies — the untouched tail of the order);
-2. drop items that are already dead (set cover's covered elements):
-   coverage is monotone, so dead-now implies dead-at-its-sequential-turn,
-   and skipping has no side effects;
-3. accept every window item whose touched ids all occur for the *first*
+2. drop items that are already dead (covered elements): coverage is
+   monotone, so dead-now implies dead-at-its-sequential-turn, and skipping
+   has no side effects;
+3. accept every window item whose owner sets all occur for the *first*
    time at that item (:func:`~repro.kernels.csr.first_occurrence_mask`) —
    accepted items are pairwise disjoint and no earlier window item touches
-   their ids, so the state each would see sequentially is exactly the
+   their sets, so the state each would see sequentially is exactly the
    window-entry state — and apply them as one batch of NumPy gathers,
    ``np.minimum.reduceat`` reductions and scatter updates;
 4. defer the rejected items, *in order*, into the next round's carry — each
@@ -29,27 +28,27 @@ The first window item always first-occurs, so every round retires at least
 one item, and a round only ever touches the carry plus one window of fresh
 items — never the unvisited tail.  Total work is therefore linear in the
 order length times the (bounded) window: adversarial orders where every
-item conflicts (a star graph) degrade to one item per round, i.e. the
-sequential loop at the fixed per-round vectorization cost (measured ~20-30×
-the pure-Python loop on a pure star, scaling linearly) — a constant-factor
-detour on inputs the paper's workloads never produce, not a complexity
-cliff.  Because acceptance
-can reorder *output* events (a deferred item may emit after a later
-accepted one), kernels record each emission's position in the original
-order and restore the sequential emission order with one final argsort.
-The result is bitwise identical to the pure-Python loops retained in
-:mod:`repro.kernels.reference` — the golden-equivalence tests under
+item conflicts degrade to one item per round, i.e. the sequential loop at
+the fixed per-round vectorization cost — a constant-factor detour on inputs
+the paper's workloads never produce, not a complexity cliff.  Because
+acceptance can reorder *output* events (a deferred item may emit after a
+later accepted one), the kernel records each emission's position in the
+original order and restores the sequential emission order with one final
+argsort.  The result is bitwise identical to the pure-Python loop retained
+in :mod:`repro.kernels.reference` — the golden-equivalence tests under
 ``tests/kernels/`` enforce exactly that.
 
-The other five functions are the plain loops, because batching them did
-not pay: the three reductions (:func:`vertex_cover_reduction`,
+The other functions are plain loops, because batching them did not pay:
+the three reductions (:func:`vertex_cover_reduction`,
 :func:`matching_reduction`, :func:`b_matching_reduction`) serve only the
 classical ``local_ratio_*`` algorithms of
-:mod:`repro.core.local_ratio.sequential`, which no MPC driver calls, and
+:mod:`repro.core.local_ratio.sequential`, which no MPC driver calls;
 batching the two stack unwinds (:func:`unwind_matching`,
 :func:`unwind_b_matching`) saved under 1% of the benchmark's ``mpc`` pass
-while losing to the loop at Figure-1 sizes (``docs/PERFORMANCE.md`` has
-the measurements).
+while losing to the loop at Figure-1 sizes; and Algorithm 4's central
+walk (:func:`central_matching_pass`) runs over Python lists of the sampled
+edges, which beat its former window batching on both the ``mpc`` pass and
+the Figure-1 sweep (``docs/PERFORMANCE.md`` has the measurements).
 """
 
 from __future__ import annotations
@@ -339,80 +338,47 @@ def central_matching_pass(
     boundaries: np.ndarray,
     stack: list[int],
 ) -> int:
-    """Vectorized central-machine walk of Algorithm 4.
+    """Central-machine walk of Algorithm 4, over Python lists.
 
     ``sample_edges`` holds the sampled incidences sorted by host vertex and
     ``boundaries[v]:boundaries[v+1]`` delimits host ``v``'s candidates
     (``E'_v``).  For each host in vertex order, select the first heaviest
-    candidate by residual weight, apply the reduction and push — batched
-    over hosts whose candidate neighbourhoods are disjoint within the
-    window (a selection at a host reads/writes ``φ`` of both endpoints and
-    the on-stack bits of incident edges, all of which the host-plus-far-
-    endpoints id segment covers).  Mutates ``phi`` and ``on_stack``,
-    appends to ``stack`` in host order, returns the number of pushes.
+    candidate by residual weight ``(w − φ(u)) − φ(v)`` among those not on
+    the stack (``np.argmax``'s tie-break), add the residual to ``φ`` of
+    both endpoints and push.  The sampled edges' endpoints, weights and
+    on-stack bits and ``φ`` are read into lists once and written back
+    once, so the walk reads no NumPy scalar.  Mutates ``phi`` and
+    ``on_stack``, appends to ``stack`` in host order, returns the number
+    of pushes.
     """
     pushed_before = len(stack)
-    num_vertices = phi.size
-    scratch = np.empty(num_vertices, dtype=np.int64)
-    hosts = np.flatnonzero(np.diff(boundaries)).astype(np.int64)
-    cursor = _WindowCursor(hosts, hosts)  # a host's emission key is itself
-    pushed_edges: list[np.ndarray] = []
-    pushed_hosts: list[np.ndarray] = []
-    window = _INITIAL_WINDOW
-    while not cursor.exhausted():
-        window_hosts, _ = cursor.draw(window)
-        candidates_flat, seg_indptr = gather_rows(boundaries, sample_edges, window_hosts)
-        lengths = np.diff(seg_indptr)
-        # Conflict ids per host: the host itself plus the far endpoint of
-        # each candidate edge.
-        far = (
-            edge_u[candidates_flat]
-            + edge_v[candidates_flat]
-            - np.repeat(window_hosts, lengths)
-        )
-        touched_indptr = seg_indptr + np.arange(seg_indptr.size, dtype=np.int64)
-        touched = np.empty(candidates_flat.size + window_hosts.size, dtype=np.int64)
-        touched[touched_indptr[:-1]] = window_hosts
-        fill = np.ones(touched.size, dtype=bool)
-        fill[touched_indptr[:-1]] = False
-        touched[fill] = far
-        first = first_occurrence_mask(touched, scratch)
-        accept = np.logical_and.reduceat(first, touched_indptr[:-1])
-
-        candidate_accept = np.repeat(accept, lengths)
-        batch_candidates = candidates_flat[candidate_accept]
-        batch_lengths = lengths[accept]
-        starts = np.zeros(batch_lengths.size, dtype=np.int64)
-        np.cumsum(batch_lengths[:-1], out=starts[1:])
-        residual = (
-            weights[batch_candidates]
-            - phi[edge_u[batch_candidates]]
-            - phi[edge_v[batch_candidates]]
-        )
-        residual[on_stack[batch_candidates]] = -np.inf
-        # First position attaining the per-segment maximum (the sequential
-        # walk's np.argmax tie-break).
-        best_value = np.maximum.reduceat(residual, starts)
-        segment_of = np.repeat(np.arange(batch_lengths.size), batch_lengths)
-        total = batch_candidates.size
-        candidate_position = np.where(
-            residual == best_value[segment_of], np.arange(total), total
-        )
-        best_position = np.minimum.reduceat(candidate_position, starts)
-        chosen = best_value > 1e-12
-        if np.any(chosen):
-            selected = batch_candidates[best_position[chosen]]
-            reductions = residual[best_position[chosen]]
-            phi[edge_u[selected]] += reductions
-            phi[edge_v[selected]] += reductions
-            on_stack[selected] = True
-            pushed_edges.append(selected)
-            pushed_hosts.append(window_hosts[accept][chosen])
-        deferred = ~accept
-        cursor.defer(window_hosts[deferred], window_hosts[deferred])
-        window = _next_window(window, int(accept.sum()), window_hosts.size)
-    if pushed_edges:
-        stack.extend(_ordered(pushed_edges, pushed_hosts).tolist())
+    edges = sample_edges.tolist()
+    lows = edge_u[sample_edges].tolist()
+    highs = edge_v[sample_edges].tolist()
+    edge_weights = weights[sample_edges].tolist()
+    stacked = on_stack[sample_edges].tolist()
+    potentials = phi.tolist()
+    # An edge sampled at both endpoints is a candidate of two hosts; once
+    # pushed at the first it is on the stack for the second.
+    pushed: set[int] = set()
+    bounds = boundaries.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        best, best_residual = -1, -np.inf
+        for i in range(lo, hi):
+            if stacked[i] or edges[i] in pushed:
+                continue
+            residual = edge_weights[i] - potentials[lows[i]] - potentials[highs[i]]
+            if residual > best_residual:
+                best, best_residual = i, residual
+        if best_residual <= 1e-12:
+            continue
+        potentials[lows[best]] += best_residual
+        potentials[highs[best]] += best_residual
+        pushed.add(edges[best])
+        stack.append(edges[best])
+    if len(stack) > pushed_before:
+        phi[:] = potentials
+        on_stack[stack[pushed_before:]] = True
     return len(stack) - pushed_before
 
 

@@ -1,17 +1,20 @@
-"""Retained pure-Python reference loops for the vectorized kernels.
+"""Retained pure-Python reference loops for the kernels.
 
-Each function mirrors a kernel that stays vectorized —
+Each function mirrors a kernel —
 :func:`~repro.kernels.local_ratio.set_cover_reduction`,
-:func:`~repro.kernels.local_ratio.central_matching_pass`,
 :func:`~repro.kernels.mis.blocked_degree_decrements`, the uncovered counts
 of :class:`~repro.kernels.coverage.CoverageCounter` and the greedy set
 cover built on them — with the same signature and the same state
 mutations, but processes items one at a time exactly like the pre-kernel
-algorithm layer did.  The golden-equivalence tests (``tests/kernels/``) run
-kernel and reference side by side on randomized instances and assert
-byte-identical outputs (chosen lists, stacks, and every mutated float
-array).  Kernels that are plain loops themselves have no reference here;
-their outputs are pinned by digests in the same tests.
+algorithm layer did.  :func:`central_matching_pass_reference` does
+Algorithm 4's central walk with NumPy operations per host and checks the
+list walk of :func:`~repro.kernels.local_ratio.central_matching_pass`,
+whose per-candidate arithmetic it must match bit for bit.  The
+golden-equivalence tests (``tests/kernels/``) run kernel and reference
+side by side on randomized instances and assert byte-identical outputs
+(chosen lists, stacks, and every mutated float array).  The other
+plain-loop kernels have no reference here; their outputs are pinned by
+digests in the same tests.
 
 Do not optimise these: their value is being the obviously-sequential
 specification the kernels are checked against.

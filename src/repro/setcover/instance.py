@@ -131,9 +131,10 @@ class SetCoverInstance:
 
         This is the zero-copy trusted constructor used by the dataset store
         (:mod:`repro.datasets`): the caller asserts the index already
-        satisfies the class invariants — ``indices[indptr[i]:indptr[i+1]]``
-        sorted and duplicate-free per set, elements in range, every element
-        covered — so no normalisation pass runs and (memory-mapped) input
+        satisfies the class invariants — ``indptr`` starting at 0 and never
+        decreasing, ``indices[indptr[i]:indptr[i+1]]`` sorted and
+        duplicate-free per set, elements in range, every element covered —
+        so no normalisation pass runs and (memory-mapped) input
         arrays of the right dtype are adopted as-is.  Pass ``validate=True``
         to check the invariants anyway.
         """
@@ -150,7 +151,8 @@ class SetCoverInstance:
             if w.shape != (n,):
                 raise ValueError("weights must have one entry per set")
         instance = cls.__new__(cls)
-        instance._sets = [indices[indptr[i] : indptr[i + 1]] for i in range(n)]
+        bounds = indptr.tolist()
+        instance._sets = [indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         instance._weights = w
         instance._m = m
         instance._set_sizes = np.diff(indptr)
@@ -159,15 +161,15 @@ class SetCoverInstance:
         instance._elem_indptr = None
         instance._elem_indices = None
         if validate:
-            if np.any(instance._set_sizes < 0) or int(indptr[-1]) != len(indices):
+            if bounds[0] != 0 or np.any(instance._set_sizes < 0) or bounds[-1] != len(indices):
                 raise ValueError("indptr is not a valid monotone CSR pointer array")
             if np.any(w <= 0) or np.any(~np.isfinite(w)):
                 raise ValueError("set weights must be positive and finite")
             if len(indices) and (indices.min() < 0 or indices.max() >= m):
                 raise ValueError("set element out of range")
-            for arr in instance._sets:
-                if arr.size > 1 and np.any(np.diff(arr) <= 0):
-                    raise ValueError("each set's elements must be sorted and unique")
+            owners = np.repeat(np.arange(n), instance._set_sizes)
+            if np.any((np.diff(indices) <= 0) & (np.diff(owners) == 0)):
+                raise ValueError("each set's elements must be sorted and unique")
             if m:
                 occurrences = np.bincount(indices, minlength=m)
                 uncovered = np.flatnonzero(occurrences == 0)
@@ -301,14 +303,18 @@ class SetCoverInstance:
         """Encode weighted vertex cover as set cover with frequency ``f = 2``.
 
         Each vertex becomes a set containing its incident edges; each edge is
-        an element contained in exactly its two endpoints' sets.
+        an element contained in exactly its two endpoints' sets.  The dual
+        index is the ``(u, v)`` pairs themselves (``u < v``: set ids ascend).
         """
-        n = graph.num_vertices
-        sets = [graph.incident_edges(v) for v in range(n)]
-        weights = None if vertex_weights is None else np.asarray(vertex_weights, dtype=np.float64)
-        isolated_ok = all(graph.incident_edges(v) is not None for v in range(n))
-        assert isolated_ok
-        return cls(sets, weights, num_elements=graph.num_edges, validate=True)
+        n, m = graph.num_vertices, graph.num_edges
+        # One sort of the half-edges by the unique key vertex·m + edge id.
+        endpoints = np.column_stack([graph.edge_u, graph.edge_v]).ravel()
+        keys = np.sort(endpoints * m + np.repeat(np.arange(m), 2))
+        indptr = np.searchsorted(keys, np.arange(n + 1) * m)
+        instance = cls.from_csr(indptr, keys % m, vertex_weights, num_elements=m, validate=True)
+        instance._elem_indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int64)
+        instance._elem_indices = endpoints
+        return instance
 
     def restricted_to_elements(self, elements: Iterable[int]) -> "SetCoverInstance":
         """Return the instance induced on a subset of elements (re-using element ids).

@@ -271,13 +271,15 @@ class TestCliRegistryCommands:
             "fig1-mis",
             "fig1-maximal-clique",
             "fig1-set-cover-greedy",
+            "fig1-b-matching",
         ],
     )
     def test_solve_rejects_zero_mu(self, row):
-        # Every c/µ bound is undefined at µ = 0: the driver refuses it
-        # before any bound divides by it.
-        with pytest.raises(ValueError, match="mu must be positive"):
-            main(["solve", row, "-p", "mu=0"])
+        # Every c/µ bound is undefined at µ = 0 and meaningless below it:
+        # the driver refuses both before any bound divides by µ.
+        for mu in ("0", "-0.1"):
+            with pytest.raises(ValueError, match="mu must be positive"):
+                main(["solve", row, "-p", f"mu={mu}"])
 
     def test_solve_rejects_zero_epsilon_for_b_matching(self):
         # The ε-adjusted reduction's space budget takes log(1/δ), δ = ε/(1+ε).

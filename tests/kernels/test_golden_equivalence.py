@@ -1,11 +1,11 @@
 """Golden tests for the local ratio kernels.
 
-The two window-batched kernels (set cover, Algorithm 4's central pass)
-must return *byte-identical* results to the retained reference loops in
-:mod:`repro.kernels.reference` — same emission lists in the same order,
-and bitwise-equal mutated float arrays — on randomized instances across
-seeds, plus inputs where the batching degenerates (duplicate orders, tiny
-weights).  The kernels that are plain loops (vertex cover, matching and
+The window-batched set cover kernel and Algorithm 4's central pass (a
+walk over Python lists) must return *byte-identical* results to the
+retained reference loops in :mod:`repro.kernels.reference` — same
+emission lists in the same order, and bitwise-equal mutated float arrays —
+on randomized instances across seeds, plus inputs where the batching
+degenerates (duplicate orders, tiny weights).  The kernels that are plain loops (vertex cover, matching and
 b-matching reductions, the two stack unwinds) are pinned instead by sha256
 digests of their outputs on the same randomized and adversarial inputs
 (stars, paths, complete graphs, duplicate orders), recorded when each was

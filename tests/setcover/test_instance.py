@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.mapreduce import InfeasibleInstanceError
 from repro.setcover import SetCoverInstance
-from repro.graphs import star_graph, cycle_graph
+from repro.graphs import Graph, star_graph, cycle_graph
+from repro.graphs.generators import gnm_graph
 
 
 class TestConstruction:
@@ -110,3 +113,118 @@ class TestConversionsAndRestriction:
     def test_restriction_preserves_weights(self, small_instance):
         sub = small_instance.restricted_to_elements([3])
         np.testing.assert_allclose(sub.weights, small_instance.weights)
+
+
+def _arrays_digest(instance: SetCoverInstance) -> str:
+    """sha256 over both CSR indexes, the weights, the set sizes and every set."""
+    arrays = [
+        *instance.set_incidence(),
+        *instance.element_incidence(),
+        instance.weights,
+        instance.set_sizes,
+        *(instance.set_elements(i) for i in range(instance.num_sets)),
+    ]
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(repr((array.dtype.str, array.shape)).encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def _shuffled_graph() -> Graph:
+    """Edges in a random order and given as (v, u), so edge ids skip around."""
+    dense = gnm_graph(30, 120, np.random.default_rng(5))
+    perm = np.random.default_rng(6).permutation(120)
+    return Graph(30, np.column_stack([dense.edge_v[perm], dense.edge_u[perm]]))
+
+
+class TestFromVertexCoverPinned:
+    """``from_vertex_cover``'s arrays and errors, recorded from the per-set encoding.
+
+    The encoding builds the primal CSR from the edge arrays directly; these
+    digests were recorded while it still normalised one incident-edge list
+    per vertex, so they pin every array (dtype, shape and bytes) it exposes.
+    """
+
+    CASES = {
+        "empty": (lambda: Graph(0, []), None),
+        "edgeless": (lambda: Graph(5, []), [1.0, 2.0, 3.0, 4.0, 5.0]),
+        "star-none": (lambda: star_graph(6), None),
+        "cycle-list": (lambda: cycle_graph(7), [float(i + 1) for i in range(7)]),
+        "shuffled-array": (
+            _shuffled_graph,
+            np.random.default_rng(7).uniform(1.0, 9.0, 30),
+        ),
+    }
+    EXPECTED = {
+        "empty": (0, 0, 0, "966f1804e7de3e60925055f4fbe54c1652add94b44e63cbfc01a401e3fa60c19"),
+        "edgeless": (5, 0, 0, "e5a138d63ac6161ad9430fa221166ffd546d4c639451e65bea55da5d1d9eb566"),
+        "star-none": (7, 6, 2, "05c95317fbcd6fc44faf05e3e5453132962b5305aad2548c9e048d5c80a15b1d"),
+        "cycle-list": (7, 7, 2, "790497a116070e483adf43823c23fffdd5e9deb03a9c78e5c1c28ab630bf08cf"),
+        "shuffled-array": (
+            30, 120, 2, "de9cf784f9f4affc5353914e38c4acf7320bb26b3c6e3e2935cec9bafab29654"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_arrays(self, case):
+        build, weights = self.CASES[case]
+        instance = SetCoverInstance.from_vertex_cover(build(), weights)
+        observed = (
+            instance.num_sets,
+            instance.num_elements,
+            instance.frequency,
+            _arrays_digest(instance),
+        )
+        assert observed == self.EXPECTED[case]
+
+    @pytest.mark.parametrize(
+        "weights,message",
+        [
+            ([1.0, 0.0, 1.0, 1.0, 1.0], "set weights must be positive and finite"),
+            ([1.0, 1.0, -2.0, 1.0, 1.0], "set weights must be positive and finite"),
+            ([1.0, np.nan, 1.0, 1.0, 1.0], "set weights must be positive and finite"),
+            ([1.0, 1.0], "weights must have one entry per set"),
+        ],
+        ids=["zero", "negative", "nan", "short"],
+    )
+    def test_errors(self, weights, message):
+        with pytest.raises(ValueError) as excinfo:
+            SetCoverInstance.from_vertex_cover(star_graph(4), weights)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == message
+
+
+class TestFromCsrValidation:
+    """``from_csr(validate=True)`` checks every class invariant of the CSR it adopts."""
+
+    @pytest.mark.parametrize(
+        "indptr,indices,num_elements,error",
+        [
+            # A pointer array not starting at 0 would drop indices[0] from every set.
+            ([1, 2], [0, 1], 2, ValueError),
+            ([0, 2], [1, 0], 2, ValueError),  # unsorted set
+            ([0, 2], [0, 0], 1, ValueError),  # duplicate element
+            ([0, 1], [5], 2, ValueError),  # element out of range
+            ([0, 1], [0], 2, InfeasibleInstanceError),  # element 1 uncovered
+            ([0, 2, 1, 3], [0, 1, 2], 3, ValueError),  # decreasing indptr
+        ],
+        ids=["indptr-offset", "unsorted", "duplicate", "out-of-range", "uncovered", "decreasing"],
+    )
+    def test_rejects(self, indptr, indices, num_elements, error):
+        with pytest.raises(error):
+            SetCoverInstance.from_csr(
+                np.array(indptr), np.array(indices), num_elements=num_elements, validate=True
+            )
+
+    def test_accepts_sets_that_restart_below_the_previous_last_element(self):
+        # {3, 4} then {0, 1} then {2}: the flat indices fall at set
+        # boundaries, which the sortedness check must not flag.
+        instance = SetCoverInstance.from_csr(
+            np.array([0, 2, 4, 5]), np.array([3, 4, 0, 1, 2]), num_elements=5, validate=True
+        )
+        assert [instance.set_elements(i).tolist() for i in range(3)] == [[3, 4], [0, 1], [2]]
+        assert instance.is_cover(range(instance.num_sets))
+        assert [instance.sets_containing(j).tolist() for j in range(5)] == [
+            [1], [1], [2], [0], [0]
+        ]
