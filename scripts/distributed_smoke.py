@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Distributed-backend smoke check: coordinator + real worker processes.
 
-Three gates, each against real ``repro worker`` subprocesses on loopback:
+Two gates, each against real ``repro worker`` subprocesses on loopback:
 
 1. **Byte-identity** — a sweep of real Figure-1 experiment points sharded
    across two workers must produce record payloads byte-identical to
@@ -10,11 +10,6 @@ Three gates, each against real ``repro worker`` subprocesses on loopback:
    is running; the coordinator must declare it dead, requeue its
    outstanding points onto the survivor, and the assembled results must
    *still* be byte-identical to serial.
-3. **Real MPC round** — one :meth:`MPCContext.map_round` executes across
-   the worker processes (``SweepRoundExecutor`` over the distributed
-   backend); its outputs and round accounting must match in-process
-   execution, and the workers' ``/metrics`` must report the round under
-   the ``distributed.mpc`` key.
 
 Usage::
 
@@ -43,7 +38,6 @@ from repro.backends import DistributedBackend, SerialBackend, SweepPoint  # noqa
 from repro.backends.cache import record_to_payload  # noqa: E402
 from repro.distributed import Coordinator  # noqa: E402
 from repro.experiments.figure1 import mis_experiment, vertex_cover_experiment  # noqa: E402
-from repro.mapreduce import SweepRoundExecutor, distributed_degree_count  # noqa: E402
 
 
 def start_worker() -> tuple[subprocess.Popen, str]:
@@ -98,7 +92,7 @@ def check(condition: bool, message: str) -> None:
 
 
 def gate_byte_identity(addresses: list[str]) -> None:
-    print("[1/3] distributed sweep vs serial byte-identity")
+    print("[1/2] distributed sweep vs serial byte-identity")
     points = sweep_points(8, n=60)
     serial = SerialBackend().run(points)
     backend = DistributedBackend(addresses)
@@ -113,7 +107,7 @@ def gate_byte_identity(addresses: list[str]) -> None:
 
 
 def gate_worker_kill(survivor: str) -> None:
-    print("[2/3] worker killed mid-sweep")
+    print("[2/2] worker killed mid-sweep")
     doomed_proc, doomed_addr = start_worker()
     points = sweep_points(10, n=140)  # big enough that the kill lands mid-sweep
     serial = SerialBackend().run(points)
@@ -155,29 +149,6 @@ def gate_worker_kill(survivor: str) -> None:
         print("  (worker finished before the kill landed; identity gate still binding)")
 
 
-def gate_mpc_round(addresses: list[str]) -> None:
-    print("[3/3] real MPC round across worker processes")
-    edges = [[u, v] for u in range(12) for v in range(u + 1, 12) if (u + v) % 3]
-    local_degrees, local_metrics = distributed_degree_count(edges, num_machines=2)
-    executor = SweepRoundExecutor(backend=DistributedBackend(addresses))
-    degrees, metrics = distributed_degree_count(edges, num_machines=2, executor=executor)
-    check(degrees == local_degrees, "distributed round output equals in-process")
-    check(
-        [(r.description, r.max_machine_words, r.words_communicated) for r in metrics.rounds]
-        == [(r.description, r.max_machine_words, r.words_communicated) for r in local_metrics.rounds],
-        "round accounting (loads, communication) identical",
-    )
-    executed = 0
-    for address in addresses:
-        distributed_metrics = fetch_metrics(address).get("distributed", {})
-        executed += distributed_metrics.get("mpc", {}).get("rounds_executed", 0)
-        check(
-            distributed_metrics.get("points_executed", 0) > 0,
-            f"worker {address} executed points",
-        )
-    check(executed >= 2, "workers report MPC round shards under /metrics distributed.mpc")
-
-
 def main() -> int:
     workers: list[tuple[subprocess.Popen, str]] = []
     try:
@@ -186,7 +157,6 @@ def main() -> int:
         print(f"workers: {addresses}")
         gate_byte_identity(addresses)
         gate_worker_kill(addresses[0])
-        gate_mpc_round(addresses)
         print("distributed smoke: all gates passed")
         return 0
     finally:

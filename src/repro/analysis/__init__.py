@@ -14,7 +14,7 @@ from .bounds import (
     vertex_cover_bound,
 )
 from .ratios import maximization_ratio, minimization_ratio, within_guarantee
-from .tables import format_figure1_row, format_table, render_records
+from .tables import format_table
 
 __all__ = [
     "TheoremBound",
@@ -32,6 +32,4 @@ __all__ = [
     "maximization_ratio",
     "within_guarantee",
     "format_table",
-    "format_figure1_row",
-    "render_records",
 ]

@@ -4,10 +4,10 @@ One structured pass over a module's AST produces a :class:`ModuleSummary`
 holding everything the program graph and the rules need — import
 bindings, the export table, per-function call sites with held-lock
 context, determinism facts, serialization flow, wire-sink writes,
-round-callable arguments, attribute mutations and non-canonical
-encodings.  This is the only AST pass of a lint run: each rule reads the
-facts of a module that carries its scope itself (zero call hops) and
-follows the same facts along call edges.
+attribute mutations and non-canonical encodings.  This is the only AST
+pass of a lint run: each rule reads the facts of a module that carries
+its scope itself (zero call hops) and follows the same facts along call
+edges.
 
 Conventions:
 
@@ -55,7 +55,6 @@ __all__ = [
     "LocalClass",
     "ModuleSummary",
     "Mutation",
-    "RoundFact",
     "SinkWrite",
     "summarize_module",
 ]
@@ -88,9 +87,6 @@ _MUTABLE_FACTORIES = frozenset(
     {"dict", "list", "set", "collections.deque", "collections.defaultdict",
      "collections.OrderedDict", "collections.Counter"}
 )
-
-#: APIs whose callable argument ships by import path (MPC001 surface).
-_ROUND_APIS = frozenset({"map_round", "run_round"})
 
 
 # --------------------------------------------------------------------------- #
@@ -146,17 +142,6 @@ class SinkWrite:
 
 
 @dataclass
-class RoundFact:
-    """A callable argument handed to ``map_round``/``run_round``."""
-
-    api: str
-    arg_kind: str  # "lambda" | "nested" | "boundmethod" | "constructed" | "name"
-    name: str  # dotted target for "name"/"boundmethod", "" otherwise
-    line: int
-    col: int
-
-
-@dataclass
 class Mutation:
     """One ``self.<attr>`` mutation inside a method.
 
@@ -194,7 +179,6 @@ class FunctionSummary:
     serial_direct: str = ""  # "canonical" | "noncanonical" | "stringified" | ""
     serial_callees: list[str] = field(default_factory=list)
     sinks: list[SinkWrite] = field(default_factory=list)
-    rounds: list[RoundFact] = field(default_factory=list)
     mutations: list[Mutation] = field(default_factory=list)
     var_types: dict[str, str] = field(default_factory=dict)
 
@@ -303,7 +287,6 @@ class _Extractor(ast.NodeVisitor):
         self.module_locks = 0  # held `with <module-level lock>`
         self.local_scans: list[_LocalScan] = []
         self.fn_depth = 0
-        self.nested_names: set[str] = set()
         self.serial_env: dict[str, tuple[str, set[str]]] = {}
         self.frame_imports: dict[str, str] = {}
         self.module_fn = FunctionSummary(qualname=MODULE_FUNCTION, line=1)
@@ -413,7 +396,6 @@ class _Extractor(ast.NodeVisitor):
     def _visit_frame(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         if self.fn_depth:
             # Nested def: flatten into the enclosing frame.
-            self.nested_names.add(node.name)
             self.fn_depth += 1
             for stmt in node.body:
                 self.visit(stmt)
@@ -432,7 +414,6 @@ class _Extractor(ast.NodeVisitor):
         frame.line = node.lineno
         self.frame = frame
         self.frame_class = self.cls
-        self.nested_names = set()
         self.serial_env = {}
         self.frame_imports = {}
         saved_locks = self.class_locks, self.module_locks
@@ -544,14 +525,11 @@ class _Extractor(ast.NodeVisitor):
                         and dotted not in _LOCK_FACTORIES
                     ):
                         self.frame_class.attr_types.setdefault(attr, dotted)
-        # Serialization env for locals; lambda bindings count as nested defs.
+        # Serialization env for locals.
         if self.fn_depth:
             for target in node.targets:
                 if isinstance(target, ast.Name):
-                    if isinstance(value, ast.Lambda):
-                        self.nested_names.add(target.id)
-                    else:
-                        self.serial_env[target.id] = self._classify(value)
+                    self.serial_env[target.id] = self._classify(value)
         # Instance-attribute mutations (methods only).
         for target in node.targets:
             self._mutation(_self_attr(target), node.lineno, node.col_offset + 1)
@@ -702,10 +680,6 @@ class _Extractor(ast.NodeVisitor):
         ) == "json.dump":
             current.sinks.append(SinkWrite(line, col, direct="noncanonical"))
 
-        # Round callables (MPC001).
-        if isinstance(func, ast.Attribute) and func.attr in _ROUND_APIS and node.args:
-            self._record_round_arg(func.attr, node.args[0], node)
-
         # Thread/executor registrations.
         target_dotted = resolve_call_target(node, self.imports)
         if target_dotted == "threading.Thread":
@@ -728,32 +702,6 @@ class _Extractor(ast.NodeVisitor):
                 current.calls.append(site)
 
         self.generic_visit(node)
-
-    def _record_round_arg(self, api: str, arg: ast.expr, node: ast.Call) -> None:
-        current = self.current
-        line, col = node.lineno, node.col_offset + 1
-        if isinstance(arg, ast.Lambda):
-            current.rounds.append(RoundFact(api, "lambda", "", line, col))
-        elif isinstance(arg, ast.Call):
-            current.rounds.append(RoundFact(api, "constructed", "", line, col))
-        elif isinstance(arg, ast.Attribute):
-            dotted = dotted_name(arg)
-            if isinstance(arg.value, ast.Name) and arg.value.id == "self":
-                current.rounds.append(RoundFact(api, "boundmethod", dotted or "", line, col))
-            elif dotted is not None:
-                resolved = self._resolve_dotted_spelling(dotted)
-                head = dotted.partition(".")[0]
-                if resolved != dotted or head not in current.var_types:
-                    current.rounds.append(RoundFact(api, "name", resolved, line, col))
-                else:
-                    current.rounds.append(RoundFact(api, "boundmethod", dotted, line, col))
-        elif isinstance(arg, ast.Name):
-            if arg.id in self.nested_names:
-                current.rounds.append(RoundFact(api, "nested", arg.id, line, col))
-            else:
-                current.rounds.append(
-                    RoundFact(api, "name", self._resolve_name(arg.id), line, col)
-                )
 
 
 # --------------------------------------------------------------------------- #

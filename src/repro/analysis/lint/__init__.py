@@ -19,8 +19,6 @@ WIRE001   non-canonical ``json.dumps``/``json.dump`` or ``str()``
           helper encodes any number of calls away from the sink
 CONC001   lock-guarded mutable state mutated outside a held-lock region,
           in a threaded module or on a cross-module thread path
-MPC001    closures/lambdas/bound methods passed to ``map_round`` /
-          ``SweepRoundExecutor`` — import-path dispatch cannot ship them
 ========  ==============================================================
 
 A finding is either fixed or suppressed on its line with

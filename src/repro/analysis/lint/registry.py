@@ -47,7 +47,6 @@ def all_program_checkers() -> list[ProgramChecker]:
     # summariser imports the fact iterators from the checkers package.
     from .checkers.concurrency import LockDiscipline
     from .checkers.determinism import Determinism
-    from .checkers.mpc import RoundCallables
     from .checkers.wire import WireCanonicality
 
-    return [LockDiscipline(), Determinism(), RoundCallables(), WireCanonicality()]
+    return [LockDiscipline(), Determinism(), WireCanonicality()]

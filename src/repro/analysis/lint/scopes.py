@@ -74,7 +74,6 @@ SCOPE_RULES: tuple[tuple[str, str], ...] = (
     ("registry/", "canonical"),
     ("loadgen/", "canonical"),
     ("service/server.py", "canonical"),
-    ("mapreduce/executor.py", "canonical"),
     ("datasets/store.py", "canonical"),
     ("cli.py", "canonical"),
     ("core/", "clockfree"),

@@ -1,15 +1,14 @@
 """Plain-text table rendering for the experiment harness.
 
-The CLI and the examples print Figure-1 style tables; keeping the
-formatting here (instead of inside each caller) makes every table uniform
-and easy to diff.
+Every table the CLI prints goes through :func:`format_table`, which keeps
+them uniform and easy to diff.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-__all__ = ["format_table", "format_figure1_row", "render_records"]
+__all__ = ["format_table"]
 
 
 def format_table(
@@ -35,31 +34,3 @@ def format_table(
     for row in rendered_rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_figure1_row(
-    problem: str,
-    weighted: bool,
-    approximation: str,
-    rounds: object,
-    space: object,
-    reference: str,
-) -> dict[str, object]:
-    """Build one Figure-1 style record."""
-    return {
-        "problem": problem,
-        "weighted": "Y" if weighted else "",
-        "approximation": approximation,
-        "rounds": rounds,
-        "space_per_machine": space,
-        "reference": reference,
-    }
-
-
-def render_records(records: Sequence[Mapping[str, object]]) -> str:
-    """Render a list of homogeneous dict records as a table (keys of the first record)."""
-    if not records:
-        return "(no records)"
-    headers = list(records[0].keys())
-    rows = [[record.get(h, "") for h in headers] for record in records]
-    return format_table(headers, rows)

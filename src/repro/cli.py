@@ -407,12 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
             "reporting a hazard in the module it sits in and in every helper "
             "that module's code reaches — DET001 determinism (unseeded RNG, "
             "order-leaking set iteration, wall-clock reads in solvers), "
-            "WIRE001 wire canonicality (non-canonical JSON on wire paths), "
-            "CONC001 lock discipline (unlocked shared state) and MPC001 "
-            "round-callable importability.  A finding is accepted only by a "
-            "'repro-lint: disable=CODE' comment on its line.  Exits 1 on "
-            "any unsuppressed finding or per-file error, 2 when no Python "
-            "files are found."
+            "WIRE001 wire canonicality (non-canonical JSON on wire paths) "
+            "and CONC001 lock discipline (unlocked shared state).  A finding "
+            "is accepted only by a 'repro-lint: disable=CODE' comment on its "
+            "line.  Exits 1 on any unsuppressed finding or per-file error, 2 "
+            "when no Python files are found."
         ),
     )
     lint.add_argument(

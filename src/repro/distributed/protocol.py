@@ -206,10 +206,11 @@ def decode_records(payloads: Sequence[dict[str, Any]]) -> list[Any]:
 def payload_words(value: Any) -> int:
     """Size of a JSON-able value in 8-byte machine words (at least 1).
 
-    The distributed layer's *measured* counterpart of the model-level
-    :func:`~repro.mapreduce.engine.words_of` accounting: the actual
-    canonical-JSON byte length of what crossed the wire, rounded up to
-    words, so MPC load checks run against real payload sizes.
+    The canonical-JSON byte length of what crosses the wire, rounded up
+    to words; a worker sums it over the records it returns
+    (``result_words_total`` on ``/metrics``).  It is wire traffic, not
+    the model's space: MPC rounds are charged with
+    :func:`~repro.mapreduce.engine.words_of`.
     """
     encoded = json.dumps(value, sort_keys=True, separators=(",", ":"))
     return max(1, math.ceil(len(encoded.encode("utf-8")) / 8))

@@ -17,13 +17,6 @@ Execution happens on one background thread, one point at a time, through
 replays repeats, and the results a worker hands back are (by the backend
 contract) identical to what serial execution would have produced.  The
 worker is the unit of parallelism: run more workers, not more threads.
-
-MPC round points (experiment names starting with ``"mpc:"``, produced by
-:class:`~repro.mapreduce.executor.SweepRoundExecutor`) additionally feed
-the worker's *measured* payload accounting — ``rounds_executed`` and
-``round_words_total`` in the ``distributed`` section of ``/metrics`` — so
-the simulator's load-violation bookkeeping has a real per-worker
-counterpart.
 """
 
 from __future__ import annotations
@@ -74,8 +67,6 @@ class WorkerState:
         self.pulls_total = 0
         self.results_served = 0
         self.sweeps_registered = 0
-        self.rounds_executed = 0
-        self.round_words_total = 0
         self.result_words_total = 0
 
     # ------------------------------------------------------------------ #
@@ -198,10 +189,6 @@ class WorkerState:
                 "results_served": self.results_served,
                 "sweeps_registered": self.sweeps_registered,
                 "result_words_total": self.result_words_total,
-                "mpc": {
-                    "rounds_executed": self.rounds_executed,
-                    "round_words_total": self.round_words_total,
-                },
             }
 
     # ------------------------------------------------------------------ #
@@ -223,24 +210,13 @@ class WorkerState:
             "records": records,
         }
 
-    def _account(self, point: SweepPoint, entry: dict[str, Any]) -> None:
+    def _account(self, entry: dict[str, Any]) -> None:
         """Update counters for one finished point (lock held)."""
         if "error" in entry:
             self.points_failed += 1
             return
         self.points_executed += 1
-        words = payload_words(entry["records"])
-        self.result_words_total += words
-        if point.experiment.startswith("mpc:"):
-            # A real MPC round shard: account its measured payload so the
-            # engine's load bookkeeping shows up on this worker's /metrics.
-            self.rounds_executed += 1
-            round_words = 0
-            for record in entry["records"]:
-                metrics = record.get("metrics", {})
-                round_words += int(metrics.get("input_words", 0))
-                round_words += int(metrics.get("output_words", 0))
-            self.round_words_total += round_words or words
+        self.result_words_total += payload_words(entry["records"])
 
     def _run(self) -> None:
         me = threading.current_thread()
@@ -262,5 +238,5 @@ class WorkerState:
                 # point was pulled under.
                 if self._sweep == sweep and digest not in self._completed:
                     self._completed[digest] = entry
-                self._account(point, entry)
+                self._account(entry)
                 self._work.notify_all()

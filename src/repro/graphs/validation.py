@@ -39,6 +39,20 @@ def _as_edge_id_array(edge_ids: Iterable[int]) -> np.ndarray:
     return np.asarray(sorted({int(e) for e in edge_ids}), dtype=np.int64)
 
 
+def _edge_set(graph: Graph, edge_ids: Iterable[int]) -> np.ndarray | None:
+    """The ids as an array, or ``None`` if one is not an edge or repeats.
+
+    A (b-)matching is a set of edges, so a repeated id is a defect, not a
+    duplicate to drop: a driver's weight counts every id it returns.
+    """
+    ids = np.asarray([int(e) for e in edge_ids], dtype=np.int64)
+    if ids.size and (
+        ids.min() < 0 or ids.max() >= graph.num_edges or np.unique(ids).size < ids.size
+    ):
+        return None
+    return ids
+
+
 # --------------------------------------------------------------------------- #
 # Covers
 # --------------------------------------------------------------------------- #
@@ -64,18 +78,18 @@ def vertex_cover_weight(weights: Sequence[float] | np.ndarray, cover: Iterable[i
 # Matchings
 # --------------------------------------------------------------------------- #
 def is_matching(graph: Graph, edge_ids: Iterable[int]) -> bool:
-    """Return ``True`` if the edges are pairwise vertex-disjoint."""
-    ids = _as_edge_id_array(edge_ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= graph.num_edges):
+    """Return ``True`` if the edges are distinct and pairwise vertex-disjoint."""
+    ids = _edge_set(graph, edge_ids)
+    if ids is None:
         return False
     endpoints = np.concatenate([graph.edge_u[ids], graph.edge_v[ids]]) if ids.size else np.empty(0)
     return len(np.unique(endpoints)) == len(endpoints)
 
 
 def is_b_matching(graph: Graph, edge_ids: Iterable[int], b: Mapping[int, int] | int) -> bool:
-    """Return ``True`` if every vertex ``v`` has at most ``b(v)`` incident chosen edges."""
-    ids = _as_edge_id_array(edge_ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= graph.num_edges):
+    """Return ``True`` if the edges are distinct and each vertex ``v`` is in at most ``b(v)``."""
+    ids = _edge_set(graph, edge_ids)
+    if ids is None:
         return False
     counts = np.zeros(graph.num_vertices, dtype=np.int64)
     if ids.size:
@@ -90,8 +104,8 @@ def is_b_matching(graph: Graph, edge_ids: Iterable[int], b: Mapping[int, int] | 
 
 def is_maximal_matching(graph: Graph, edge_ids: Iterable[int]) -> bool:
     """Return ``True`` if the matching cannot be extended by any edge."""
-    ids = _as_edge_id_array(edge_ids)
-    if not is_matching(graph, ids):
+    ids = _edge_set(graph, edge_ids)
+    if ids is None or not is_matching(graph, ids):
         return False
     matched = np.zeros(graph.num_vertices, dtype=bool)
     if ids.size:
@@ -185,10 +199,12 @@ def is_proper_vertex_colouring(graph: Graph, colours: Mapping[int, object] | Seq
         if len(colours) < graph.num_vertices:
             return False
         lookup = {v: colours[v] for v in range(graph.num_vertices)}
+    if any(lookup.get(v) is None for v in range(graph.num_vertices)):
+        return False  # an uncoloured vertex
     for u, v, _ in graph.edges():
         if lookup[u] == lookup[v]:
             return False
-    return all(lookup.get(v) is not None for v in range(graph.num_vertices))
+    return True
 
 
 def is_proper_edge_colouring(graph: Graph, colours: Mapping[int, object] | Sequence[object]) -> bool:

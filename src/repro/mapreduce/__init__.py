@@ -6,22 +6,17 @@ Beame et al.): machines with sublinear memory, synchronous rounds, and
 all-to-all communication bounded by the machines' memory.
 
 One object, :class:`MPCContext`, is the whole substrate.  Drivers charge it
-each round with the loads the round declares; it *enforces* the model's
-constraint (the per-machine word budget) and *measures* the model's costs
-(rounds, per-machine space, communication volume), which are exactly the
-quantities tabulated in Figure 1 of the paper.
+each round through four primitives (``parallel_round``,
+``gather_to_central``, ``broadcast``, ``aggregate``) with the loads the
+round declares, or run a round in process with ``map_round``, which
+measures each machine's shard and output with :func:`words_of`.  The
+context *enforces* the model's constraint (the per-machine word budget)
+and *measures* the model's costs (rounds, per-machine space,
+communication volume), which are exactly the quantities tabulated in
+Figure 1 of the paper.
 """
 
 from .engine import MPCContext, tree_rounds, words_of
-from .executor import (
-    LocalRoundExecutor,
-    RoundExecutor,
-    ShardResult,
-    SweepRoundExecutor,
-    distributed_degree_count,
-    edge_degree_shard,
-    execute_round_shard,
-)
 from .exceptions import (
     AlgorithmFailureError,
     InfeasibleInstanceError,
@@ -37,13 +32,6 @@ __all__ = [
     "MPCContext",
     "tree_rounds",
     "words_of",
-    "RoundExecutor",
-    "LocalRoundExecutor",
-    "SweepRoundExecutor",
-    "ShardResult",
-    "execute_round_shard",
-    "edge_degree_shard",
-    "distributed_degree_count",
     "RoundRecord",
     "RunMetrics",
     "balanced_partition",

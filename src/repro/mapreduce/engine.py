@@ -9,8 +9,10 @@ does three things:
    can report "this run of Algorithm 1 used 7 rounds: 3 sampling rounds and
    4 broadcast rounds".
 
-2. **Enforces space.**  The loads each round declares are checked against
-   the per-machine memory budget, which the central machine shares.
+2. **Enforces space.**  The loads each round declares (or, for
+   :meth:`MPCContext.map_round`, measures with :func:`words_of`) are
+   checked against the per-machine memory budget, which the central
+   machine shares.
    Exceeding it raises
    :class:`~repro.mapreduce.exceptions.MemoryExceededError`, which makes the
    space claims of Figure 1 *falsifiable* by the test-suite.
@@ -32,15 +34,12 @@ node of the tree never holds more than ``fanout × payload`` words.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .exceptions import MemoryExceededError, ProtocolError
 from .metrics import RunMetrics
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .executor import RoundExecutor
 
 __all__ = ["MPCContext", "tree_rounds", "words_of"]
 
@@ -115,13 +114,6 @@ class MPCContext:
         Fan-out used for broadcast/aggregation trees when the caller does
         not specify one.  The paper uses ``n^µ``; drivers pass that value
         explicitly.
-    executor:
-        Where :meth:`map_round` physically runs a round's shard functions
-        (see :mod:`repro.mapreduce.executor`).  ``None`` means in-process
-        (:class:`~repro.mapreduce.executor.LocalRoundExecutor`); a
-        :class:`~repro.mapreduce.executor.SweepRoundExecutor` with
-        ``backend="distributed"`` executes rounds across real worker
-        processes/hosts while this context keeps doing the accounting.
     """
 
     def __init__(
@@ -131,7 +123,6 @@ class MPCContext:
         *,
         algorithm: str = "",
         default_fanout: int = 2,
-        executor: "RoundExecutor | None" = None,
     ):
         if num_machines <= 0:
             raise ValueError("an MPC run needs at least one worker machine")
@@ -141,7 +132,6 @@ class MPCContext:
         )
         self.metrics = RunMetrics(algorithm=algorithm)
         self.default_fanout = max(2, int(default_fanout))
-        self.executor = executor
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -186,41 +176,29 @@ class MPCContext:
 
     def map_round(
         self,
-        shard_fn: Any,
+        shard_fn: Callable[[Any], Any],
         shards: Sequence[Any],
         description: str,
         *,
         phase: str = "",
-        params: Mapping[str, Any] | None = None,
     ) -> list[Any]:
-        """Execute one parallel round for real and account it.
+        """Run one parallel round in process and charge the data it moved.
 
-        ``shard_fn`` (a module-level callable, or its import path) is
-        applied to every entry of ``shards`` by this context's
-        :class:`~repro.mapreduce.executor.RoundExecutor` — in-process by
-        default, across worker processes/hosts with a
-        :class:`~repro.mapreduce.executor.SweepRoundExecutor`.  The
-        *measured* per-shard payload sizes (input + output words, as they
-        crossed — or would cross — the wire) feed the usual
-        :meth:`parallel_round` budget check.  Returns the shard outputs in
-        shard order.
+        ``shard_fn`` is called on every entry of ``shards``, one shard per
+        machine (an empty shard is still a machine).  Machine ``i`` is
+        charged ``words_of(shards[i]) + words_of(output_i)`` against the
+        budget, and the outputs are the round's communication, as in
+        :meth:`parallel_round`.  Returns the outputs in shard order.
         """
         self._check_open()
-        if self.executor is None:
-            from .executor import LocalRoundExecutor
-
-            self.executor = LocalRoundExecutor()
-        results = self.executor.run_round(
-            shard_fn, list(shards), round_name=description, params=params
-        )
-        loads = [result.input_words + result.output_words for result in results]
+        outputs = [shard_fn(shard) for shard in shards]
         self.parallel_round(
             description,
             phase=phase,
-            machine_loads=loads,
-            words_communicated=sum(result.output_words for result in results),
+            machine_loads=[words_of(s) + words_of(o) for s, o in zip(shards, outputs)],
+            words_communicated=sum(words_of(output) for output in outputs),
         )
-        return [result.output for result in results]
+        return outputs
 
     def gather_to_central(
         self,

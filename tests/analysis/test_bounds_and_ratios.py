@@ -9,7 +9,6 @@ import pytest
 from repro.analysis import (
     b_matching_bound,
     colouring_bound,
-    format_figure1_row,
     format_table,
     harmonic,
     matching_bound,
@@ -18,7 +17,6 @@ from repro.analysis import (
     maximization_ratio,
     minimization_ratio,
     mis_bound,
-    render_records,
     set_cover_f_bound,
     set_cover_greedy_bound,
     vertex_cover_bound,
@@ -134,15 +132,3 @@ class TestTables:
         assert len(lines) == 4
         assert "long_header" in lines[0]
         assert "2.500" in table
-
-    def test_render_records(self):
-        records = [
-            format_figure1_row("Vertex Cover", True, "2", "O(c/µ)", "O(n^{1+µ})", "Thm 2.4"),
-            format_figure1_row("Matching", True, "2", "O(c/µ)", "O(n^{1+µ})", "Thm 5.6"),
-        ]
-        rendered = render_records(records)
-        assert "Vertex Cover" in rendered and "Matching" in rendered
-        assert rendered.count("\n") >= 3
-
-    def test_render_empty(self):
-        assert render_records([]) == "(no records)"

@@ -1,5 +1,5 @@
 """TP/TN fixture suites for the rules' inherited findings (WIRE001,
-DET001, CONC001, MPC001).
+DET001, CONC001).
 
 Mirrors ``test_lint_checkers.py``'s idiom, but each fixture is a
 *multi-module* tree fed through :func:`lint_sources` so the defect (or
@@ -482,101 +482,3 @@ class TestCONC001CrossModule:
         conc = [f for f in findings if f.code == "CONC001"]
         assert len(conc) == 1
         assert "_CACHE" in conc[0].message
-
-
-# --------------------------------------------------------------------------- #
-# MPC001 — importability of round callables
-# --------------------------------------------------------------------------- #
-class TestMPC001:
-    def test_true_positive_lambda(self):
-        findings = run(
-            {
-                "pkg/driver.py": """
-                def run(ctx, records):
-                    return ctx.map_round(lambda kv: [kv], records)
-                """,
-            }
-        )
-        mpc = [f for f in findings if f.code == "MPC001"]
-        assert len(mpc) == 1
-        assert "lambda" in mpc[0].message
-
-    def test_true_positive_nested_function(self):
-        findings = run(
-            {
-                "pkg/driver.py": """
-                def run(ctx, records):
-                    def mapper(kv):
-                        return [kv]
-                    return ctx.map_round(mapper, records)
-                """,
-            }
-        )
-        mpc = [f for f in findings if f.code == "MPC001"]
-        assert len(mpc) == 1
-        assert "nested" in mpc[0].message
-
-    def test_true_positive_bound_method(self):
-        findings = run(
-            {
-                "pkg/driver.py": """
-                class Driver:
-                    def mapper(self, kv):
-                        return [kv]
-
-                    def run(self, ctx, records):
-                        return ctx.map_round(self.mapper, records)
-                """,
-            }
-        )
-        mpc = [f for f in findings if f.code == "MPC001"]
-        assert len(mpc) == 1
-        assert "bound method" in mpc[0].message
-
-    def test_true_positive_cross_module_method_reference(self):
-        findings = run(
-            {
-                "pkg/driver.py": """
-                from pkg.mappers import Mapper
-
-                def run(ctx, records):
-                    return ctx.map_round(Mapper.emit, records)
-                """,
-                "pkg/mappers.py": """
-                class Mapper:
-                    def emit(self, kv):
-                        return [kv]
-                """,
-            }
-        )
-        mpc = [f for f in findings if f.code == "MPC001"]
-        assert len(mpc) == 1
-        assert "Mapper.emit" in mpc[0].message
-
-    def test_true_negative_module_level_function(self):
-        findings = run(
-            {
-                "pkg/driver.py": """
-                from pkg.mappers import emit
-
-                def run(ctx, records):
-                    return ctx.map_round(emit, records)
-                """,
-                "pkg/mappers.py": """
-                def emit(kv):
-                    return [kv]
-                """,
-            }
-        )
-        assert "MPC001" not in codes(findings)
-
-    def test_true_negative_unrelated_map_call(self):
-        findings = run(
-            {
-                "pkg/driver.py": """
-                def run(xs):
-                    return list(map(lambda x: x + 1, xs))
-                """,
-            }
-        )
-        assert "MPC001" not in codes(findings)

@@ -57,7 +57,7 @@ class TestScopes:
 
     def test_one_rule_per_hazard(self):
         checkers = all_program_checkers()
-        assert [c.code for c in checkers] == ["CONC001", "DET001", "MPC001", "WIRE001"]
+        assert [c.code for c in checkers] == ["CONC001", "DET001", "WIRE001"]
         assert all(checker.description for checker in checkers)
 
 

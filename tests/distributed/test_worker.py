@@ -3,8 +3,7 @@
 These tests drive the worker-side state machine directly (no HTTP), so
 the idempotency and ack semantics are pinned down at the layer where they
 are implemented: duplicate pulls drop, results persist until acked, a new
-sweep id wipes the slate, and MPC round points feed the measured payload
-accounting.
+sweep id wipes the slate, and finished points feed the result-word counter.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from repro.distributed.protocol import (
     WorkerProtocolError,
     encode_point,
     encode_records,
+    payload_words,
     point_key,
 )
 from repro.distributed.worker import WorkerState
@@ -144,24 +144,11 @@ class TestCollectAckProtocol:
 
 
 class TestAccounting:
-    def test_mpc_points_feed_round_accounting(self, worker):
-        from repro.mapreduce.executor import edge_degree_shard, execute_round_shard
-
+    def test_points_feed_result_words(self, worker):
         worker.register("s")
-        point = SweepPoint(
-            "mpc:degree-count",
-            execute_round_shard,
-            {
-                "shard_fn": f"{edge_degree_shard.__module__}.{edge_degree_shard.__qualname__}",
-                "shard": [[0, 1], [1, 2]],
-                "params": {},
-            },
-            seed=0,
-            trials=1,
-        )
-        worker.pull("s", [encode_point(point)])
+        worker.pull("s", [encode_point(_point(3))])
         assert worker.drain(timeout=30)
+        [entry] = worker.collect("s")["completed"]
         stats = worker.stats()
-        assert stats["mpc"]["rounds_executed"] == 1
-        assert stats["mpc"]["round_words_total"] > 0
-        assert stats["result_words_total"] > 0
+        assert stats["points_executed"] == 1
+        assert stats["result_words_total"] == payload_words(entry["records"]) > 0

@@ -86,6 +86,17 @@ class TestMatching:
         caps = {0: 1, 1: 2, 2: 2, 3: 2, 4: 1}
         assert is_b_matching(small_path, [0, 1, 2, 3], caps)
 
+    def test_repeated_edge_id_is_not_a_matching(self):
+        # A matching is a set of edges; a driver's weight would count the repeat.
+        path = path_graph(3)
+        assert not is_matching(path, [0, 0])
+        assert not is_maximal_matching(path, [1, 1])
+
+    def test_repeated_edge_id_is_not_a_b_matching(self):
+        path = path_graph(3)
+        assert not is_b_matching(path, [0, 0], 1)
+        assert not is_b_matching(path, [0, 0], 2)  # within capacity, still a repeat
+
 
 class TestIndependentSetAndClique:
     def test_alternate_vertices_of_cycle(self, small_cycle):
@@ -133,6 +144,10 @@ class TestColourings:
 
     def test_vertex_colouring_must_cover_all_vertices(self, triangle):
         assert not is_proper_vertex_colouring(triangle, {0: 0, 1: 1})
+
+    def test_vertex_colouring_missing_a_vertex_among_n_keys(self):
+        # n keys, but vertex 2 is uncoloured: a verdict, not a KeyError.
+        assert not is_proper_vertex_colouring(path_graph(3), {0: 0, 1: 1, 7: 0})
 
     def test_vertex_colouring_accepts_sequences_and_tuple_colours(self, triangle):
         assert is_proper_vertex_colouring(triangle, [(0, 0), (0, 1), (1, 0)])

@@ -266,6 +266,41 @@ class TestBroadcastAndAggregate:
         assert ctx.metrics.total_communication == 5 * 8
 
 
+class TestMapRound:
+    """``map_round`` runs a round in process and charges what it measured."""
+
+    def test_every_shard_is_a_machine_and_outputs_keep_shard_order(self):
+        seen = []
+
+        def shard_fn(shard):  # a closure is fine: nothing leaves the process
+            seen.append(shard)
+            return sorted(shard)
+
+        ctx = MPCContext(4, None)
+        outputs = ctx.map_round(shard_fn, [[3, 1], [], [2], []], "sort", phase="p")
+        assert outputs == [[1, 3], [], [2], []]
+        assert seen == [[3, 1], [], [2], []]
+        assert [(r.description, r.phase) for r in ctx.finish().rounds] == [("sort", "p")]
+
+    def test_charges_shard_plus_output_words_and_outputs_as_communication(self):
+        ctx = MPCContext(3, None)
+        shards = [np.arange(5), np.arange(2), np.arange(0)]
+        outputs = ctx.map_round(lambda a: a[a % 2 == 0], shards, "evens")
+        assert [o.tolist() for o in outputs] == [[0, 2, 4], [0], []]
+        [record] = ctx.finish().rounds
+        assert record.max_machine_words == 5 + 3
+        assert record.words_communicated == 3 + 1 + 0
+
+    def test_measured_load_at_and_over_the_budget(self):
+        shards = [{"a": 1, "b": 2}, {"c": 3}]  # 4 + 2 words, 2 + 1 words out
+        assert MPCContext(2, 6).map_round(list, shards, "keys") == [["a", "b"], ["c"]]
+        ctx = MPCContext(2, 5)
+        with pytest.raises(MemoryExceededError) as excinfo:
+            ctx.map_round(list, shards, "keys")
+        assert (excinfo.value.requested, excinfo.value.context) == (6, "keys")
+        assert ctx.metrics.num_rounds == 0
+
+
 class TestLifecycle:
     def test_finish_returns_metrics_with_notes(self):
         ctx = MPCContext(2, 100, algorithm="alg")
@@ -290,7 +325,10 @@ class TestLifecycle:
             ctx.finish()
 
     def test_map_round_after_finish_rejected_before_running_shards(self):
+        def shard_fn(shard):
+            raise AssertionError("a shard ran after finish()")
+
         ctx = MPCContext(2, None)
         ctx.finish()
-        with pytest.raises(ProtocolError):  # not ImportError: no shard ran
-            ctx.map_round("no.such.module.shard_fn", [[]], "late")
+        with pytest.raises(ProtocolError):
+            ctx.map_round(shard_fn, [[]], "late")

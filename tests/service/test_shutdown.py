@@ -122,13 +122,9 @@ def test_worker_drains_queued_points_before_exit():
             "sweep": "shutdown-test",
             "points": [
                 {
-                    "experiment": "mpc:drain",
-                    "fn": "repro.mapreduce.executor.execute_round_shard",
-                    "kwargs": {
-                        "shard_fn": "repro.mapreduce.executor.edge_degree_shard",
-                        "shard": [[0, i] for i in range(1, 40)],
-                        "params": {},
-                    },
+                    "experiment": "fig1-mis",
+                    "fn": "repro.experiments.figure1.mis_experiment",
+                    "kwargs": {"n": 40},
                     "seed": seed,
                     "trials": 1,
                 }
