@@ -18,7 +18,9 @@ Usage::
 
     python scripts/driver_digests.py [--seed N]
 
-Exits 1 if a certificate check fails.
+Exits 1 if a certificate check fails.  ``driver_digests-seed1.txt`` beside
+this script holds the ten seed-1 lines; CI diffs the output against it, so
+a change that means to move a driver's output regenerates that file.
 """
 
 from __future__ import annotations

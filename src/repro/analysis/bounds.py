@@ -67,11 +67,15 @@ def vertex_cover_bound(n: int, m: int, mu: float) -> TheoremBound:
 
 
 def set_cover_f_bound(n: int, m: int, f: int, mu: float) -> TheoremBound:
-    """Theorem 2.4 (general ``f``): ``f``-approx, ``O((c/µ)²)`` rounds, ``O(f·n^{1+µ})`` space."""
+    """Theorem 2.4 (general ``f``): ``f``-approx, ``O((c/µ)²)`` rounds, ``O(f·n^{1+µ})`` space.
+
+    The approximation is floored at 1: with no elements (``f = 0``) the
+    empty cover is optimal, while an ``f``-approximation would be 0.
+    """
     c = max(mu, math.log(max(m, 2)) / math.log(max(n, 2)) - 1.0)
     return TheoremBound(
         name="Theorem 2.4 (weighted set cover)",
-        approximation=float(f),
+        approximation=max(1.0, float(f)),
         rounds=(c / mu) ** 2,
         space_per_machine=float(f) * float(n) ** (1.0 + mu),
     )

@@ -95,17 +95,28 @@ def hungry_greedy_mis_improved(
             if members.size == 0:
                 continue
             num_groups = max(1, int(round(n ** ((i + 1) * alpha))))
+            # Only ``state.add`` blocks vertices, so the candidates change
+            # only after an insertion.  Drawing positions and indexing the
+            # candidates with them takes the same draws as choosing from the
+            # candidate array itself; degrees are below 2^53, so comparing
+            # them as Python ints with the float threshold is exact.
+            candidates = members[~state.blocked[members]]
             for _ in range(num_groups):
-                candidates = members[~state.blocked[members]]
                 if candidates.size == 0:
                     break
-                group = rng.choice(candidates, size=min(group_size, candidates.size), replace=False)
-                sampled_total += int(group.size)
-                sample_words += int(state.degrees[group].sum()) + int(group.size)
-                eligible = group[state.degrees[group] >= selection_threshold]
-                if eligible.size:
-                    state.add(int(eligible[0]))
-                    selected += 1
+                positions = rng.choice(
+                    candidates.size, size=min(group_size, candidates.size), replace=False
+                )
+                group = candidates[positions]
+                degrees = state.degrees[group].tolist()
+                sampled_total += len(degrees)
+                sample_words += sum(degrees) + len(degrees)
+                for vertex, degree in zip(group.tolist(), degrees):
+                    if degree >= selection_threshold:
+                        state.add(vertex)
+                        selected += 1
+                        candidates = members[~state.blocked[members]]
+                        break
         iterations.append(
             IterationStats(
                 iteration=k,

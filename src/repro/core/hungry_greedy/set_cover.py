@@ -125,6 +125,10 @@ def hungry_greedy_set_cover(
         )
 
     weights = instance.weights
+    # The group loop reads sizes, weights and chosen flags from lists.
+    weight_list = weights.tolist()
+    size_list = instance.set_sizes.tolist()
+    is_chosen = [False] * n
     counter = CoverageCounter(instance)
     chosen: list[int] = []
     chosen_mask = np.zeros(n, dtype=bool)
@@ -133,6 +137,7 @@ def hungry_greedy_set_cover(
 
     def add_set(set_id: int) -> None:
         chosen_mask[set_id] = True
+        is_chosen[set_id] = True
         chosen.append(set_id)
         counter.add_set(set_id)
 
@@ -164,7 +169,8 @@ def hungry_greedy_set_cover(
                 raise AlgorithmFailureError(
                     f"Algorithm 3 did not converge within {max_iterations} iterations"
                 )
-            potential = int(residual[bucket].sum())
+            bucket_residual = residual[bucket]
+            potential = int(bucket_residual.sum())
             selected = 0
             sampled_total = 0
             sample_words = 0
@@ -173,31 +179,34 @@ def hungry_greedy_set_cover(
                 upper = m ** (1.0 - (i - 1) * alpha)
                 if i == 1:
                     upper = float(m) + 1.0  # top class is open-ended
-                members = bucket[(residual[bucket] >= lower) & (residual[bucket] < upper)]
+                members = bucket[(bucket_residual >= lower) & (bucket_residual < upper)]
                 if members.size == 0:
                     continue
                 selection_threshold = m ** (1.0 - (i + 1) * alpha) / 2.0
                 num_groups = max(1, int(round(2 * m ** ((i + 1) * alpha))))
                 p = min(1.0, group_size / members.size)
+                member_list = members.tolist()
                 for _ in range(num_groups):
-                    mask = rng.random(members.size) < p
-                    group = members[mask]
-                    if group.size == 0:
+                    # ``x < p`` on the draws as Python floats is NumPy's test.
+                    draws = rng.random(len(member_list)).tolist()
+                    group = [s for s, x in zip(member_list, draws) if x < p]
+                    if not group:
                         continue
-                    if group.size > 4 * group_size:
+                    if len(group) > 4 * group_size:
                         # Failure event of Line 15; skip this iteration's
                         # remaining groups (Claim 4.1 makes this negligible).
                         break
-                    sampled_total += int(group.size)
-                    sample_words += int(instance.set_sizes[group].sum())
+                    sampled_total += len(group)
+                    sample_words += sum([size_list[s] for s in group])
                     for candidate in group:
-                        candidate = int(candidate)
-                        if chosen_mask[candidate]:
+                        if is_chosen[candidate]:
                             continue
+                        # Counts are below 2^53 and weights positive, so
+                        # ``live / w`` is NumPy's division and cannot raise.
                         live = counter.uncovered_count(candidate)
                         if (
                             live >= selection_threshold
-                            and live / weights[candidate] >= L / (1.0 + epsilon) - 1e-15
+                            and live / weight_list[candidate] >= L / (1.0 + epsilon) - 1e-15
                         ):
                             add_set(candidate)
                             selected += 1

@@ -144,12 +144,20 @@ def randomized_local_ratio_b_matching(
             remaining = [c for c in zip(*(a.tolist() for a in columns)) if c[0] not in pushed]
             pushes_done = 0
             while remaining and pushes_done < budget:
-                best, best_res = 0, -np.inf
-                for i, (_, lo, hi, w) in enumerate(remaining):
-                    res = w - potentials[lo] - potentials[hi]
-                    if res > best_res:
-                        best, best_res = i, res
-                if best_res <= 1e-12:
+                # Each push raises φ by r/b > 0 and rounding is monotone, so
+                # no residual grows during v's loop: a candidate at or below
+                # the threshold is dropped for good, and the survivors keep
+                # their order, so the first maximum is the same edge.
+                best, best_res = 0, 1e-12
+                live = []
+                for c in remaining:
+                    res = c[3] - potentials[c[1]] - potentials[c[2]]
+                    if res > 1e-12:
+                        if res > best_res:
+                            best, best_res = len(live), res
+                        live.append(c)
+                remaining = live
+                if not remaining:
                     break
                 edge, uu, vv, w = remaining.pop(best)
                 dead_threshold = (1.0 + epsilon) * (potentials[uu] + potentials[vv])

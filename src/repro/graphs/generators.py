@@ -85,26 +85,23 @@ def _sample_distinct_edges(
         chosen = rng.choice(len(iu), size=num_edges, replace=False)
         return np.column_stack([iu[chosen], iv[chosen]]).astype(np.int64)
     keys: set[int] = set()
-    edges = np.empty((num_edges, 2), dtype=np.int64)
-    count = 0
-    while count < num_edges:
-        batch = max(1024, 2 * (num_edges - count))
-        u = rng.integers(0, n, size=batch)
-        v = rng.integers(0, n, size=batch)
+    accepted: list[int] = []  # keys in acceptance order
+    while len(accepted) < num_edges:
+        batch = max(1024, 2 * (num_edges - len(accepted)))
+        u = rng.integers(0, n, size=batch).tolist()
+        v = rng.integers(0, n, size=batch).tolist()
         for a, b in zip(u, v):
             if a == b:
                 continue
-            lo, hi = (a, b) if a < b else (b, a)
-            key = int(lo) * n + int(hi)
+            key = a * n + b if a < b else b * n + a
             if key in keys:
                 continue
             keys.add(key)
-            edges[count, 0] = lo
-            edges[count, 1] = hi
-            count += 1
-            if count == num_edges:
+            accepted.append(key)
+            if len(accepted) == num_edges:
                 break
-    return edges
+    lo, hi = np.divmod(np.array(accepted, dtype=np.int64), n)
+    return np.column_stack([lo, hi])
 
 
 def gnm_graph(

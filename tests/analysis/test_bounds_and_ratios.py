@@ -62,6 +62,13 @@ class TestBoundFormulae:
         # ∆ ≥ 1 keeps the exact (1+ε)·H_∆.
         assert set_cover_greedy_bound(220, 60, delta=1, mu=0.4, epsilon=0.2).approximation == 1.2
 
+    def test_set_cover_f_approximation_floors_at_one(self):
+        # f = 0 (no elements): the empty cover is optimal, so the bound is 1.
+        assert set_cover_f_bound(60, 0, 0, 0.25).approximation == 1.0
+        # f ≥ 1 keeps the exact f.
+        assert set_cover_f_bound(60, 100, 1, 0.25).approximation == 1.0
+        assert set_cover_f_bound(60, 100, 3, 0.25).approximation == 3.0
+
     def test_mis_simple_vs_improved(self):
         improved = mis_bound(200, 4000, 0.25)
         simple = mis_bound(200, 4000, 0.25, simple=True)
