@@ -16,35 +16,11 @@ import numpy as np
 
 from ...baselines.misra_gries import misra_gries_edge_colouring
 from ...graphs.graph import Graph
-from ...mapreduce.exceptions import AlgorithmFailureError
+from ...mapreduce.exceptions import MAX_RESAMPLES, AlgorithmFailureError
 from ..results import ColouringResult, IterationStats
 from .vertex_colouring import EDGE_FAILURE_MULTIPLIER, default_num_groups
 
-__all__ = ["mapreduce_edge_colouring", "greedy_edge_colouring"]
-
-
-def greedy_edge_colouring(graph: Graph, edge_ids: np.ndarray | None = None) -> dict[int, int]:
-    """First-fit greedy edge colouring of the given edges (≤ 2∆ − 1 colours).
-
-    A simpler (weaker) alternative to Misra–Gries used by tests as a
-    cross-check; colours are integers starting at 0.
-    """
-    if edge_ids is None:
-        edge_ids = np.arange(graph.num_edges)
-    edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    colour_of: dict[int, int] = {}
-    incident_colours: dict[int, set[int]] = {}
-    for e in edge_ids:
-        e = int(e)
-        u, v = graph.edge_endpoints(e)
-        taken = incident_colours.get(u, set()) | incident_colours.get(v, set())
-        colour = 0
-        while colour in taken:
-            colour += 1
-        colour_of[e] = colour
-        incident_colours.setdefault(u, set()).add(colour)
-        incident_colours.setdefault(v, set()).add(colour)
-    return colour_of
+__all__ = ["mapreduce_edge_colouring"]
 
 
 def mapreduce_edge_colouring(
@@ -53,11 +29,10 @@ def mapreduce_edge_colouring(
     rng: np.random.Generator,
     *,
     num_groups: int | None = None,
-    local_algorithm: str = "misra-gries",
-    on_failure: str = "resample",
-    max_failures: int = 20,
 ) -> ColouringResult:
-    """Randomly partition the edges into ``κ`` groups and colour each locally.
+    """Randomly partition the edges into ``κ`` groups and colour each with Misra–Gries.
+
+    An oversized group is redrawn, as in the vertex colouring driver.
 
     Parameters
     ----------
@@ -69,21 +44,12 @@ def mapreduce_edge_colouring(
         Randomness source.
     num_groups:
         Number of groups ``κ`` (defaults to ``n^{(c−µ)/2}``).
-    local_algorithm:
-        ``"misra-gries"`` (``∆_i + 1`` colours per group, the paper's choice)
-        or ``"greedy"`` (``2∆_i − 1`` colours, faster).
-    on_failure / max_failures:
-        Handling of oversized groups, as in the vertex colouring driver.
 
     Returns
     -------
     ColouringResult
         A proper edge colouring with ``(group, local colour)`` colours.
     """
-    if local_algorithm not in ("misra-gries", "greedy"):
-        raise ValueError("local_algorithm must be 'misra-gries' or 'greedy'")
-    if on_failure not in ("resample", "raise"):
-        raise ValueError("on_failure must be 'resample' or 'raise'")
     n, m = graph.num_vertices, graph.num_edges
     if m == 0:
         return ColouringResult({}, num_groups=0, algorithm="mapreduce-edge-colouring")
@@ -97,11 +63,7 @@ def mapreduce_edge_colouring(
         counts = np.bincount(group_of, minlength=kappa)
         if counts.max() <= edge_budget:
             break
-        if on_failure == "raise":
-            raise AlgorithmFailureError(
-                f"a group has {int(counts.max())} edges, exceeding {edge_budget:.0f}"
-            )
-        if attempts >= max_failures:
+        if attempts >= MAX_RESAMPLES:
             raise AlgorithmFailureError(f"edge partition failed {attempts} consecutive times")
 
     colours: dict[int, object] = {}
@@ -110,12 +72,8 @@ def mapreduce_edge_colouring(
         members = np.flatnonzero(group_of == group)
         if members.size == 0:
             continue
-        subgraph = graph.subgraph_of_edges(members)
-        if local_algorithm == "misra-gries":
-            local = misra_gries_edge_colouring(subgraph)
-        else:
-            local = greedy_edge_colouring(subgraph)
-        # ``subgraph`` preserves edge order, so local edge id k corresponds to
+        local = misra_gries_edge_colouring(graph.subgraph_of_edges(members))
+        # ``subgraph_of_edges`` preserves edge order, so local edge id k is
         # the original edge ``members[k]``.
         for local_id, original_id in enumerate(members.tolist()):
             colours[original_id] = (group, local[local_id])

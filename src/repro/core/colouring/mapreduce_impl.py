@@ -89,13 +89,10 @@ def mpc_edge_colouring(
     rng: np.random.Generator,
     *,
     num_groups: int | None = None,
-    local_algorithm: str = "misra-gries",
 ) -> tuple[ColouringResult, RunMetrics]:
     """Theorem 6.6: ``(1 + o(1))∆`` edge colouring in ``O(1)`` rounds."""
     kappa = default_num_groups(graph, mu) if num_groups is None else max(1, int(num_groups))
-    result = mapreduce_edge_colouring(
-        graph, mu, rng, num_groups=kappa, local_algorithm=local_algorithm
-    )
+    result = mapreduce_edge_colouring(graph, mu, rng, num_groups=kappa)
     ctx = _colour_context(graph, mu, result.num_groups, "mpc-edge-colouring")
     group_loads = np.array([stats.sample_words for stats in result.iterations], dtype=np.int64)
     ctx.parallel_round(
@@ -111,7 +108,7 @@ def mpc_edge_colouring(
         words_communicated=int(group_loads.sum()),
     )
     ctx.parallel_round(
-        f"local {local_algorithm} colouring inside each group; emit (i, c_i(e))",
+        "local misra-gries colouring inside each group; emit (i, c_i(e))",
         phase="colour",
         machine_loads=group_loads,
         words_communicated=graph.num_edges,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...graphs.graph import Graph
-from ...mapreduce.exceptions import AlgorithmFailureError
+from ...mapreduce.exceptions import MAX_RESAMPLES, AlgorithmFailureError
 from ..results import ColouringResult, IterationStats
 
 __all__ = ["mapreduce_vertex_colouring", "greedy_vertex_colouring", "default_num_groups"]
@@ -74,10 +74,11 @@ def mapreduce_vertex_colouring(
     rng: np.random.Generator,
     *,
     num_groups: int | None = None,
-    on_failure: str = "resample",
-    max_failures: int = 20,
 ) -> ColouringResult:
     """Run Algorithm 5 on ``graph`` with space parameter ``µ``.
+
+    A partition with a group of more than ``13·n^{1+µ}`` edges is redrawn,
+    up to :data:`~repro.mapreduce.exceptions.MAX_RESAMPLES` times in a row.
 
     Parameters
     ----------
@@ -90,12 +91,6 @@ def mapreduce_vertex_colouring(
         Randomness source for the random partition.
     num_groups:
         Number of groups ``κ``; defaults to ``n^{(c−µ)/2}``.
-    on_failure:
-        ``"resample"`` draws a fresh partition if some group has more than
-        ``13·n^{1+µ}`` edges; ``"raise"`` raises
-        :class:`AlgorithmFailureError`.
-    max_failures:
-        Cap on consecutive resampling attempts.
 
     Returns
     -------
@@ -107,8 +102,6 @@ def mapreduce_vertex_colouring(
     """
     if mu < 0:
         raise ValueError("mu must be non-negative")
-    if on_failure not in ("resample", "raise"):
-        raise ValueError("on_failure must be 'resample' or 'raise'")
     n = graph.num_vertices
     if n == 0:
         return ColouringResult({}, num_groups=0, algorithm="mapreduce-vertex-colouring")
@@ -125,12 +118,7 @@ def mapreduce_vertex_colouring(
         group_edge_counts = np.bincount(edge_groups_u[internal], minlength=kappa)
         if group_edge_counts.size == 0 or group_edge_counts.max() <= edge_budget:
             break
-        if on_failure == "raise":
-            raise AlgorithmFailureError(
-                f"a group has {int(group_edge_counts.max())} edges, "
-                f"exceeding 13·n^(1+µ) = {edge_budget:.0f}"
-            )
-        if attempts >= max_failures:
+        if attempts >= MAX_RESAMPLES:
             raise AlgorithmFailureError(
                 f"vertex partition failed {attempts} consecutive times"
             )

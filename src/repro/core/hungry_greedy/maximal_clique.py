@@ -96,8 +96,6 @@ def hungry_greedy_maximal_clique(
     graph: Graph,
     mu: float,
     rng: np.random.Generator,
-    *,
-    alpha: float | None = None,
 ) -> CliqueResult:
     """Run the hungry-greedy maximal clique algorithm with space parameter ``µ``.
 
@@ -106,12 +104,11 @@ def hungry_greedy_maximal_clique(
     graph:
         The input graph.
     mu:
-        Space exponent; groups have ``n^{µ/2}`` vertices and the candidate
-        set is finished on one machine once it is small.
+        Space exponent; groups have ``n^{µ/2}`` vertices, the phase step is
+        ``α = µ/2``, and the candidate set is finished on one machine once
+        it is small.
     rng:
         Randomness source.
-    alpha:
-        Phase step (defaults to ``µ/2``).
 
     Returns
     -------
@@ -125,8 +122,7 @@ def hungry_greedy_maximal_clique(
     n = graph.num_vertices
     if n == 0:
         return CliqueResult([], algorithm="hungry-greedy-maximal-clique")
-    alpha = (mu / 2.0) if alpha is None else float(alpha)
-    alpha = min(max(alpha, 1e-9), 1.0)
+    alpha = min(max(mu / 2.0, 1e-9), 1.0)
     num_phases = max(1, int(np.ceil(max(0.0, 1.0 - mu) / alpha)))
     group_size = max(1, int(round(n ** (mu / 2.0))))
 

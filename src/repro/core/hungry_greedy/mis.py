@@ -60,8 +60,6 @@ def hungry_greedy_mis(
     graph: Graph,
     mu: float,
     rng: np.random.Generator,
-    *,
-    alpha: float | None = None,
 ) -> IndependentSetResult:
     """Run Algorithm 2 on ``graph`` with space parameter ``µ``.
 
@@ -74,9 +72,6 @@ def hungry_greedy_mis(
         group size ``n^{µ/2}`` and (through ``α = µ/2``) the number of phases.
     rng:
         Randomness source.
-    alpha:
-        Override for the phase step ``α`` (defaults to ``µ/2`` as in the
-        paper).
 
     Returns
     -------
@@ -92,8 +87,7 @@ def hungry_greedy_mis(
     n = graph.num_vertices
     if n == 0:
         return IndependentSetResult([], algorithm="hungry-greedy-mis")
-    alpha = (mu / 2.0) if alpha is None else float(alpha)
-    alpha = min(max(alpha, 1e-9), 1.0)
+    alpha = min(max(mu / 2.0, 1e-9), 1.0)
     # Phases stop once the degree threshold reaches n^µ; the rest of the
     # graph is finished on a single machine (it has ≤ n^{1+µ} edges).
     num_phases = max(1, int(np.ceil(max(0.0, 1.0 - mu) / alpha)))

@@ -28,7 +28,6 @@ def hungry_greedy_mis_improved(
     mu: float,
     rng: np.random.Generator,
     *,
-    alpha: float | None = None,
     max_iterations: int | None = None,
 ) -> IndependentSetResult:
     """Run Algorithm 6 on ``graph`` with space parameter ``µ``.
@@ -39,11 +38,10 @@ def hungry_greedy_mis_improved(
         The input graph.
     mu:
         Space exponent: machines (and therefore the final single-machine
-        step) hold ``O(n^{1+µ})`` words.
+        step) hold ``O(n^{1+µ})`` words; the degree-class step is
+        ``α = µ/8``, as in the paper's analysis.
     rng:
         Randomness source.
-    alpha:
-        Degree-class step (defaults to ``µ/8`` as in the paper's analysis).
     max_iterations:
         Safety cap on the number of outer iterations (defaults to
         ``10 + 20·⌈log2(m+2)⌉``).
@@ -61,8 +59,7 @@ def hungry_greedy_mis_improved(
     if n == 0:
         return IndependentSetResult([], algorithm="hungry-greedy-mis-improved")
     m = graph.num_edges
-    alpha = (mu / 8.0) if alpha is None else float(alpha)
-    alpha = min(max(alpha, 1e-9), 1.0)
+    alpha = min(max(mu / 8.0, 1e-9), 1.0)
     num_classes = max(1, int(np.ceil(1.0 / alpha)))
     group_size = max(1, int(round(n ** (mu / 2.0))))
     edge_budget = max(1.0, float(n) ** (1.0 + mu))

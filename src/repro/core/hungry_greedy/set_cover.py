@@ -76,7 +76,6 @@ def hungry_greedy_set_cover(
     rng: np.random.Generator,
     *,
     epsilon: float = 0.2,
-    alpha: float | None = None,
     preprocess: bool = False,
     max_iterations: int | None = None,
 ) -> SetCoverResult:
@@ -95,8 +94,6 @@ def hungry_greedy_set_cover(
     epsilon:
         The ε of the ε-greedy rule; the approximation guarantee is
         ``(1 + ε)·H_∆``.
-    alpha:
-        Override for the class step ``α``.
     preprocess:
         Apply the weight preprocessing of Remark 4.7 before the main loop.
     max_iterations:
@@ -115,8 +112,7 @@ def hungry_greedy_set_cover(
     n, m = instance.num_sets, instance.num_elements
     if m == 0:
         return SetCoverResult([], 0.0, algorithm="hungry-greedy-set-cover")
-    alpha = (mu / 8.0) if alpha is None else float(alpha)
-    alpha = min(max(alpha, 1e-9), 1.0)
+    alpha = min(max(mu / 8.0, 1e-9), 1.0)
     num_classes = max(1, int(np.ceil(1.0 / alpha)))
     group_size = max(1, int(round(m ** (mu / 2.0))))
     if max_iterations is None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ...graphs.graph import Graph
 from ...kernels import central_matching_pass
-from ...mapreduce.exceptions import AlgorithmFailureError
+from ...mapreduce.exceptions import MAX_RESAMPLES, AlgorithmFailureError
 from ..results import IterationStats, MatchingResult
 from .sequential import unwind_matching_stack
 
@@ -51,10 +51,10 @@ def randomized_local_ratio_matching(
     rng: np.random.Generator,
     *,
     max_iterations: int | None = None,
-    on_failure: str = "resample",
-    max_failures: int = 20,
 ) -> MatchingResult:
     """Run Algorithm 4 on ``graph`` with per-round sample budget ``η``.
+
+    A sample with ``Σ_v |E'_v| > 8η`` is redrawn, as in Algorithm 1.
 
     Parameters
     ----------
@@ -69,9 +69,6 @@ def randomized_local_ratio_matching(
     max_iterations:
         Safety cap (defaults to ``10 + 20·⌈log2(m+2)⌉``, far above both the
         ``O(c/µ)`` and ``O(log n)`` bounds).
-    on_failure / max_failures:
-        Handling of the ``Σ_v |E'_v| > 8η`` failure event, as in
-        :func:`~repro.core.local_ratio.set_cover.randomized_local_ratio_set_cover`.
 
     Returns
     -------
@@ -82,8 +79,6 @@ def randomized_local_ratio_matching(
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if on_failure not in ("resample", "raise"):
-        raise ValueError("on_failure must be 'resample' or 'raise'")
     n, m = graph.num_vertices, graph.num_edges
     if max_iterations is None:
         max_iterations = 10 + 20 * int(np.ceil(np.log2(m + 2)))
@@ -125,11 +120,7 @@ def randomized_local_ratio_matching(
             if full_sample or total_sampled <= FAILURE_MULTIPLIER * eta:
                 break
             failed_attempts += 1
-            if on_failure == "raise":
-                raise AlgorithmFailureError(
-                    f"Σ_v |E'_v| = {total_sampled} exceeds 8η = {FAILURE_MULTIPLIER * eta:.0f}"
-                )
-            if attempts >= max_failures:
+            if attempts >= MAX_RESAMPLES:
                 raise AlgorithmFailureError(
                     f"sampling failed {attempts} consecutive times (|E_i| = {num_alive})"
                 )

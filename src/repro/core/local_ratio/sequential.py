@@ -9,8 +9,9 @@ instantiate:
   sets from each of them, and move every set that reaches zero into the
   cover.  ``f``-approximation, where ``f`` is the maximum element frequency.
 
-* **Weighted vertex cover** — the ``f = 2`` special case, stated directly on
-  graphs for convenience.
+* **Weighted vertex cover** — the ``f = 2`` special case: the set cover
+  algorithm run on :meth:`SetCoverInstance.from_vertex_cover`, whose sets
+  are the vertices and whose elements are the edges.
 
 * **Maximum weight matching** — the Paz–Schwartzman local ratio method
   (Theorem 5.1): pick a positive-weight edge, subtract its weight from
@@ -31,15 +32,15 @@ local ratio technique exploits.
 
 The weight-reduction loops themselves live in :mod:`repro.kernels`, so
 these functions are thin drivers around instance/graph state.  The set
-cover reduction is a batched NumPy kernel, byte-identical to the
-pure-Python loop retained in :mod:`repro.kernels.reference` (golden tests
-enforce this); the vertex cover, matching and b-matching reductions and
-the stack unwinds are the plain loops.
+cover reduction (which vertex cover shares) is a batched NumPy kernel,
+byte-identical to the pure-Python loop retained in
+:mod:`repro.kernels.reference` (golden tests enforce this); the matching
+and b-matching reductions and the stack unwinds are the plain loops.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -51,7 +52,6 @@ from ...kernels import (
     set_cover_reduction,
     unwind_b_matching,
     unwind_matching,
-    vertex_cover_reduction,
 )
 from ...setcover.instance import SetCoverInstance
 from ..results import MatchingResult, SetCoverResult
@@ -132,27 +132,18 @@ def local_ratio_vertex_cover(
 ) -> SetCoverResult:
     """Local ratio 2-approximation for weighted vertex cover.
 
-    Elements are edges, sets are vertices.  ``order`` is an edge order.
+    :func:`local_ratio_set_cover` on the ``f = 2`` encoding: elements are
+    edges, sets are vertices, and ``order`` is an edge order.  The weights
+    must be positive and finite, one per vertex (:class:`ValueError`
+    otherwise).
     """
-    weights = np.asarray(vertex_weights, dtype=np.float64)
-    if weights.shape != (graph.num_vertices,):
-        raise ValueError("need one weight per vertex")
-    m = graph.num_edges
-    if order is None:
-        order = np.arange(m) if rng is None else rng.permutation(m)
-    residual = weights.copy()
-    in_cover = np.zeros(graph.num_vertices, dtype=bool)
-    chosen: list[int] = []
-    vertex_cover_reduction(
-        graph.edge_u,
-        graph.edge_v,
-        residual,
-        in_cover,
-        np.asarray(order, dtype=np.int64),
-        chosen,
-    )
-    weight = float(weights[np.asarray(chosen, dtype=np.int64)].sum()) if chosen else 0.0
-    return SetCoverResult(chosen, weight, algorithm="local-ratio-vertex-cover-sequential")
+    instance = SetCoverInstance.from_vertex_cover(graph, vertex_weights)
+    result = local_ratio_set_cover(instance, order=order, rng=rng)
+    chosen = result.chosen_sets
+    # Summed in chosen order, not ``cover_weight``'s id order: the float bits depend on it.
+    result.weight = float(instance.weights[chosen].sum()) if chosen else 0.0
+    result.algorithm = "local-ratio-vertex-cover-sequential"
+    return result
 
 
 # --------------------------------------------------------------------------- #
@@ -168,15 +159,11 @@ def local_ratio_matching(
     *,
     order: Sequence[int] | np.ndarray | None = None,
     rng: np.random.Generator | None = None,
-    selector: Callable[[np.ndarray], int] | None = None,
 ) -> MatchingResult:
     """Paz–Schwartzman local ratio 2-approximation for maximum weight matching.
 
     ``order`` is the order in which edges are *considered*; an edge is
     selected only if its residual weight is still positive when reached.
-    ``selector`` is unused here but documents the extension point the
-    randomized variant exploits (it selects the heaviest sampled edge per
-    vertex instead of following a fixed order).
     """
     m = graph.num_edges
     if order is None:

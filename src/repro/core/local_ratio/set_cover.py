@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...kernels import set_cover_reduction
-from ...mapreduce.exceptions import AlgorithmFailureError
+from ...mapreduce.exceptions import MAX_RESAMPLES, AlgorithmFailureError
 from ...setcover.instance import SetCoverInstance
 from ..results import IterationStats, SetCoverResult
 
@@ -48,10 +48,12 @@ def randomized_local_ratio_set_cover(
     rng: np.random.Generator,
     *,
     max_iterations: int | None = None,
-    on_failure: str = "resample",
-    max_failures: int = 20,
 ) -> SetCoverResult:
     """Run Algorithm 1 on ``instance`` with per-round sample budget ``η``.
+
+    A sample of more than ``6η`` elements (an ``exp(-η)`` event) is redrawn
+    and counted on ``failed_attempts``, up to
+    :data:`~repro.mapreduce.exceptions.MAX_RESAMPLES` times in a row.
 
     Parameters
     ----------
@@ -66,14 +68,6 @@ def randomized_local_ratio_set_cover(
     max_iterations:
         Safety cap on the number of sampling iterations (defaults to
         ``4 + 4·⌈log(m+1)⌉``, far above the ``⌈c/µ⌉`` bound of Theorem 2.3).
-    on_failure:
-        What to do when a sample exceeds ``6η`` elements (an
-        ``exp(-η)``-probability event): ``"resample"`` retries the iteration
-        with a fresh sample, ``"raise"`` raises
-        :class:`AlgorithmFailureError`.  Failed attempts are counted on the
-        result either way.
-    max_failures:
-        Cap on consecutive resampling attempts before giving up.
 
     Returns
     -------
@@ -83,8 +77,6 @@ def randomized_local_ratio_set_cover(
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if on_failure not in ("resample", "raise"):
-        raise ValueError("on_failure must be 'resample' or 'raise'")
     m = instance.num_elements
     n = instance.num_sets
     if max_iterations is None:
@@ -134,11 +126,7 @@ def randomized_local_ratio_set_cover(
             if sampled.size <= FAILURE_MULTIPLIER * eta:
                 break
             failed_attempts += 1
-            if on_failure == "raise":
-                raise AlgorithmFailureError(
-                    f"sample of size {sampled.size} exceeds 6η = {FAILURE_MULTIPLIER * eta:.0f}"
-                )
-            if attempts >= max_failures:
+            if attempts >= MAX_RESAMPLES:
                 raise AlgorithmFailureError(
                     f"sampling failed {attempts} consecutive times (|U_r| = {alive.size})"
                 )
@@ -177,8 +165,6 @@ def randomized_local_ratio_vertex_cover(
     vertex_weights,
     eta: int,
     rng: np.random.Generator,
-    *,
-    on_failure: str = "resample",
 ) -> SetCoverResult:
     """Algorithm 1 specialised to weighted vertex cover (``f = 2``).
 
@@ -187,6 +173,6 @@ def randomized_local_ratio_vertex_cover(
     weight vertex cover.
     """
     instance = SetCoverInstance.from_vertex_cover(graph, vertex_weights)
-    result = randomized_local_ratio_set_cover(instance, eta, rng, on_failure=on_failure)
+    result = randomized_local_ratio_set_cover(instance, eta, rng)
     result.algorithm = "randomized-local-ratio-vertex-cover"
     return result

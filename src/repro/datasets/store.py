@@ -14,15 +14,17 @@ archive so that converted datasets load in milliseconds:
 A JSON header member (``__header__``) carries a **schema version**, the
 object kind, shape metadata, and a **SHA-256 checksum per column**.
 :func:`load_dataset` validates the magic/version/checksums before handing
-the object back, so silent corruption is impossible.
+the object back, so silent corruption is impossible, and refuses a weight
+column that breaks its class invariant (set weights positive and finite,
+edge weights finite), since :func:`save_dataset` writes any object.
 
 Because ``np.savez`` stores members with ``ZIP_STORED`` (no compression),
 each column is a contiguous byte range of the archive; :func:`load_dataset`
 exploits this to **memory-map** the columns (``mmap=True``, the default)
 instead of copying them through the zip layer.  The reconstructed objects
 use the trusted fast paths :meth:`Graph.from_arrays` /
-:meth:`SetCoverInstance.from_csr`, so loading does no re-validation and no
-re-canonicalisation work.
+:meth:`SetCoverInstance.from_csr`, so loading does no re-canonicalisation
+work and validates nothing beyond the weight column.
 """
 
 from __future__ import annotations
@@ -269,6 +271,20 @@ def _verify_columns(header: Mapping[str, Any], columns: Mapping[str, np.ndarray]
             )
 
 
+def _check_weights(name: str, weights: np.ndarray, *, positive: bool) -> None:
+    """Refuse a weight column its object's constructor would reject."""
+    bad = ~np.isfinite(weights)
+    if positive:
+        bad |= weights <= 0
+    if bad.any():
+        first = int(np.argmax(bad))
+        rule = "positive and finite" if positive else "finite"
+        raise DatasetFormatError(
+            f"column {name!r} holds {float(weights[first])!r} at index {first}; "
+            f"weights must be {rule}"
+        )
+
+
 def load_dataset(
     path: str | os.PathLike[str],
     *,
@@ -279,9 +295,10 @@ def load_dataset(
 
     ``mmap=True`` (default) memory-maps the columns straight out of the
     archive; ``verify=True`` (default) recomputes every column checksum
-    against the header.  The returned object is reconstructed through the
-    zero-copy trusted constructors, so a load round-trip is bitwise
-    identical to the object that was saved.
+    against the header.  Either way, a weight column that breaks its class
+    invariant raises :class:`DatasetFormatError`.  The returned object is
+    reconstructed through the zero-copy trusted constructors, so a load
+    round-trip is bitwise identical to the object that was saved.
     """
     header = read_header(path)
     if header["kind"] == "graph":
@@ -291,6 +308,7 @@ def load_dataset(
         u, v, w = columns["edge_u"], columns["edge_v"], columns["edge_w"]
         if not (len(u) == len(v) == len(w) == int(header["num_edges"])):
             raise DatasetFormatError("edge column lengths disagree with the header")
+        _check_weights("edge_w", w, positive=False)
         return Graph.from_arrays(int(header["num_vertices"]), u, v, w)
     columns = _read_members(path, _SETCOVER_COLUMNS, mmap=mmap)
     if verify:
@@ -298,6 +316,7 @@ def load_dataset(
     indptr = columns["set_indptr"]
     if len(indptr) != int(header["num_sets"]) + 1:
         raise DatasetFormatError("set_indptr length disagrees with the header")
+    _check_weights("set_weights", columns["set_weights"], positive=True)
     return SetCoverInstance.from_csr(
         indptr,
         columns["set_indices"],

@@ -146,7 +146,6 @@ def _experiment_graph(
     aliases=("fig1-vertex-cover",),
     guarantee="2-approximation",
     theorem="Theorem 2.4",
-    bounds=theory.vertex_cover_bound,
     baselines=("filtering-vertex-cover", "lp-lower-bound"),
 )
 def vertex_cover_experiment(
@@ -199,7 +198,6 @@ def vertex_cover_experiment(
     aliases=("fig1-set-cover-f",),
     guarantee="f-approximation",
     theorem="Theorem 2.4",
-    bounds=theory.set_cover_f_bound,
     baselines=("greedy-set-cover", "lp-lower-bound"),
 )
 def set_cover_f_experiment(
@@ -257,7 +255,6 @@ def set_cover_f_experiment(
     aliases=("fig1-set-cover-greedy",),
     guarantee="(1+ε)·ln∆-approximation",
     theorem="Theorem 4.6",
-    bounds=theory.set_cover_greedy_bound,
     baselines=("greedy-set-cover", "lp-lower-bound"),
 )
 def set_cover_greedy_experiment(
@@ -325,7 +322,6 @@ def set_cover_greedy_experiment(
     aliases=("fig1-mis",),
     guarantee="maximal independent set",
     theorem="Theorem A.3 / 3.3",
-    bounds=theory.mis_bound,
     baselines=("luby-mis",),
 )
 def mis_experiment(
@@ -371,7 +367,6 @@ def mis_experiment(
     aliases=("fig1-maximal-clique",),
     guarantee="maximal clique",
     theorem="Corollary B.1",
-    bounds=theory.maximal_clique_bound,
 )
 def maximal_clique_experiment(
     rng: np.random.Generator,
@@ -412,7 +407,6 @@ def maximal_clique_experiment(
     aliases=("fig1-matching",),
     guarantee="2-approximation",
     theorem="Theorem 5.6",
-    bounds=theory.matching_bound,
     baselines=("greedy-matching", "filtering-matching", "exact-matching"),
 )
 def matching_experiment(
@@ -469,7 +463,6 @@ def matching_experiment(
     aliases=("fig1-matching-mu0",),
     guarantee="2-approximation",
     theorem="Appendix C",
-    bounds=theory.matching_mu0_bound,
     baselines=("exact-matching",),
 )
 def matching_mu0_experiment(
@@ -517,7 +510,6 @@ def matching_mu0_experiment(
     aliases=("fig1-b-matching",),
     guarantee="(3 − 2/b + 2ε)-approximation",
     theorem="Theorem D.3",
-    bounds=theory.b_matching_bound,
     baselines=("greedy-b-matching",),
 )
 def b_matching_experiment(
@@ -576,7 +568,6 @@ def b_matching_experiment(
     aliases=("fig1-vertex-colouring",),
     guarantee="(1+o(1))·∆ colours",
     theorem="Theorem 6.4",
-    bounds=theory.colouring_bound,
     baselines=("greedy-colouring",),
 )
 def vertex_colouring_experiment(
@@ -627,7 +618,6 @@ def vertex_colouring_experiment(
     aliases=("fig1-edge-colouring",),
     guarantee="(1+o(1))·∆ colours",
     theorem="Theorem 6.6",
-    bounds=theory.colouring_bound,
     baselines=("misra-gries",),
 )
 def edge_colouring_experiment(
@@ -636,12 +626,11 @@ def edge_colouring_experiment(
     n: int = 140,
     c: float = 0.4,
     mu: float = 0.2,
-    local_algorithm: str = "misra-gries",
     scenario: str | None = None,
 ) -> ExperimentRecord:
     """Figure 1, row "Edge Colouring / (1+o(1))∆ colours / O(1) rounds" (Theorem 6.6)."""
     graph, n, c = _experiment_graph(scenario, rng, experiment="fig1-edge-colouring", n=n, c=c)
-    result, metrics = mpc_edge_colouring(graph, mu, rng, local_algorithm=local_algorithm)
+    result, metrics = mpc_edge_colouring(graph, mu, rng)
     delta = graph.max_degree()
     bound = theory.colouring_bound(n, graph.num_edges, delta, mu, edges=True)
 
@@ -737,7 +726,6 @@ def run_figure1(
     backend: Backend | str | None = None,
     jobs: int | None = None,
     cache: ResultCache | str | None = None,
-    reduce: str = "mean",
     scenario: str | None = None,
     cells: Sequence[tuple[str, Mapping[str, object]]] | None = None,
 ) -> list[ExperimentRecord]:
@@ -764,5 +752,5 @@ def run_figure1(
         if len(result.records) == 1:
             records.append(result.records[0])
         else:
-            records.append(aggregate_records(result.records, reduce=reduce))
+            records.append(aggregate_records(result.records))
     return records

@@ -44,19 +44,14 @@ class ExperimentRecord:
         return row
 
 
-def aggregate_records(
-    records: Sequence[ExperimentRecord], *, reduce: str = "mean"
-) -> ExperimentRecord:
+def aggregate_records(records: Sequence[ExperimentRecord]) -> ExperimentRecord:
     """Aggregate several trial records of the same experiment into one.
 
-    Metrics are averaged (``reduce="mean"``) or maximised (``reduce="max"``);
-    bounds and parameters are taken from the first record (they are identical
-    across trials); validity is the conjunction.
+    Metrics are averaged; bounds and parameters are taken from the first
+    record (they are identical across trials); validity is the conjunction.
     """
     if not records:
         raise ValueError("cannot aggregate zero records")
-    if reduce not in ("mean", "max"):
-        raise ValueError("reduce must be 'mean' or 'max'")
     first = records[0]
     metric_keys: list[str] = []
     for record in records:
@@ -66,13 +61,14 @@ def aggregate_records(
     combined: dict[str, float] = {}
     for key in metric_keys:
         values = [r.metrics[key] for r in records if key in r.metrics]
-        combined[key] = float(mean(values) if reduce == "mean" else max(values))
+        combined[key] = float(mean(values))
     return ExperimentRecord(
         experiment=first.experiment,
         parameters=dict(first.parameters),
         metrics=combined,
         bounds=dict(first.bounds),
         valid=all(r.valid for r in records),
-        notes={"trials": len(records), "reduce": reduce},
+        # The constant "reduce" note keeps --trials output byte-stable.
+        notes={"trials": len(records), "reduce": "mean"},
     )
 

@@ -32,7 +32,8 @@ class DistributedGraph:
     Edges go to machines in contiguous balanced blocks (the paper's
     "assigned arbitrarily ... with ``n^{1+µ}`` per machine"); vertices, with
     their adjacency lists, go to machines chosen uniformly at random from
-    ``rng``.
+    ``rng``.  The loads are those of the whole graph, which the drivers
+    declare for the rounds that hold the input.
 
     Parameters
     ----------
@@ -55,45 +56,23 @@ class DistributedGraph:
     # ------------------------------------------------------------------ #
     # Load accounting
     # ------------------------------------------------------------------ #
-    def edge_loads(self, alive_edges: np.ndarray | None = None) -> np.ndarray:
-        """Words of edge storage per machine, optionally restricted to a boolean mask."""
-        if alive_edges is None:
-            machines = self.edge_machine
-        else:
-            mask = np.asarray(alive_edges)
-            if mask.dtype != bool:
-                full = np.zeros(self.graph.num_edges, dtype=bool)
-                full[mask.astype(np.int64)] = True
-                mask = full
-            machines = self.edge_machine[mask]
-        counts = np.bincount(machines, minlength=self.num_machines)
+    def edge_loads(self) -> np.ndarray:
+        """Words of edge storage per machine."""
+        counts = np.bincount(self.edge_machine, minlength=self.num_machines)
         return counts * EDGE_WORDS
 
-    def adjacency_loads(self, alive_edges: np.ndarray | None = None) -> np.ndarray:
+    def adjacency_loads(self) -> np.ndarray:
         """Words of adjacency-list storage per machine.
 
-        Each alive edge ``{u, v}`` contributes one word to the machine
-        hosting ``u`` and one word to the machine hosting ``v``.
+        Each edge ``{u, v}`` contributes one word to the machine hosting
+        ``u`` and one word to the machine hosting ``v``.
         """
-        if alive_edges is None:
-            mask = np.ones(self.graph.num_edges, dtype=bool)
-        else:
-            mask = np.asarray(alive_edges)
-            if mask.dtype != bool:
-                full = np.zeros(self.graph.num_edges, dtype=bool)
-                full[mask.astype(np.int64)] = True
-                mask = full
-        loads = np.zeros(self.num_machines, dtype=np.int64)
-        u_hosts = self.vertex_machine[self.graph.edge_u[mask]]
-        v_hosts = self.vertex_machine[self.graph.edge_v[mask]]
-        if u_hosts.size:
-            loads += np.bincount(u_hosts, minlength=self.num_machines)
-            loads += np.bincount(v_hosts, minlength=self.num_machines)
-        return loads
+        loads = np.bincount(self.vertex_machine[self.graph.edge_u], minlength=self.num_machines)
+        return loads + np.bincount(self.vertex_machine[self.graph.edge_v], minlength=self.num_machines)
 
-    def total_loads(self, alive_edges: np.ndarray | None = None) -> np.ndarray:
+    def total_loads(self) -> np.ndarray:
         """Edge storage plus adjacency storage per machine."""
-        return self.edge_loads(alive_edges) + self.adjacency_loads(alive_edges)
+        return self.edge_loads() + self.adjacency_loads()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

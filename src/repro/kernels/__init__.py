@@ -8,10 +8,10 @@ algorithm layer (``repro.core.*``, ``repro.baselines.*``):
 * :mod:`~repro.kernels.csr` — flat CSR gathers and the occurs-once scan
   that powers the batched window loops;
 * :mod:`~repro.kernels.local_ratio` — the subtract-and-freeze loops: the
-  set cover reduction is window-batched; the central machine pass of
-  Algorithm 4 walks Python lists of the sampled edges; the vertex cover,
-  matching and b-matching reductions and the two stack unwinds are plain
-  loops;
+  set cover reduction, which vertex cover also runs on its ``f = 2``
+  encoding, is window-batched; the central machine pass of Algorithm 4
+  walks Python lists of the sampled edges; the matching and b-matching
+  reductions and the two stack unwinds are plain loops;
 * :mod:`~repro.kernels.coverage` — incremental uncovered-count maintenance
   for the greedy set cover algorithms;
 * :mod:`~repro.kernels.mis` — the per-vertex greedy MIS scan and the
@@ -36,7 +36,6 @@ from .local_ratio import (
     set_cover_reduction,
     unwind_b_matching,
     unwind_matching,
-    vertex_cover_reduction,
 )
 from .mis import blocked_degree_decrements, greedy_mis_pass
 
@@ -52,7 +51,6 @@ __all__ = [
     "set_cover_reduction",
     "unwind_b_matching",
     "unwind_matching",
-    "vertex_cover_reduction",
     "blocked_degree_decrements",
     "greedy_mis_pass",
 ]

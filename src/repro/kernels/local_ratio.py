@@ -38,12 +38,15 @@ argsort.  The result is bitwise identical to the pure-Python loop retained
 in :mod:`repro.kernels.reference` — the golden-equivalence tests under
 ``tests/kernels/`` enforce exactly that.
 
+Weighted vertex cover has no kernel of its own: it is set cover on the
+``f = 2`` encoding (:meth:`~repro.setcover.SetCoverInstance.from_vertex_cover`),
+so it runs :func:`set_cover_reduction`.
+
 The other functions are plain loops, because batching them did not pay:
-the three reductions (:func:`vertex_cover_reduction`,
-:func:`matching_reduction`, :func:`b_matching_reduction`) serve only the
-classical ``local_ratio_*`` algorithms of
-:mod:`repro.core.local_ratio.sequential`, which no MPC driver calls;
-batching the two stack unwinds (:func:`unwind_matching`,
+the two reductions (:func:`matching_reduction`,
+:func:`b_matching_reduction`) serve only the classical ``local_ratio_*``
+algorithms of :mod:`repro.core.local_ratio.sequential`, which no MPC
+driver calls; batching the two stack unwinds (:func:`unwind_matching`,
 :func:`unwind_b_matching`) saved under 1% of the benchmark's ``mpc`` pass
 while losing to the loop at Figure-1 sizes; and Algorithm 4's central
 walk (:func:`central_matching_pass`) runs over Python lists of the sampled
@@ -62,7 +65,6 @@ from .csr import first_occurrence_mask, gather_rows
 __all__ = [
     "capacity_array",
     "set_cover_reduction",
-    "vertex_cover_reduction",
     "matching_reduction",
     "b_matching_reduction",
     "central_matching_pass",
@@ -242,33 +244,6 @@ def set_cover_reduction(
         window = _next_window(window, int(accept.sum()), window_ids.size)
     if new_sets:
         chosen.extend(_ordered(new_sets, new_keys).tolist())
-    return len(chosen) - selected_before
-
-
-# --------------------------------------------------------------------------- #
-# Vertex cover (f = 2 special case)
-# --------------------------------------------------------------------------- #
-def vertex_cover_reduction(
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    residual: np.ndarray,
-    in_cover: np.ndarray,
-    order: np.ndarray,
-    chosen: list[int],
-) -> int:
-    """Local ratio reduction for weighted vertex cover over an edge order."""
-    selected_before = len(chosen)
-    for edge in np.asarray(order, dtype=np.int64):
-        u, v = int(edge_u[edge]), int(edge_v[edge])
-        if in_cover[u] or in_cover[v]:
-            continue
-        eps = float(min(residual[u], residual[v]))
-        residual[u] -= eps
-        residual[v] -= eps
-        for vertex in (u, v):
-            if residual[vertex] <= 1e-12 and not in_cover[vertex]:
-                in_cover[vertex] = True
-                chosen.append(int(vertex))
     return len(chosen) - selected_before
 
 

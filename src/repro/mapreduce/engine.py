@@ -27,9 +27,10 @@ Broadcast / aggregation trees
 Several algorithms distribute the central machine's result ``C`` to all
 machines via a broadcast tree of degree ``n^µ`` and depth ``c/µ``
 (Theorem 2.4, Section 4.1).  :meth:`MPCContext.broadcast` and
-:meth:`MPCContext.aggregate` model this: given a payload size and a fan-out,
-they charge ``ceil(log_fanout(M))`` rounds (at least one) and verify that a
-node of the tree never holds more than ``fanout × payload`` words.
+:meth:`MPCContext.aggregate` model this: given a payload size, they charge
+``ceil(log_fanout(M))`` rounds (at least one) for the context's fan-out and
+verify that a node of the tree never holds more than ``fanout × payload``
+words.
 """
 
 from __future__ import annotations
@@ -111,9 +112,8 @@ class MPCContext:
     algorithm:
         Name recorded on the resulting :class:`RunMetrics`.
     default_fanout:
-        Fan-out used for broadcast/aggregation trees when the caller does
-        not specify one.  The paper uses ``n^µ``; drivers pass that value
-        explicitly.
+        Fan-out of every broadcast/aggregation tree of the run (at least
+        2).  The paper uses ``n^µ``; the drivers pass that value.
     """
 
     def __init__(
@@ -233,11 +233,10 @@ class MPCContext:
         description: str,
         *,
         phase: str = "",
-        fanout: int | None = None,
     ) -> int:
         """Broadcast ``payload_words`` words from the central machine to all workers.
 
-        Uses a tree of the given fan-out; returns the number of rounds
+        Uses a tree of the context's fan-out; returns the number of rounds
         charged.  Each internal node of the tree forwards the payload to
         ``fanout`` children, so it must hold ``payload × fanout`` words of
         outgoing messages plus the payload itself — this is the quantity
@@ -246,7 +245,7 @@ class MPCContext:
         ``|C|·M = Ω(n^{1+c−µ})`` words and therefore a tree is needed).
         """
         self._check_open()
-        fanout = self.default_fanout if fanout is None else max(2, int(fanout))
+        fanout = self.default_fanout
         rounds = tree_rounds(self.num_machines, fanout)
         per_node = int(payload_words) * (fanout + 1)
         for i in range(rounds):
@@ -266,7 +265,6 @@ class MPCContext:
         description: str,
         *,
         phase: str = "",
-        fanout: int | None = None,
     ) -> int:
         """Aggregate a small summary (e.g. a count) from all workers to the central machine.
 
@@ -275,7 +273,7 @@ class MPCContext:
         them, and forwards one summary upward.  Returns the rounds charged.
         """
         self._check_open()
-        fanout = self.default_fanout if fanout is None else max(2, int(fanout))
+        fanout = self.default_fanout
         rounds = tree_rounds(self.num_machines, fanout)
         per_node = int(per_machine_words) * (fanout + 1)
         for i in range(rounds):

@@ -49,13 +49,18 @@ class ProtocolError(MapReduceError):
     """The round protocol was violated (a round charged after ``finish``)."""
 
 
+#: Consecutive failed draws (an oversized sample or group) after which a
+#: randomized algorithm raises :class:`AlgorithmFailureError`.
+MAX_RESAMPLES = 20
+
+
 class AlgorithmFailureError(ReproError):
     """A randomized algorithm declared failure (a low-probability event).
 
     The paper's algorithms fail with probability ``exp(-poly(n))`` when a
-    sampling step produces an oversized sample.  The simulator surfaces this
-    as an exception so callers can retry with a fresh seed; the experiment
-    harness records how often this occurs (it should essentially never).
+    sampling step produces an oversized sample.  Each algorithm redraws it up
+    to :data:`MAX_RESAMPLES` times in a row before raising this, so callers
+    can retry with a fresh seed.
     """
 
 

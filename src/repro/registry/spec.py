@@ -15,7 +15,6 @@ experiment function with :func:`register_algorithm`::
         aliases=("fig1-matching",),
         guarantee="2-approximation",
         theorem="Theorem 5.6",
-        bounds=theory.matching_bound,
         baselines=("greedy-matching", "filtering-matching", "exact-matching"),
     )
     def matching_experiment(rng, *, n=130, c=0.45, mu=0.25, ...): ...
@@ -120,9 +119,6 @@ class AlgorithmSpec:
         so points pickle to worker processes and cache signatures resolve).
     kind:
         Workload kind the solver consumes: ``"graph"`` or ``"setcover"``.
-    bounds:
-        The :mod:`repro.analysis.bounds` hook producing the row's
-        :class:`~repro.analysis.bounds.TheoremBound`.
     aliases:
         Additional accepted names (e.g. the raw ``fig1-*`` row name).
     guarantee:
@@ -142,7 +138,6 @@ class AlgorithmSpec:
     experiment: str
     solver: Callable[..., Any]
     kind: str
-    bounds: Callable[..., Any]
     aliases: tuple[str, ...] = ()
     guarantee: str = ""
     theorem: str = ""
@@ -285,7 +280,6 @@ def register_algorithm(
     name: str,
     *,
     kind: str,
-    bounds: Callable[..., Any],
     experiment: str | None = None,
     aliases: tuple[str, ...] | list[str] = (),
     guarantee: str = "",
@@ -299,19 +293,13 @@ def register_algorithm(
     metadata *about* the solver without wrapping it, so its import path
     (the cache-key identity) and its pickling behaviour are untouched.
     A malformed registration raises :class:`RegistryError` when its
-    module is imported: a non-``str`` name, an unknown ``kind``, no
-    ``bounds`` hook, or a solver signature the spec cannot derive its
-    parameters from.
+    module is imported: a non-``str`` name, an unknown ``kind``, or a
+    solver signature the spec cannot derive its parameters from.
     """
     if not isinstance(name, str):
         raise RegistryError(f"algorithm name must be a str, not {type(name).__name__}")
     if kind not in ("graph", "setcover"):
         raise RegistryError(f"kind must be 'graph' or 'setcover', not {kind!r}")
-    if bounds is None:
-        raise RegistryError(
-            f"algorithm {name!r} has no bounds hook; every row needs its "
-            "theorem bound for the guarantee check"
-        )
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
         _check_solver_signature(fn)
@@ -327,7 +315,6 @@ def register_algorithm(
             aliases=tuple(aliases),
             guarantee=guarantee,
             theorem=theorem,
-            bounds=bounds,
             baselines=tuple(baselines),
             description=doc,
             params=MappingProxyType(_solver_params(fn)),

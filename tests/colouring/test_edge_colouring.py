@@ -1,38 +1,11 @@
-"""Unit tests for the edge colouring algorithm (Theorem 6.6) and its local subroutines."""
+"""Unit tests for the edge colouring algorithm (Theorem 6.6)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core.colouring import greedy_edge_colouring, mapreduce_edge_colouring
-from repro.graphs import (
-    Graph,
-    complete_graph,
-    cycle_graph,
-    densified_graph,
-    gnm_graph,
-    is_proper_edge_colouring,
-    path_graph,
-    star_graph,
-)
-
-
-class TestGreedyEdgeColouring:
-    def test_proper_on_structured_graphs(self):
-        for g in (cycle_graph(7), star_graph(6), complete_graph(5), path_graph(9)):
-            colours = greedy_edge_colouring(g)
-            assert is_proper_edge_colouring(g, colours)
-            assert len(set(colours.values())) <= max(1, 2 * g.max_degree() - 1)
-
-    def test_proper_on_random_graphs(self, rng):
-        g = gnm_graph(40, 200, rng)
-        colours = greedy_edge_colouring(g)
-        assert is_proper_edge_colouring(g, colours)
-
-    def test_subset_of_edges(self, small_path):
-        colours = greedy_edge_colouring(small_path, edge_ids=np.array([0, 2]))
-        assert set(colours) == {0, 2}
+from repro.core.colouring import mapreduce_edge_colouring
+from repro.graphs import Graph, densified_graph, gnm_graph, is_proper_edge_colouring
 
 
 class TestMapReduceEdgeColouring:
@@ -42,11 +15,6 @@ class TestMapReduceEdgeColouring:
             g = densified_graph(80, 0.4, rng)
             result = mapreduce_edge_colouring(g, 0.2, rng)
             assert is_proper_edge_colouring(g, result.colours)
-
-    def test_proper_colouring_greedy_local(self, rng):
-        g = densified_graph(80, 0.4, rng)
-        result = mapreduce_edge_colouring(g, 0.2, rng, local_algorithm="greedy")
-        assert is_proper_edge_colouring(g, result.colours)
 
     def test_colour_count_close_to_delta(self, rng):
         g = densified_graph(150, 0.45, rng)
@@ -76,10 +44,6 @@ class TestMapReduceEdgeColouring:
     def test_empty_graph(self, rng):
         result = mapreduce_edge_colouring(Graph(3, []), 0.2, rng)
         assert result.colours == {}
-
-    def test_invalid_local_algorithm(self, rng, small_cycle):
-        with pytest.raises(ValueError):
-            mapreduce_edge_colouring(small_cycle, 0.2, rng, local_algorithm="bogus")
 
     def test_determinism(self):
         g = densified_graph(60, 0.4, np.random.default_rng(5))

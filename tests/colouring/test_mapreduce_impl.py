@@ -52,9 +52,3 @@ class TestEdgeColouringDriver:
             _, metrics = mpc_edge_colouring(g, 0.2, rng)
             rounds.append(metrics.num_rounds)
         assert len(set(rounds)) == 1
-
-    def test_greedy_local_variant(self, rng):
-        g = densified_graph(80, 0.4, rng)
-        result, metrics = mpc_edge_colouring(g, 0.2, rng, local_algorithm="greedy")
-        assert is_proper_edge_colouring(g, result.colours)
-        assert metrics.notes["colours_used"] == result.num_colours

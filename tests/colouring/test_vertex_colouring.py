@@ -100,8 +100,6 @@ class TestMapReduceVertexColouring:
     def test_invalid_arguments(self, rng, small_cycle):
         with pytest.raises(ValueError):
             mapreduce_vertex_colouring(small_cycle, -0.5, rng)
-        with pytest.raises(ValueError):
-            mapreduce_vertex_colouring(small_cycle, 0.2, rng, on_failure="bogus")
 
     def test_determinism(self):
         g = densified_graph(60, 0.4, np.random.default_rng(7))

@@ -11,11 +11,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.cli import build_parser, main
-from repro.datasets import load_dataset, load_edgelist, read_header
+from repro.datasets import load_dataset, load_edgelist, read_header, save_dataset
+from repro.graphs import Graph
+from repro.setcover import SetCoverInstance
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 FIXTURE = DATA / "social-small.txt"
@@ -206,6 +209,39 @@ class TestScenarioFlag:
         assert list(tmp_path.glob("*.json"))
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "set-cover-greedy", "--scenario", "file:{path}", "--seed", "1"],
+            ["figure1", "--scenario", "file:{path}", "--seed", "1"],
+            ["data", "info", "{path}"],
+        ],
+        ids=["solve", "figure1", "data-info"],
+    )
+    def test_stored_zero_set_weight_exits_2_with_the_column(self, tmp_path, capsys, argv):
+        # A zero set weight divides by zero in Algorithm 3 and stalls the
+        # greedy baseline, so the load must refuse it before any row runs.
+        instance = SetCoverInstance.from_csr(
+            np.array([0, 2, 4, 6]), np.array([0, 1, 1, 2, 0, 2]), np.array([0.0, 1.0, 1.0]),
+            num_elements=3,
+        )
+        path = tmp_path / "zero.npz"
+        save_dataset(path, instance)
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(path=path) for arg in argv])
+        assert excinfo.value.code == 2
+        assert "'set_weights' holds 0.0 at index 0" in capsys.readouterr().err
+
+    def test_stored_nan_edge_weight_exits_2(self, tmp_path, capsys):
+        # A NaN weight would reach the response as NaN, which is not JSON.
+        graph = Graph.from_arrays(3, np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([1.0, np.nan, 1.0]))
+        path = tmp_path / "nan.npz"
+        save_dataset(path, graph)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "matching", "--scenario", f"file:{path}", "--seed", "1"])
+        assert excinfo.value.code == 2
+        assert "'edge_w' holds nan at index 1" in capsys.readouterr().err
 
 
 class TestVersion:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,3 +226,45 @@ class TestCorruptionAndFormatErrors:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(DatasetError):
             load_dataset(path)
+
+
+def _saved_instance_with_weights(tmp_path, weights) -> Path:
+    """Three sets over three elements, written through the trusted constructor."""
+    instance = SetCoverInstance.from_csr(
+        np.array([0, 2, 4, 6]), np.array([0, 1, 1, 2, 0, 2]), np.asarray(weights), num_elements=3
+    )
+    path = tmp_path / "weights.npz"
+    save_dataset(path, instance)
+    return path
+
+
+def _saved_graph_with_weights(tmp_path, weights) -> Path:
+    graph = Graph.from_arrays(3, np.array([0, 0, 1]), np.array([1, 2, 2]), np.asarray(weights))
+    path = tmp_path / "weights.npz"
+    save_dataset(path, graph)
+    return path
+
+
+class TestWeightInvariantAtLoad:
+    """``save_dataset`` writes any object, so a load refuses the weights the
+    constructors reject (set weights positive and finite, edge weights
+    finite), with or without checksum verification."""
+
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_set_weight_must_be_positive_and_finite(self, tmp_path, bad, verify):
+        path = _saved_instance_with_weights(tmp_path, [1.0, bad, 1.0])
+        with pytest.raises(DatasetFormatError, match=r"'set_weights' holds .* at index 1"):
+            load_dataset(path, verify=verify)
+
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_edge_weight_must_be_finite(self, tmp_path, bad, verify):
+        path = _saved_graph_with_weights(tmp_path, [1.0, 2.0, bad])
+        with pytest.raises(DatasetFormatError, match=r"'edge_w' holds .* at index 2"):
+            load_dataset(path, verify=verify)
+
+    def test_valid_weights_still_load(self, tmp_path):
+        # A negative edge weight is finite, which is all a Graph requires.
+        graph = load_dataset(_saved_graph_with_weights(tmp_path, [1.0, -2.0, 0.0]))
+        assert graph.weights.tolist() == [1.0, -2.0, 0.0]

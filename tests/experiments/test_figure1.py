@@ -303,15 +303,6 @@ class TestColouringExperiments:
         assert record.metrics["colours_used"] <= 2 * delta
         assert_space_shape(record)
 
-    def test_edge_colouring_greedy_local_variant_shape(self):
-        record = edge_colouring_experiment(
-            _rng(SHAPE_SEED), n=160, c=0.4, mu=0.2, local_algorithm="greedy"
-        )
-        assert record.valid
-        # First-fit local colouring may use up to 2∆_i − 1 per group; the overall
-        # count must still be far below the trivial 2∆ bound plus group overhead.
-        assert record.metrics["colours_used"] <= 2 * record.parameters["delta"] + record.metrics["num_groups"]
-
 
 class TestGridCells:
     #: The metric each row's round claim is read on, as in the row tests above.

@@ -19,11 +19,7 @@ class TestAggregateRecords:
         assert agg.metrics == {"x": 2.0, "y": 20.0}
         assert agg.bounds == {"b": 2.0}
         assert agg.parameters == {"n": 5}
-        assert agg.notes["trials"] == 2
-
-    def test_max(self):
-        agg = aggregate_records(self._records(), reduce="max")
-        assert agg.metrics == {"x": 3.0, "y": 30.0}
+        assert agg.notes == {"trials": 2, "reduce": "mean"}
 
     def test_validity_conjunction(self):
         records = self._records()
@@ -39,8 +35,6 @@ class TestAggregateRecords:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             aggregate_records([])
-        with pytest.raises(ValueError):
-            aggregate_records(self._records(), reduce="median")
 
 
 class TestRecordFlattening:

@@ -56,19 +56,6 @@ class TestLoads:
         )
         assert dist.total_loads().sum() == (EDGE_WORDS + 2) * graph.num_edges
 
-    def test_alive_mask_reduces_loads(self, placed):
-        graph, dist = placed
-        mask = np.zeros(graph.num_edges, dtype=bool)
-        mask[:10] = True
-        assert dist.edge_loads(mask).sum() == EDGE_WORDS * 10
-        assert dist.adjacency_loads(mask).sum() == 20
-        assert dist.total_loads(mask).max() <= dist.total_loads().max()
-
-    def test_alive_ids_accepted_as_indices(self, placed):
-        graph, dist = placed
-        ids = np.arange(5)
-        assert dist.edge_loads(ids).sum() == EDGE_WORDS * 5
-
     def test_loads_have_one_entry_per_machine(self, placed):
         _, dist = placed
         assert dist.total_loads().shape == (5,)
@@ -84,17 +71,6 @@ class TestLoads:
         for vertex, degree in enumerate(graph.degrees()):
             expected[dist.vertex_machine[vertex]] += degree
         np.testing.assert_array_equal(dist.adjacency_loads(), expected)
-
-    def test_boolean_mask_and_edge_ids_agree(self, placed, rng):
-        graph, dist = placed
-        ids = rng.choice(graph.num_edges, size=37, replace=False)
-        mask = np.isin(np.arange(graph.num_edges), ids)
-        np.testing.assert_array_equal(dist.total_loads(ids), dist.total_loads(mask))
-
-    def test_no_alive_edges_means_no_load(self, placed):
-        graph, dist = placed
-        for alive in (np.zeros(graph.num_edges, dtype=bool), np.array([], dtype=np.int64)):
-            np.testing.assert_array_equal(dist.total_loads(alive), np.zeros(5))
 
     def test_edgeless_graph_has_no_load(self, rng):
         dist = DistributedGraph(Graph(6, []), 3, rng)

@@ -5,11 +5,13 @@ walk over Python lists) must return *byte-identical* results to the
 retained reference loops in :mod:`repro.kernels.reference` — same
 emission lists in the same order, and bitwise-equal mutated float arrays —
 on randomized instances across seeds, plus inputs where the batching
-degenerates (duplicate orders, tiny weights).  The kernels that are plain loops (vertex cover, matching and
+degenerates (duplicate orders, tiny weights).  The kernels that are plain loops (matching and
 b-matching reductions, the two stack unwinds) are pinned instead by sha256
 digests of their outputs on the same randomized and adversarial inputs
 (stars, paths, complete graphs, duplicate orders), recorded when each was
-still checked against a batched twin.
+still checked against a batched twin.  Vertex cover, which runs the set
+cover kernel on its ``f = 2`` encoding, keeps the digests recorded for the
+vertex cover kernel it replaced.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from repro.kernels import (
     set_cover_reduction,
     unwind_b_matching,
     unwind_matching,
-    vertex_cover_reduction,
 )
 from repro.kernels.reference import (
     central_matching_pass_reference,
     set_cover_reduction_reference,
 )
+from repro.setcover import SetCoverInstance
 from repro.setcover.generators import (
     random_coverage_instance,
     random_frequency_bounded_instance,
@@ -113,18 +115,27 @@ def test_matching_reduction_and_unwind_digest(graph_index):
 # Vertex cover
 # --------------------------------------------------------------------------- #
 def vertex_cover_outputs(graph_index: int) -> list[tuple]:
-    """Per order: additions, chosen vertices, final residuals and cover mask."""
+    """Per order: additions, chosen vertices, final residuals and cover mask.
+
+    The set cover kernel runs on the ``f = 2`` encoding: sets are vertices,
+    elements are edges, so an edge order is an element order.
+    """
     graph = all_graphs()[graph_index]
     n, m = graph.num_vertices, graph.num_edges
     rng = np.random.default_rng(2000 + graph_index)
     weights = rng.uniform(0.5, 5.0, n)
+    instance = SetCoverInstance.from_vertex_cover(graph, weights)
+    elem_indptr, elem_indices = instance.element_incidence()
+    set_indptr, set_indices = instance.set_incidence()
     outputs = []
     for order in orders_for(m, graph_index):
         residual = weights.copy()
         in_cover = np.zeros(n, dtype=bool)
+        covered = np.zeros(m, dtype=bool)
         chosen: list[int] = []
-        added = vertex_cover_reduction(
-            graph.edge_u, graph.edge_v, residual, in_cover, order, chosen
+        added = set_cover_reduction(
+            elem_indptr, elem_indices, set_indptr, set_indices,
+            residual, covered, in_cover, order, chosen,
         )
         outputs.append(
             (int(added), [int(v) for v in chosen], residual.tolist(), in_cover.tolist())
@@ -132,7 +143,7 @@ def vertex_cover_outputs(graph_index: int) -> list[tuple]:
     return outputs
 
 
-#: Recorded while ``vertex_cover_reduction`` was a batched kernel.
+#: Recorded while the vertex cover reduction was a batched kernel of its own.
 VERTEX_COVER_DIGESTS = {
     0: "b3205c7c0eae2f7420247b12bc7146cd29566cac210e5939fe05fa565462a236",
     1: "b6f953a85c3b9dcb4fb53a61cb9602336e69315bea76accf038882697bc62c67",

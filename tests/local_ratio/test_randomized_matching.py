@@ -69,8 +69,6 @@ class TestMatchingCorrectness:
     def test_invalid_parameters(self, weighted_graph, rng):
         with pytest.raises(ValueError):
             randomized_local_ratio_matching(weighted_graph, 0, rng)
-        with pytest.raises(ValueError):
-            randomized_local_ratio_matching(weighted_graph, 10, rng, on_failure="bogus")
 
 
 class TestMatchingIterationBehaviour:

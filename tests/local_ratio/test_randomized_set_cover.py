@@ -107,10 +107,6 @@ class TestSamplingBehaviour:
         with pytest.raises(ValueError):
             randomized_local_ratio_set_cover(frequency_instance, 0, rng)
 
-    def test_invalid_failure_mode(self, frequency_instance, rng):
-        with pytest.raises(ValueError):
-            randomized_local_ratio_set_cover(frequency_instance, 5, rng, on_failure="bogus")
-
     def test_default_eta_formula(self):
         assert default_eta(10, 0.5) == int(round(10**1.5))
         assert default_eta(0, 0.5) == 1
@@ -144,15 +140,6 @@ class TestDeterminism:
         )
         assert a.chosen_sets == b.chosen_sets
         assert a.num_iterations == b.num_iterations
-
-    def test_failure_mode_raise_is_respected(self, rng):
-        """With on_failure='raise' the only way to fail is an oversized
-        sample, which cannot happen when p = 1; so this must succeed."""
-        inst = random_frequency_bounded_instance(10, 50, 2, rng)
-        result = randomized_local_ratio_set_cover(
-            inst, eta=inst.num_elements, rng=rng, on_failure="raise"
-        )
-        assert is_cover(inst, result.chosen_sets)
 
     def test_nonconvergence_guard(self, rng, frequency_instance):
         with pytest.raises(AlgorithmFailureError):

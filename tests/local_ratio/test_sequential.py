@@ -105,6 +105,22 @@ class TestVertexCoverLocalRatio:
         with pytest.raises(ValueError):
             local_ratio_vertex_cover(triangle, [1.0])
 
+    def test_keeps_its_label_and_chosen_order_weight(self, rng):
+        g = gnm_graph(12, 30, rng)
+        weights = rng.uniform(1.0, 5.0, size=12)
+        result = local_ratio_vertex_cover(g, weights)
+        assert result.algorithm == "local-ratio-vertex-cover-sequential"
+        assert result.weight == float(weights[np.asarray(result.chosen_sets)].sum())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    def test_rejects_weights_that_are_not_positive_and_finite(self, bad):
+        # Unchecked, a NaN weight yields [1, 3, 4, 5], which leaves (0, 2) uncovered.
+        g = gnm_graph(6, 8, np.random.default_rng(0))
+        weights = np.ones(6)
+        weights[0] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            local_ratio_vertex_cover(g, weights)
+
 
 class TestMatchingLocalRatio:
     def test_feasible_matching(self, weighted_graph):

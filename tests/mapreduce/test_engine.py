@@ -95,7 +95,7 @@ class TestConstruction:
         ctx = MPCContext(4, None, default_fanout=1)
         assert ctx.default_fanout == 2
         assert ctx.broadcast(1, "c") == 2
-        assert ctx.aggregate(1, "s", fanout=0) == 2
+        assert ctx.aggregate(1, "s") == 2
 
     def test_unlimited_memory_disables_enforcement(self):
         ctx = MPCContext(2, None)
@@ -140,13 +140,14 @@ class TestParallelRound:
 
 
 # Each primitive driven so the one load it checks equals ``load`` (a tree node of
-# fan-out 4 holds five payloads), with the machine and context a violation reports.
+# the context's fan-out 4 holds five payloads), with the machine and context a
+# violation reports.
 TREE_LEVEL_0 = "step (tree level 0)"
 PRIMITIVES = {
     "parallel": (lambda ctx, load: ctx.parallel_round("step", machine_loads=[1, load]), "worker", "step"),
     "gather": (lambda ctx, load: ctx.gather_to_central(load, "step"), "central", "step"),
-    "broadcast": (lambda ctx, load: ctx.broadcast(load // 5, "step", fanout=4), "worker", TREE_LEVEL_0),
-    "aggregate": (lambda ctx, load: ctx.aggregate(load // 5, "step", fanout=4), "worker", TREE_LEVEL_0),
+    "broadcast": (lambda ctx, load: ctx.broadcast(load // 5, "step"), "worker", TREE_LEVEL_0),
+    "aggregate": (lambda ctx, load: ctx.aggregate(load // 5, "step"), "worker", TREE_LEVEL_0),
 }
 
 
@@ -155,14 +156,14 @@ class TestBudgets:
 
     @pytest.mark.parametrize("primitive", sorted(PRIMITIVES))
     def test_load_at_budget_is_recorded(self, primitive):
-        ctx = MPCContext(16, 100)
+        ctx = MPCContext(16, 100, default_fanout=4)
         PRIMITIVES[primitive][0](ctx, 100)
         assert ctx.metrics.num_rounds >= 1 and ctx.metrics.max_space_per_machine == 100
 
     @pytest.mark.parametrize("primitive", sorted(PRIMITIVES))
     def test_load_over_budget_raises_and_records_nothing(self, primitive):
         run, machine, context = PRIMITIVES[primitive]
-        ctx = MPCContext(16, 100)
+        ctx = MPCContext(16, 100, default_fanout=4)
         with pytest.raises(MemoryExceededError) as excinfo:
             run(ctx, 105)
         assert (excinfo.value.machine_id, excinfo.value.context) == (machine, context)
@@ -255,10 +256,6 @@ class TestBroadcastAndAggregate:
         assert {r.phase for r in rounds} == {"iteration-2"}
         assert [r.max_machine_words for r in rounds] == [10, 10, 10]
         assert [r.words_communicated for r in rounds] == [40, 10, 2]
-
-    def test_explicit_fanout_overrides_default(self):
-        ctx = MPCContext(64, 10_000, default_fanout=2)
-        assert ctx.broadcast(1, "c", fanout=64) == 1
 
     def test_communication_accumulates(self):
         ctx = MPCContext(8, 10_000, default_fanout=8)

@@ -67,7 +67,6 @@ class TestRegistryShape:
         assert spec.experiment.startswith("fig1-")
         assert spec.guarantee
         assert spec.theorem
-        assert spec.bounds is not None
         assert spec.description
         assert spec.params, "params must be derived from the solver signature"
         assert "scenario" not in spec.params
@@ -77,6 +76,36 @@ class TestRegistryShape:
         spec = get_algorithm(name)
         for alias in spec.all_names:
             assert get_algorithm(alias) is spec
+
+    def test_public_params_are_pinned(self):
+        # Every key ``-p``, ``/solve`` and ``/algorithms`` accept, with its
+        # default: a row option is added or removed only by editing this.
+        assert {spec.name: dict(spec.params) for spec in SPECS} == {
+            "vertex-cover": {
+                "n": 120, "c": 0.45, "mu": 0.25, "weight_range": (1.0, 20.0), "include_lp": True,
+            },
+            "set-cover": {
+                "num_sets": 60, "num_elements": 900, "max_frequency": 4, "mu": 0.25,
+                "include_lp": True,
+            },
+            "set-cover-greedy": {
+                "num_sets": 220, "num_elements": 60, "density": 0.08, "mu": 0.4, "epsilon": 0.2,
+                "include_lp": True,
+            },
+            "mis": {"n": 150, "c": 0.45, "mu": 0.3, "simple": False},
+            "maximal-clique": {"n": 90, "c": 0.55, "mu": 0.35},
+            "matching": {
+                "n": 130, "c": 0.45, "mu": 0.25, "weight_range": (1.0, 100.0),
+                "include_exact": True,
+            },
+            "matching-mu0": {"n": 150, "c": 0.4, "weight_range": (1.0, 100.0)},
+            "b-matching": {
+                "n": 90, "c": 0.45, "b": 3, "mu": 0.25, "epsilon": 0.15,
+                "weight_range": (1.0, 100.0),
+            },
+            "vertex-colouring": {"n": 200, "c": 0.45, "mu": 0.2},
+            "edge-colouring": {"n": 140, "c": 0.4, "mu": 0.2},
+        }
 
     def test_known_names_are_deduplicated(self):
         known = known_algorithm_names()
@@ -134,10 +163,6 @@ class TestNameResolution:
             assert get_algorithm(spec.name).experiment == spec.experiment
 
 
-def _bound():
-    return 2.0
-
-
 def _solver(rng, *, n=10):
     return n
 
@@ -150,7 +175,6 @@ class TestMalformedRegistration:
         from repro.registry import register_algorithm
 
         options.setdefault("kind", "graph")
-        options.setdefault("bounds", _bound)
         register_algorithm(name, experiment="fig1-malformed-demo", **options)(solver)
 
     def test_name_must_be_a_str(self):
@@ -164,18 +188,6 @@ class TestMalformedRegistration:
 
         with pytest.raises(RegistryError, match="kind must be 'graph' or 'setcover'"):
             self._register(kind="matrix")
-
-    def test_bounds_is_required(self):
-        from repro.registry import register_algorithm
-
-        with pytest.raises(TypeError, match="bounds"):
-            register_algorithm("malformed-demo", kind="graph")
-
-    def test_bounds_must_not_be_none(self):
-        from repro.registry import RegistryError
-
-        with pytest.raises(RegistryError, match="no bounds hook"):
-            self._register(bounds=None)
 
     @pytest.mark.parametrize(
         "solver, message",
@@ -200,14 +212,13 @@ class TestRegressions:
         # Registering without listing the experiment name as an alias must
         # still solve: request_point resolves via the requested name, never
         # via the experiment name.
-        from repro.analysis.bounds import mis_bound
         from repro.experiments.figure1 import mis_experiment
         from repro.registry import build_request, register_algorithm, request_point
         from repro.registry import spec as spec_module
 
-        register_algorithm(
-            "no-alias-demo", experiment="fig1-no-alias-demo", kind="graph", bounds=mis_bound
-        )(mis_experiment)
+        register_algorithm("no-alias-demo", experiment="fig1-no-alias-demo", kind="graph")(
+            mis_experiment
+        )
         try:
             point = request_point(build_request("no-alias-demo", params={"n": 30}))
             assert point.experiment == "fig1-no-alias-demo"
@@ -219,14 +230,11 @@ class TestRegressions:
     def test_duplicate_experiment_name_is_rejected(self):
         # The experiment name is the cache-key identity and the Figure-1
         # row key; two specs must never share one.
-        from repro.analysis.bounds import mis_bound
         from repro.experiments.figure1 import mis_experiment
         from repro.registry import RegistryError, register_algorithm
 
         with pytest.raises(RegistryError, match="fig1-mis.*already registered"):
-            register_algorithm(
-                "rogue", experiment="fig1-mis", kind="graph", bounds=mis_bound
-            )(mis_experiment)
+            register_algorithm("rogue", experiment="fig1-mis", kind="graph")(mis_experiment)
 
     def test_figure1_overrides_accept_per_row_scenario(self):
         # A cell's {"scenario": ...} override wins over (or substitutes for)

@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.backends import execute_point
+from repro.datasets import save_dataset
+from repro.graphs import Graph
 from repro.registry import experiment_names, iter_algorithms
 from repro.service import (
     ServiceError,
@@ -97,6 +100,14 @@ class TestParseSolveRequest:
         # The scenario travels in its own field, never through params.
         with pytest.raises(ServiceError):
             parse_solve_request({"algorithm": "mis", "params": {"scenario": "powerlaw-dense"}})
+
+    def test_stored_dataset_with_a_bad_weight_is_a_400(self, tmp_path):
+        graph = Graph.from_arrays(3, np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([1.0, np.inf, 1.0]))
+        path = tmp_path / "inf.npz"
+        save_dataset(path, graph)
+        with pytest.raises(ServiceError, match="'edge_w' holds inf at index 1") as err:
+            parse_solve_request({"algorithm": "matching", "scenario": f"file:{path}"})
+        assert err.value.status == 400
 
     def test_file_scenario_is_pinned_to_content(self):
         source = Path(__file__).resolve().parents[1] / "data" / "social-small.txt"
