@@ -4,14 +4,19 @@
 For a sample of algorithms, assert that ``repro.solve()``, the
 ``repro solve`` CLI subcommand, and a live ``repro serve`` HTTP response
 yield **byte-identical** canonical responses for the same
-``(scenario, algorithm, params, seed)``.
+``(scenario, algorithm, params, seed)``.  Each body is sent to the server
+three times: it computes, then replays from the result cache on disk,
+then from the server's reply cache in memory.  All three must equal the
+library's bytes, and the second and third must say
+``X-Repro-Cache: hit``, so the server needs a ``--cache-dir``.
 
 Usage::
 
     # against an already-running server (the CI job starts one):
     PYTHONPATH=src python scripts/cross_surface_identity.py --url http://127.0.0.1:8765
 
-    # self-contained (starts an in-process server on a free port):
+    # self-contained (starts an in-process server with a temporary
+    # result cache on a free port):
     PYTHONPATH=src python scripts/cross_surface_identity.py
 
 Exits non-zero on the first mismatch, printing both payloads' prefixes.
@@ -24,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -68,7 +74,13 @@ def cli_solve(algorithm: str, scenario: str | None, params: dict | None, seed: i
     return completed.stdout.rstrip(b"\n")
 
 
-def http_solve(url: str, body: dict) -> bytes:
+#: The three sends of each body and the cache header each must carry
+#: (``None``: either; a server that saw the body before replays it).
+SENDS = [("compute", None), ("disk replay", "hit"), ("memory replay", "hit")]
+
+
+def http_solve(url: str, body: dict) -> tuple[bytes, str | None]:
+    """POST one solve; returns the body and its ``X-Repro-Cache`` header."""
     request = urllib.request.Request(
         url.rstrip("/") + "/solve",
         data=json.dumps(body).encode("utf-8"),
@@ -76,7 +88,7 @@ def http_solve(url: str, body: dict) -> bytes:
         method="POST",
     )
     with urllib.request.urlopen(request, timeout=600) as response:
-        return response.read()
+        return response.read(), response.headers.get("X-Repro-Cache")
 
 
 def wait_for(url: str, timeout: float = 60.0) -> None:
@@ -101,10 +113,12 @@ def main() -> int:
     args = parser.parse_args()
 
     handle = None
+    cache_dir = None
     if args.url is None:
-        from repro.service import start_in_background
+        from repro.service import ServiceConfig, start_in_background
 
-        handle = start_in_background().start()
+        cache_dir = tempfile.TemporaryDirectory()
+        handle = start_in_background(ServiceConfig(cache_dir=cache_dir.name)).start()
         args.url = f"http://127.0.0.1:{handle.port}"
     else:
         wait_for(args.url)
@@ -122,18 +136,29 @@ def main() -> int:
                 body["scenario"] = scenario
             if params:
                 body["params"] = params
-            served = http_solve(args.url, body)
-            for surface, payload in (("CLI", cli), ("service", served)):
+            surfaces = [("CLI", cli)]
+            for send, expected in SENDS:
+                served, cache = http_solve(args.url, body)
+                surfaces.append((f"service {send}", served))
+                if expected is not None and cache != expected:
+                    failures += 1
+                    print(f"MISMATCH [{label}] service {send} read X-Repro-Cache: {cache}")
+            for surface, payload in surfaces:
                 if payload != library:
                     failures += 1
                     print(f"MISMATCH [{label}] {surface} != library")
                     print(f"  library: {library[:120]!r}...")
-                    print(f"  {surface:>7}: {payload[:120]!r}...")
-            if cli == library == served:
-                print(f"OK [{label}] {len(library)} canonical bytes on all three surfaces")
+                    print(f"  {surface}: {payload[:120]!r}...")
+            if all(payload == library for _, payload in surfaces):
+                print(
+                    f"OK [{label}] {len(library)} canonical bytes on all three "
+                    "surfaces (service: computed, replayed from disk, from memory)"
+                )
     finally:
         if handle is not None:
             handle.stop()
+        if cache_dir is not None:
+            cache_dir.cleanup()
 
     if failures:
         print(f"{failures} cross-surface mismatch(es)")

@@ -27,9 +27,12 @@ import abc
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .cache import EntryStamp
 
 __all__ = [
     "Backend",
@@ -71,13 +74,15 @@ class PointResult:
     ``records`` holds one entry per trial (more, if ``fn`` returns lists);
     ``signature`` is the canonical identity of the point (the cache key
     material); ``cached`` marks results served from a
-    :class:`~repro.backends.cache.ResultCache` rather than recomputed.
+    :class:`~repro.backends.cache.ResultCache` rather than recomputed, and
+    ``stamp`` names the entry file such a result was read from.
     """
 
     experiment: str
     signature: str
     records: list[Any] = field(default_factory=list)
     cached: bool = False
+    stamp: EntryStamp | None = field(default=None, compare=False, repr=False)
 
 
 def _jsonable(value: Any) -> Any:

@@ -12,7 +12,9 @@ Records are stored as plain JSON (numpy scalars are converted to Python
 numbers, which round-trip exactly for float64), together with the full
 signature so hash collisions are detected rather than silently served.
 Entries never expire on their own; ``clear()`` empties the cache, and
-deleting individual ``*.json`` files invalidates single points.
+deleting individual ``*.json`` files invalidates single points.  A loaded
+result carries an :class:`EntryStamp` of the file it was read from, so a
+copy kept elsewhere can tell when that file has been deleted or replaced.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from .base import PointResult, SweepPoint, point_digest, point_signature
 
-__all__ = ["ResultCache", "record_from_payload", "record_to_payload"]
+__all__ = ["EntryStamp", "ResultCache", "record_from_payload", "record_to_payload"]
 
 #: Format marker stored in every entry; bump when the layout changes so
 #: stale caches are treated as misses instead of misparsed.
@@ -77,6 +80,26 @@ def record_from_payload(payload: dict[str, Any]) -> Any:
     )
 
 
+@dataclass(frozen=True)
+class EntryStamp:
+    """An entry file as it was when a result was read from it."""
+
+    path: str
+    inode: int
+    mtime_ns: int
+    size: int
+
+    def current(self) -> bool:
+        """Whether ``path`` is still the file that was read (not deleted or replaced)."""
+        try:
+            stat = os.stat(self.path)
+        except OSError:
+            return False
+        return (stat.st_ino, stat.st_mtime_ns, stat.st_size) == (
+            self.inode, self.mtime_ns, self.size
+        )
+
+
 class ResultCache:
     """Persist completed :class:`PointResult`\\ s under ``directory``."""
 
@@ -92,11 +115,18 @@ class ResultCache:
         return self.directory / f"{point_digest(point)}.json"
 
     def load(self, point: SweepPoint) -> PointResult | None:
-        """Return the cached result for ``point``, or ``None`` on a miss."""
+        """Return the cached result for ``point``, or ``None`` on a miss.
+
+        The result's ``stamp`` is taken from the file it was read from.
+        """
         path = self.path_for(point)
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            with open(path, "rb") as fh:
+                stat = os.fstat(fh.fileno())
+                payload = json.loads(fh.read().decode("utf-8"))
+        except (OSError, ValueError):  # unreadable, not UTF-8, or not JSON
+            return None
+        if not isinstance(payload, dict):
             return None
         if payload.get("version") != _CACHE_VERSION:
             return None
@@ -111,13 +141,15 @@ class ResultCache:
             return None
         try:
             records = [record_from_payload(item) for item in payload["records"]]
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError, AttributeError):
+            # A record that does not rebuild (a hand-edited entry) is a miss.
             return None
         return PointResult(
             experiment=point.experiment,
             signature=payload["signature"],
             records=records,
             cached=True,
+            stamp=EntryStamp(str(path), stat.st_ino, stat.st_mtime_ns, stat.st_size),
         )
 
     # ------------------------------------------------------------------ #

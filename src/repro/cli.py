@@ -140,6 +140,16 @@ def _positive_int(value: str) -> int:
     return jobs
 
 
+def _non_negative_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
+    if number < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return number
+
+
 def _port(value: str) -> int:
     try:
         port = int(value)
@@ -204,7 +214,7 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     """Attach the experiment subcommands' ``--seed`` and ``--json`` flags."""
-    parser.add_argument("--seed", type=int, default=2018)
+    parser.add_argument("--seed", type=_non_negative_int, default=2018)
     parser.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
 
@@ -366,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ALGORITHM",
         help="registry name or alias (see `repro algorithms`)",
     )
-    slv.add_argument("--seed", type=int, default=0)
+    slv.add_argument("--seed", type=_non_negative_int, default=0)
     slv.add_argument("--trials", type=_positive_int, default=1)
     slv.add_argument(
         "--param",

@@ -97,8 +97,8 @@ def build_request(
     if not isinstance(algorithm, str):
         raise RegistryError("'algorithm' must be a string")
     spec = get_algorithm(algorithm)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise RegistryError("'seed' must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise RegistryError("'seed' must be a non-negative integer")
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise RegistryError("'trials' must be a positive integer")
     clean = spec.validate_params(params, context=algorithm)

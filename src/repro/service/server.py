@@ -8,9 +8,11 @@ Routes
 ------
 ``POST /solve``
     One JSON solve request (see :mod:`repro.service.api`).  After the
-    admission check, the request is parsed and, when the service has a
-    :class:`~repro.backends.ResultCache`, looked up in it in one worker
-    thread hop; a hit is answered from there.  Concurrent misses are
+    admission check, a body the service has replayed from its
+    :class:`~repro.backends.ResultCache` before is answered from the
+    :class:`ReplyCache` on the event loop.  Any other body is parsed and,
+    when the service has a result cache, looked up in it on a worker
+    thread; a hit is answered from there.  Concurrent misses are
     micro-batched through :class:`~repro.service.batcher.MicroBatcher`
     into a single :func:`~repro.backends.run_sweep` call.  Either way the
     response body is canonical JSON, byte-identical to
@@ -45,7 +47,9 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..backends import BACKENDS, ResultCache, SweepPoint
+from ..backends.cache import EntryStamp
 from ..datasets import SCENARIOS
+from ..datasets.scenarios import FILE_PREFIX
 from ..registry import iter_algorithms
 from .adaptive import AdaptiveBatchPolicy
 from .api import (
@@ -68,7 +72,12 @@ _MAX_BODY = 1 << 20
 #: keep-alive idle limit).  Read on every request, so tests may shorten it.
 READ_TIMEOUT = 30.0
 
+#: Byte budget of a service's :class:`ReplyCache`, over request bodies plus
+#: response bytes.  Read when a service is built, so tests may shrink it.
+REPLY_CACHE_BYTES = 8 << 20
+
 _JSON = [("Content-Type", "application/json")]
+_HIT = _JSON + [("X-Repro-Cache", "hit")]
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,55 @@ class ServiceConfig:
             raise ValueError("deadline_ms must not be negative (0 means no deadline)")
 
 
+class ReplyCache:
+    """Response bytes of result-cache replays, keyed by the raw request body.
+
+    Every row the service runs is seeded, so a request body fixes its
+    response byte for byte; once a body has been replayed from a
+    :class:`~repro.backends.ResultCache` entry, its reply can be sent again
+    without a parse, a point digest, a file read or a render.  Each use
+    checks the :class:`~repro.backends.cache.EntryStamp` of the entry it
+    was read from, so deleting or replacing that ``*.json`` file drops the
+    reply and the next request takes the ordinary path.  An LRU holding at
+    most ``budget`` bytes of bodies plus replies; only the event loop
+    touches it, so it takes no lock.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: dict[bytes, tuple[str, bytes, EntryStamp]] = {}
+
+    def get(self, body: bytes) -> tuple[str, bytes] | None:
+        """``(algorithm, reply)`` for ``body``, or ``None``."""
+        entry = self._entries.pop(body, None)
+        if entry is None:
+            return None
+        if not entry[2].current():
+            self.nbytes -= len(body) + len(entry[1])
+            return None
+        # Re-inserting moves the entry to the back of the eviction order.
+        self._entries[body] = entry
+        return entry[0], entry[1]
+
+    def put(self, body: bytes, algorithm: str, reply: bytes, stamp: EntryStamp) -> None:
+        """Keep ``reply``, replayed from the entry ``stamp`` names."""
+        size = len(body) + len(reply)
+        if size > self.budget:
+            return
+        old = self._entries.pop(body, None)
+        if old is not None:
+            self.nbytes -= len(body) + len(old[1])
+        while self.nbytes + size > self.budget:
+            oldest = next(iter(self._entries))
+            self.nbytes -= len(oldest) + len(self._entries.pop(oldest)[1])
+        self._entries[body] = (algorithm, reply, stamp)
+        self.nbytes += size
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 class SolverService:
     """Request handling + batching + metrics for one service instance.
 
@@ -141,6 +199,7 @@ class SolverService:
         self.config = config
         self.metrics = ServiceMetrics()
         self.cache = ResultCache(config.cache_dir) if config.cache_dir else None
+        self.replies = ReplyCache(REPLY_CACHE_BYTES)
         self.worker_state = None
         if worker:
             from ..distributed.worker import WorkerState
@@ -281,34 +340,52 @@ class SolverService:
 
     def _parse_and_replay(
         self, body: bytes
-    ) -> tuple[SolveRequest, SweepPoint, bytes | None, float]:
+    ) -> tuple[SolveRequest, SweepPoint, bytes | None, float, EntryStamp | None]:
         """Parse a solve request and, on a result-cache hit, render it.
 
-        Returns ``(request, point, payload, seconds)``: ``payload`` is the
-        canonical response of a hit (``None`` on a miss or without a
-        cache) and ``seconds`` the time its lookup and render took.
+        Returns ``(request, point, payload, seconds, stamp)``: ``payload`` is
+        the canonical response of a hit (``None`` on a miss or without a
+        cache), ``seconds`` the time its lookup and render took, and
+        ``stamp`` the hit's entry file as it was read.
         """
         request = parse_solve_request(body)
         point = request_point(request)
         started = time.perf_counter()
         hit = self.cache.load(point) if self.cache is not None else None
         if hit is None:
-            return request, point, None, 0.0
-        return request, point, render_response(request, hit), time.perf_counter() - started
+            return request, point, None, 0.0, None
+        payload = render_response(request, hit)
+        return request, point, payload, time.perf_counter() - started, hit.stamp
 
     async def _answer(
         self, body: bytes, deadline: float | None
     ) -> tuple[int, list[tuple[str, str]], bytes]:
+        # A body replayed from the result cache before is answered here,
+        # on the loop: no hop, parse, digest, file read or render.
+        started = time.perf_counter()
+        kept = self.replies.get(body)
+        if kept is not None:
+            algorithm, reply = kept
+            self.metrics.record_response(
+                algorithm, time.perf_counter() - started, cached=True
+            )
+            return 200, _HIT, reply
         # Validation is off-loop: a first hit on a `file:` scenario
         # fingerprints and ingests the dataset, which must not stall every
         # other connection (health probes included) for the parse duration.
         # A cache hit is answered from the same hop; only misses queue.
-        request, point, replay, seconds = await asyncio.get_running_loop().run_in_executor(
-            None, self._parse_and_replay, body
+        request, point, replay, seconds, stamp = (
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._parse_and_replay, body
+            )
         )
         if replay is not None:
+            # A `file:` body names the dataset's path, not its bytes, so its
+            # reply is never kept.
+            if not (request.scenario or "").startswith(FILE_PREFIX):
+                self.replies.put(body, request.algorithm, replay, stamp)
             self.metrics.record_response(request.algorithm, seconds, cached=True)
-            return 200, _JSON + [("X-Repro-Cache", "hit")], replay
+            return 200, _HIT, replay
         started = time.perf_counter()
         submission = self.batcher.submit(point)
         try:

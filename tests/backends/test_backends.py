@@ -178,16 +178,51 @@ class TestResultCache:
         assert cache.load(SweepPoint("toy", _toy_point, {"scale": 3.0}, seed=0)) is None
         assert cache.load(base) is not None
 
-    def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda entry: b"not json", id="not-json"),
+            pytest.param(lambda entry: b"\xff\xfe not utf-8", id="not-utf8"),
+            pytest.param(lambda entry: b"[]", id="list"),
+            pytest.param(lambda entry: b'"x"', id="string"),
+            pytest.param(
+                lambda entry: entry.replace(b'"value": ', b'"value": "abc", "was": '),
+                id="non-numeric-metric",
+            ),
+            pytest.param(
+                lambda entry: entry.replace(b'"metrics": {', b'"metrics": [], "was": {'),
+                id="metrics-not-an-object",
+            ),
+        ],
+    )
+    def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path, corrupt):
         cache = ResultCache(tmp_path)
         point = _toy_points(1)[0]
         run_sweep([point], cache=cache)
-        cache.path_for(point).write_text("not json", encoding="utf-8")
+        path = cache.path_for(point)
+        entry = path.read_bytes()
+        path.write_bytes(corrupt(entry))
+        assert path.read_bytes() != entry
         assert cache.load(point) is None
         # run_sweep recovers by recomputing and repairing the entry.
         [result] = run_sweep([point], cache=cache)
         assert not result.cached
         assert cache.load(point) is not None
+
+    def test_loaded_result_carries_the_stamp_of_its_entry_file(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        point = _toy_points(1)[0]
+        [computed] = run_sweep([point], cache=cache)
+        assert computed.stamp is None
+        stamp = cache.load(point).stamp
+        assert stamp.path == str(cache.path_for(point))
+        assert stamp.current()
+        cache.store(point, computed)  # the same bytes, published as a new file
+        assert not stamp.current()
+        stamp = cache.load(point).stamp
+        assert stamp.current()
+        cache.path_for(point).unlink()
+        assert not stamp.current()
 
     def test_entry_from_other_package_version_is_a_miss(self, tmp_path):
         import json as json_mod

@@ -37,6 +37,20 @@ class TestCliParser:
         assert exit_info.value.code == 2
         assert "--trials: must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "mis", "--seed", "-1"],
+            ["figure1", "--only", "fig1-mis", "--seed", "-1"],
+            ["experiment", "fig1-mis", "--seed", "-3"],
+        ],
+    )
+    def test_negative_seed_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+
     def test_ablation_choices(self):
         args = build_parser().parse_args(["ablation", "mu", "--algorithm", "mis"])
         assert args.sweep == "mu" and args.algorithm == "mis"

@@ -6,7 +6,8 @@ three public surfaces:
 
 * the library facade ``repro.solve(...).canonical_json()``,
 * the ``repro solve`` CLI subcommand's stdout,
-* a live ``repro serve`` HTTP response body.
+* a live ``repro serve`` HTTP response body, computed, replayed from the
+  result cache on disk, and replayed from the service's reply cache.
 
 This is the acceptance criterion of the registry redesign: one dispatch
 path, one rendering path, zero drift.  The CLI/HTTP helpers are imported
@@ -44,9 +45,23 @@ SAMPLES = [
 
 
 @pytest.fixture(scope="module")
-def server():
-    with start_in_background(ServiceConfig(max_batch=8, batch_wait_ms=2.0)) as handle:
+def server(tmp_path_factory):
+    cache_dir = str(tmp_path_factory.mktemp("cross-surface-cache"))
+    with start_in_background(
+        ServiceConfig(max_batch=8, batch_wait_ms=2.0, cache_dir=cache_dir)
+    ) as handle:
         yield handle
+
+
+def _served(server, body):
+    """The body of each of the script's sends, checking its cache header."""
+    url = f"http://127.0.0.1:{server.port}"
+    payloads = []
+    for send, expected in _script.SENDS:
+        payload, cache = _script.http_solve(url, body)
+        assert expected is None or cache == expected, f"{send} read {cache}"
+        payloads.append(payload)
+    return payloads
 
 
 @pytest.mark.parametrize("algorithm,params,seed", SAMPLES)
@@ -55,20 +70,14 @@ def test_library_cli_and_service_are_byte_identical(server, algorithm, params, s
     assert result.valid, "samples must certificate-check (identity still compared)"
     library = result.canonical_json()
     cli = _script.cli_solve(algorithm, None, params, seed)
-    served = _script.http_solve(
-        f"http://127.0.0.1:{server.port}",
-        {"algorithm": algorithm, "params": params, "seed": seed},
-    )
+    served = _served(server, {"algorithm": algorithm, "params": params, "seed": seed})
     assert cli == library, "CLI response differs from the library facade"
-    assert served == library, "service response differs from the library facade"
+    assert served == [library] * 3, "service response differs from the library facade"
 
 
 def test_cross_surface_identity_with_scenario(server):
     library = repro.solve("mis", "powerlaw-dense", seed=3).canonical_json()
     cli = _script.cli_solve("mis", "powerlaw-dense", None, 3)
-    served = _script.http_solve(
-        f"http://127.0.0.1:{server.port}",
-        {"algorithm": "mis", "scenario": "powerlaw-dense", "seed": 3},
-    )
-    assert cli == served == library
+    served = _served(server, {"algorithm": "mis", "scenario": "powerlaw-dense", "seed": 3})
+    assert [cli] * 3 == served == [library] * 3
     assert json.loads(library)["scenario"] == "powerlaw-dense"

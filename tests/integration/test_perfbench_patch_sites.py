@@ -10,11 +10,14 @@ them, ``CoverageCounter`` and the ``MPCContext`` round methods.  All of it
 is by attribute name, so a rename under ``src/`` would make a traced run
 fail with ``AttributeError``.  This test installs every patch the traced
 ``fig1`` run installs, restores them, and checks that the program is left
-as it was.  The benchmark files are only read.
+as it was.  ``perfbench/svc_launcher.py`` wraps the service's layers in
+the server subprocess of a traced ``svc`` run; its patch sites are read
+from its source.  The benchmark files are only read.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -71,3 +74,49 @@ def test_traced_fig1_patches_install_and_restore(perfbench):
         assert _current(owner, attr) is original, f"{attr} was not restored"
     assert vars(figure1).keys() == namespace.keys()
     assert all(vars(figure1)[name] is value for name, value in namespace.items())
+
+
+def _launcher_patch_sites() -> list[tuple[object, str]]:
+    """``(owner, attribute)`` of every ``tracer.patch`` in the svc launcher.
+
+    Owners are resolved through the imports in the launcher's ``main``.
+    """
+    tree = ast.parse((PERFBENCH / "svc_launcher.py").read_text(encoding="utf-8"))
+    [main] = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "main"
+    ]
+    owners: dict[str, object] = {}
+    sites = []
+    for node in ast.walk(main):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    owners[alias.asname] = importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                owners[alias.asname or alias.name] = getattr(module, alias.name)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "patch"
+        ):
+            owner, attr = node.args[:2]
+            sites.append((owners[owner.id], attr.value))
+    return sites
+
+
+def test_traced_svc_patch_sites_exist():
+    sites = _launcher_patch_sites()
+    named = {(getattr(owner, "__name__", owner), attr) for owner, attr in sites}
+    assert named >= {
+        ("repro.service.server", "parse_solve_request"),
+        ("repro.service.server", "render_response"),
+        ("repro.service.batcher", "run_sweep"),
+        ("repro.backends.batch", "execute_point"),
+        ("ResultCache", "load"),
+        ("ResultCache", "store"),
+    }
+    for owner, attr in sites:
+        assert callable(getattr(owner, attr, None)), f"{attr} is gone from {owner}"

@@ -91,6 +91,10 @@ class TestValidation:
         with pytest.raises(RegistryError, match="seed"):
             build_request("mis", seed=seed)
 
+    def test_negative_seed_is_rejected_before_the_solve(self):
+        with pytest.raises(RegistryError, match="'seed' must be a non-negative integer"):
+            build_request("mis", seed=-1)
+
     @pytest.mark.parametrize("trials", [0, -1, 1.5, "three"])
     def test_bad_trials(self, trials):
         with pytest.raises(RegistryError, match="trials"):

@@ -74,6 +74,7 @@ class TestParseSolveRequest:
             {"algorithm": 7},
             {"algorithm": "mis", "seed": "seven"},
             {"algorithm": "mis", "seed": True},
+            {"algorithm": "mis", "seed": -1},
             {"algorithm": "mis", "trials": 0},
             {"algorithm": "mis", "trials": 1.5},
             {"algorithm": "mis", "params": [1]},

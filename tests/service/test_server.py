@@ -21,7 +21,9 @@ from pathlib import Path
 import pytest
 
 import repro.service.batcher as batcher_module
-from repro.backends import run_sweep
+import repro.service.server as server_module
+from repro.backends import ResultCache, run_sweep
+from repro.datasets import load_file, save_dataset
 from repro.service import (
     ServiceConfig,
     parse_solve_request,
@@ -32,6 +34,7 @@ from repro.service import (
 
 FAST = {"algorithm": "mis", "params": {"n": 40, "c": 0.35}, "seed": 5}
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "social-small.txt"
+TOY_MTX = FIXTURE.with_name("toy.mtx")
 
 
 def _request(port, method, path, body=None, timeout=60, headers=None):
@@ -271,8 +274,9 @@ class TestHitsAnsweredAtAdmission:
         assert after["result_cache"]["hits"] == before["result_cache"]["hits"] + 1
 
     def test_concurrent_hits_and_misses_stay_byte_identical(self, tmp_path):
-        # Hits read the cache on worker threads while batches store into
-        # it; a short switch interval makes those reads and writes interleave.
+        # A cached body's first sends read its entry on worker threads while
+        # batches store into the cache; its later sends are replays from
+        # memory.  A short switch interval makes all of them interleave.
         cached = [{**FAST, "seed": seed} for seed in range(4)]
         fresh = [{**FAST, "seed": seed} for seed in range(10, 14)]
         for body in cached:
@@ -281,13 +285,14 @@ class TestHitsAnsweredAtAdmission:
             json.dumps(body): solve_direct(parse_solve_request(body))
             for body in cached + fresh
         }
-        bodies = (cached + fresh) * 3
+        bodies = (cached * 2 + fresh) * 3
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with start_in_background(ServiceConfig(cache_dir=str(tmp_path))) as handle:
                 results = _burst(handle.port, bodies, timeout=60)
                 metrics = _metrics(handle.port)
+                held = len(handle.service.replies)
         finally:
             sys.setswitchinterval(interval)
         for body, (status, headers, payload) in zip(bodies, results):
@@ -297,17 +302,141 @@ class TestHitsAnsweredAtAdmission:
                 assert headers["X-Repro-Cache"] == "hit"
         cache = metrics["result_cache"]
         assert cache["hits"] + cache["misses"] == len(bodies)
+        assert held >= len(cached)
 
-    def test_full_queue_sheds_a_replay_before_its_lookup(self, tmp_path, held_sweeps):
+    @pytest.mark.parametrize("primed", [False, True], ids=["disk", "memory"])
+    def test_full_queue_sheds_a_replay_before_its_lookup(
+        self, tmp_path, held_sweeps, primed
+    ):
         _warm_cache(tmp_path, FAST)
         with start_in_background(
             ServiceConfig(cache_dir=str(tmp_path), max_queue=1)
         ) as handle:
+            if primed:
+                # A first replay puts FAST's reply in memory; a full queue
+                # sheds it all the same.
+                assert _request(handle.port, "POST", "/solve", FAST)[0] == 200
+            assert len(handle.service.replies) == primed
             with _miss_held_in_its_sweep(handle.port, held_sweeps, self.MISS) as computed:
                 status, headers, _ = _request(handle.port, "POST", "/solve", FAST)
         assert status == 429
         assert int(headers["Retry-After"]) >= 1
         assert [status for status, _, _ in computed] == [200]
+
+
+@pytest.fixture
+def cache_calls(monkeypatch):
+    """Count ``ResultCache.load`` and ``ResultCache.store`` calls."""
+    calls = {"load": 0, "store": 0}
+
+    def counted(name):
+        original = getattr(ResultCache, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ResultCache, name, counted(name))
+    return calls
+
+
+def _replace_entry_with_a_stale_version(path):
+    """Publish, like ``ResultCache.store``, an entry a load treats as a miss."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["repro_version"] = "0.0.0-other"
+    staged = path.with_suffix(".staged")
+    staged.write_text(json.dumps(payload), encoding="utf-8")
+    staged.replace(path)
+
+
+class TestReplyCache:
+    """A body replayed from the result cache is answered again from memory."""
+
+    def _entry(self, directory):
+        return ResultCache(directory).path_for(request_point(parse_solve_request(FAST)))
+
+    def test_memory_replay_is_a_hit_without_a_second_load(self, tmp_path, cache_calls):
+        _warm_cache(tmp_path, FAST)
+        golden = solve_direct(parse_solve_request(FAST))
+        loads = cache_calls["load"]
+        with start_in_background(ServiceConfig(cache_dir=str(tmp_path))) as handle:
+            before = _metrics(handle.port)
+            replies = [_request(handle.port, "POST", "/solve", FAST) for _ in range(2)]
+            after = _metrics(handle.port)
+        for status, headers, body in replies:
+            assert (status, headers["X-Repro-Cache"], body) == (200, "hit", golden)
+        assert cache_calls["load"] == loads + 1
+        assert after["result_cache"]["hits"] == before["result_cache"]["hits"] + 2
+        assert after["batches_total"] == before["batches_total"]
+        assert after["batched_points_total"] == before["batched_points_total"]
+        assert after["algorithms"]["mis"]["count"] == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param(lambda path: path.unlink(), id="deleted"),
+            pytest.param(_replace_entry_with_a_stale_version, id="replaced"),
+        ],
+    )
+    def test_changed_entry_file_makes_the_next_request_a_miss(
+        self, tmp_path, cache_calls, change
+    ):
+        _warm_cache(tmp_path, FAST)
+        golden = solve_direct(parse_solve_request(FAST))
+        entry = self._entry(tmp_path)
+        with start_in_background(ServiceConfig(cache_dir=str(tmp_path))) as handle:
+            for _ in range(2):
+                status, headers, _ = _request(handle.port, "POST", "/solve", FAST)
+                assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+            stores = cache_calls["store"]
+            change(entry)
+            status, headers, body = _request(handle.port, "POST", "/solve", FAST)
+            assert (status, headers["X-Repro-Cache"], body) == (200, "miss", golden)
+            assert cache_calls["store"] == stores + 1
+            assert ResultCache(tmp_path).load(request_point(parse_solve_request(FAST)))
+            status, headers, body = _request(handle.port, "POST", "/solve", FAST)
+        assert (status, headers["X-Repro-Cache"], body) == (200, "hit", golden)
+
+    def test_file_scenario_follows_its_dataset(self, tmp_path):
+        dataset = tmp_path / "graph.npz"
+        body = {"algorithm": "mis", "scenario": f"file:{dataset}", "seed": 4}
+        with start_in_background(ServiceConfig(cache_dir=str(tmp_path / "cache"))) as handle:
+            save_dataset(dataset, load_file(FIXTURE)[0])
+            old = solve_direct(parse_solve_request(body))
+            served = [_request(handle.port, "POST", "/solve", body) for _ in range(2)]
+            assert [(s, h["X-Repro-Cache"], b) for s, h, b in served] == [
+                (200, "miss", old), (200, "hit", old)
+            ]
+            save_dataset(dataset, load_file(TOY_MTX)[0])
+            new = solve_direct(parse_solve_request(body))
+            status, headers, served = _request(handle.port, "POST", "/solve", body)
+            assert len(handle.service.replies) == 0
+        assert new != old
+        assert (status, headers["X-Repro-Cache"], served) == (200, "miss", new)
+
+    def test_padded_bodies_never_exceed_the_byte_budget(self, tmp_path, monkeypatch):
+        budget = 2000
+        monkeypatch.setattr(server_module, "REPLY_CACHE_BYTES", budget)
+        _warm_cache(tmp_path, FAST)
+        golden = solve_direct(parse_solve_request(FAST))
+        text = json.dumps(FAST)
+        bodies = [text + " " * (60 * k) for k in range(12)] + [text + " " * budget]
+        with start_in_background(ServiceConfig(cache_dir=str(tmp_path))) as handle:
+            replies = handle.service.replies
+            held = []
+            for body in bodies:
+                status, headers, payload = _request(handle.port, "POST", "/solve", body)
+                assert (status, headers["X-Repro-Cache"], payload) == (200, "hit", golden)
+                assert replies.nbytes <= budget
+                held.append(len(replies))
+        assert max(held) < len(bodies) - 1  # older bodies were evicted
+        assert held[-1] == held[-2]  # a body over the budget is not kept
+        assert replies.nbytes == sum(
+            len(text) + 60 * k + len(golden) for k in range(12)[-held[-1]:]
+        )
 
 
 class TestAuxiliaryEndpoints:
@@ -383,6 +512,16 @@ class TestErrorHandling:
     def test_unknown_algorithm_is_400(self, server):
         status, _, _ = _request(server.port, "POST", "/solve", {"algorithm": "simplex"})
         assert status == 400
+
+    def test_negative_seed_is_a_400_before_the_batcher(self, server):
+        before = _metrics(server.port)
+        status, _, body = _request(
+            server.port, "POST", "/solve", {"algorithm": "mis", "seed": -1}
+        )
+        after = _metrics(server.port)
+        assert status == 400
+        assert json.loads(body) == {"error": "'seed' must be a non-negative integer"}
+        assert after["batched_points_total"] == before["batched_points_total"]
 
     def test_errors_are_counted(self, server):
         before = json.loads(_request(server.port, "GET", "/metrics")[2])["errors_total"]
