@@ -2,25 +2,34 @@
 """Digest the ten MPC driver calls of the benchmark's ``mpc`` workload.
 
 Builds ``perfbench/mpc.py``'s instances for one seed (n = 4,000 graphs,
-c = 0.45), runs each of its ten driver calls once with the random stream
-the workload's first pass uses, checks the call's certificate and prints
-one line per call::
+c = 0.45) and prints their digest, the workload's own ``_inputs_digest``
+(the three graphs' edge and weight arrays, the vertex weights, and both set
+cover instances' CSR arrays and weights)::
+
+    inputs <16 hex digits>
+
+then runs each of its ten driver calls once with the random stream the
+workload's first pass uses, checks the call's certificate and prints one
+line per call::
 
     <row> <certificate verdict> <sha256 of result plus RunMetrics>
 
 The digest covers the solution and every ``RunMetrics`` field, floats by
 ``float.hex`` and arrays by dtype, shape and bytes, so two checkouts print
-the same ten lines exactly when every driver returns the same bits.  The
-workload's ``setup`` and ``calls`` are imported as they are; nothing under
-``perfbench/`` is changed.
+the same ten lines exactly when every driver returns the same bits; the
+``inputs`` line changes when a generator draws a different instance at
+benchmark sizes (the only place its 40,000-element Floyd path runs).  The
+workload's ``setup``, ``calls`` and ``_inputs_digest`` are imported as they
+are; nothing under ``perfbench/`` is changed.
 
 Usage::
 
     python scripts/driver_digests.py [--seed N]
 
 Exits 1 if a certificate check fails.  ``driver_digests-seed1.txt`` beside
-this script holds the ten seed-1 lines; CI diffs the output against it, so
-a change that means to move a driver's output regenerates that file.
+this script holds the eleven seed-1 lines; CI diffs the output against it,
+so a change that means to move an instance or a driver's output
+regenerates that file.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     # setup() announces readiness on stdout for the benchmark's runner.
     with contextlib.redirect_stdout(io.StringIO()):
         state = mpc.setup(args.seed)
+    print("inputs", mpc._inputs_digest(state), flush=True)
     failed = 0
     for index, (row, driver, call_args, kwargs, check) in enumerate(mpc.calls(state)):
         result, metrics = driver(*call_args, mpc._rng(args.seed, 100, index), **kwargs)

@@ -67,7 +67,7 @@ def test_traced_fig1_patches_install_and_restore(perfbench):
     assert kernel_sites <= patched
     assert {("MPCContext", m) for m in spans.ROUND_METHODS} <= patched
     assert {("CoverageCounter", m) for m in spans.COVERAGE_METHODS} <= patched
-    for name in fig1._DRIVERS + fig1._CERTIFICATES + list(fig1._BASELINES):
+    for name in fig1._INSTANCE + fig1._DRIVERS + fig1._CERTIFICATES + list(fig1._BASELINES):
         assert ("repro.experiments.figure1", name) in patched
 
     for owner, attr, original in saved:
