@@ -71,7 +71,14 @@ def _sample_distinct_edges(
     """Sample ``num_edges`` distinct unordered pairs uniformly at random.
 
     Uses rejection sampling on 64-bit edge keys, which is fast for the
-    sparse-to-moderately-dense graphs the experiments use.
+    sparse-to-moderately-dense graphs the experiments use.  Each batch
+    draws ``rng.integers(0, n, size=batch)`` twice (the endpoints ``u``,
+    then ``v``) and accepts, in draw order, every pair that is not a
+    self-loop and whose key was not accepted before, until ``num_edges``
+    are accepted: the first occurrence of each new key, found with one
+    ``np.unique``.  Above ``max_edges // 2`` edges, one
+    ``rng.choice(max_edges, size=num_edges, replace=False)`` picks them
+    from the enumerated pairs instead.
     """
     n = num_vertices
     max_edges = n * (n - 1) // 2
@@ -84,23 +91,18 @@ def _sample_distinct_edges(
         iu, iv = np.triu_indices(n, k=1)
         chosen = rng.choice(len(iu), size=num_edges, replace=False)
         return np.column_stack([iu[chosen], iv[chosen]]).astype(np.int64)
-    keys: set[int] = set()
-    accepted: list[int] = []  # keys in acceptance order
+    accepted = np.empty(0, dtype=np.int64)  # keys in acceptance order
     while len(accepted) < num_edges:
         batch = max(1024, 2 * (num_edges - len(accepted)))
-        u = rng.integers(0, n, size=batch).tolist()
-        v = rng.integers(0, n, size=batch).tolist()
-        for a, b in zip(u, v):
-            if a == b:
-                continue
-            key = a * n + b if a < b else b * n + a
-            if key in keys:
-                continue
-            keys.add(key)
-            accepted.append(key)
-            if len(accepted) == num_edges:
-                break
-    lo, hi = np.divmod(np.array(accepted, dtype=np.int64), n)
+        u = rng.integers(0, n, size=batch)
+        v = rng.integers(0, n, size=batch)
+        keys = (np.minimum(u, v) * n + np.maximum(u, v))[u != v]
+        distinct, first = np.unique(keys, return_index=True)
+        if len(accepted):
+            first = first[~np.isin(distinct, accepted)]
+        first.sort()
+        accepted = np.concatenate([accepted, keys[first[: num_edges - len(accepted)]]])
+    lo, hi = np.divmod(accepted, n)
     return np.column_stack([lo, hi])
 
 
@@ -115,7 +117,10 @@ def gnm_graph(
     """Erdős–Rényi ``G(n, m)``: ``num_edges`` distinct edges chosen uniformly.
 
     ``weights`` may be ``None`` (unweighted), ``"uniform"`` or ``"exponential"``;
-    see :func:`random_weights`.
+    see :func:`random_weights`.  The draws are those of
+    :func:`_sample_distinct_edges` (batches of ``rng.integers(0, n,
+    size=batch)``, or one ``rng.choice`` in the dense regime), then those
+    of :func:`random_weights`.
     """
     num_vertices = _check_num_vertices(num_vertices, generator="gnm_graph")
     num_edges = _check_num_edges(num_edges, generator="gnm_graph")

@@ -56,6 +56,70 @@ class TestCoverage:
             random_coverage_instance(10, 10, rng, density=0.0)
 
 
+class TestInputValidation:
+    """Generators must fail fast with clear messages, not deep inside NumPy."""
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_frequency_bounded_rejects_negative_elements(self, rng, n):
+        with pytest.raises(
+            ValueError,
+            match=rf"random_frequency_bounded_instance: num_elements must be a non-negative integer, got {n}",
+        ):
+            random_frequency_bounded_instance(10, n, 3, rng)
+
+    @pytest.mark.parametrize("f", [0, -2, 4.5, True])
+    def test_frequency_bounded_rejects_bad_frequency(self, rng, f):
+        with pytest.raises(
+            ValueError,
+            match=rf"random_frequency_bounded_instance: max_frequency must be a positive integer, got {f}",
+        ):
+            random_frequency_bounded_instance(10, 50, f, rng)
+
+    @pytest.mark.parametrize("num_sets", [2.5, False])
+    def test_frequency_bounded_rejects_fractional_or_bool_sets(self, rng, num_sets):
+        with pytest.raises(ValueError, match=rf"num_sets must be a positive integer, got {num_sets}"):
+            random_frequency_bounded_instance(num_sets, 50, 1, rng)
+
+    def test_frequency_bounded_needs_max_frequency_sets(self, rng):
+        with pytest.raises(
+            ValueError,
+            match=r"random_frequency_bounded_instance: num_sets must be at least max_frequency \(5\), got 2",
+        ):
+            random_frequency_bounded_instance(2, 50, 5, rng)
+
+    @pytest.mark.parametrize("num_sets, num_elements", [(-1, 5), (3.5, 5), (True, 5), (4, -1), (4, 7.25)])
+    def test_coverage_rejects_bad_sizes(self, rng, num_sets, num_elements):
+        name, value = ("num_sets", num_sets) if num_elements == 5 else ("num_elements", num_elements)
+        with pytest.raises(
+            ValueError,
+            match=rf"random_coverage_instance: {name} must be a non-negative integer, got {value}",
+        ):
+            random_coverage_instance(num_sets, num_elements, rng)
+
+    def test_coverage_needs_a_set_for_any_element(self, rng):
+        with pytest.raises(
+            ValueError,
+            match=r"random_coverage_instance: num_sets must be at least 1 when num_elements is positive",
+        ):
+            random_coverage_instance(0, 5, rng)
+
+    def test_integral_floats_and_numpy_integers_build_the_same_instance(self):
+        def arrays(instance):
+            return [*instance.set_incidence(), instance.weights]
+
+        want = arrays(random_frequency_bounded_instance(20, 100, 4, np.random.default_rng(3)))
+        for sets, elements, f in [(20.0, 100.0, 4.0), (np.int64(20), np.int32(100), np.int64(4))]:
+            got = arrays(random_frequency_bounded_instance(sets, elements, f, np.random.default_rng(3)))
+            assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        want = arrays(random_coverage_instance(20, 30, np.random.default_rng(4)))
+        got = arrays(random_coverage_instance(np.int64(20), 30.0, np.random.default_rng(4)))
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+    def test_empty_coverage_instance_is_still_fine(self, rng):
+        instance = random_coverage_instance(0, 0, rng)
+        assert instance.num_sets == 0 and instance.num_elements == 0
+
+
 class TestPlanted:
     def test_known_optimum_is_feasible(self, rng):
         inst = planted_partition_instance(8, 5, 3, rng)
