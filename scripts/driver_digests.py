@@ -26,10 +26,11 @@ Usage::
 
     python scripts/driver_digests.py [--seed N]
 
-Exits 1 if a certificate check fails.  ``driver_digests-seed1.txt`` beside
-this script holds the eleven seed-1 lines; CI diffs the output against it,
-so a change that means to move an instance or a driver's output
-regenerates that file.
+Exits 1 if a certificate check fails.  ``driver_digests-seed1.txt`` and
+``driver_digests-seed2.txt`` beside this script hold the eleven lines of
+seeds 1 and 2; CI diffs the output of both seeds against them, so a change
+that means to move an instance or a driver's output regenerates both
+files.
 """
 
 from __future__ import annotations

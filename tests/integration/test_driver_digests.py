@@ -2,13 +2,13 @@
 
 The central-machine paths these drivers run (the ``f = 2`` set cover
 encoding, the clique candidate update, Algorithm 4's central walk,
-Algorithm 7's push loop, Algorithm 5's per-group colouring, and the group
-loops of Algorithms 3 and 6) are checked elsewhere for validity and
-same-seed determinism only, so a rewrite that moved a tie-break or a draw
-would pass those tests.  Here each driver configuration is pinned by one
-sha256 digest of its result plus ``RunMetrics`` (floats by ``float.hex``,
-arrays by their bytes) over six graphs, or five set cover instances, and
-µ ∈ {0.1, 0.3}.
+Algorithm 7's push loop, Algorithm 5's per-group colouring, Algorithm 2's
+phases, and the group loops of Algorithms 3 and 6) are checked elsewhere
+for validity and same-seed determinism only, so a rewrite that moved a
+tie-break or a draw would pass those tests.  Each driver configuration is
+pinned by one sha256 digest of its result plus ``RunMetrics`` (floats by
+``float.hex``, arrays by their bytes) over six graphs, or five set cover
+instances, and µ ∈ {0.1, 0.3}.
 
 The graphs are built to make tie-breaks and float order matter: a star
 (every candidate shares one host), ``K14``, a ``2^k`` weight ladder (every
@@ -153,6 +153,10 @@ CONFIGS: dict[str, Call] = {
     ),
     "mis": lambda g, vw, mu, rng: repro.mpc_maximal_independent_set(g, mu, rng),
     "edge-colouring": lambda g, vw, mu, rng: repro.mpc_edge_colouring(g, mu, rng),
+    "mis-simple": lambda g, vw, mu, rng: repro.mpc_maximal_independent_set_simple(g, mu, rng),
+    "edge-colouring-3": lambda g, vw, mu, rng: repro.mpc_edge_colouring(
+        g, mu, rng, num_groups=3
+    ),
 }
 
 SetCoverCall = Callable[[SetCoverInstance, float, np.random.Generator], Any]
@@ -181,6 +185,8 @@ DIGESTS = {
     "vertex-colouring-3": "9db3e2bc397cc7d30ccfe4567ded529353d7f238520328580568981992172d3e",
     "mis": "55518cfe7a009ceca5564509e43592f41c7199fc3ecabd1fb0c0fb34936fe8ab",
     "edge-colouring": "19be98712b53f7f9b3b251522f115b7fc623480d31b8b565eecdeb6ae199fb42",
+    "mis-simple": "f85c6a13fec2e3631fff254121ac64bc0c0d6963c2077093e300a1d60f5ee3d1",
+    "edge-colouring-3": "f50476e6e5f52d3296feaa54841190962033560593f572b9e1b6d2c67deb54d9",
     "set-cover": "ab510f27c2ebfcf409590d28bcc4cd4aec4d757446a0494b14beecf8f63de553",
     "set-cover-greedy-0.2": "34505250ee9fb1af5c4cd47b800eb3e8d3e11de64587a05eadb1d943785b10b2",
     "set-cover-greedy-0.5": "06dc4e79ca8728b53b02f17487f377351c3e3af774615378c456cb419421fa0f",
