@@ -39,21 +39,14 @@ class MultiprocessingBackend(Backend):
     ----------
     jobs:
         Number of worker processes; defaults to ``os.cpu_count()``.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` when the
-        platform offers it and ``spawn`` otherwise.
     """
 
     name = "mp"
 
-    def __init__(self, jobs: int | None = None, *, start_method: str | None = None) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be a positive integer")
         self.jobs = jobs or _default_jobs()
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self.start_method = start_method
 
     def run(self, points: Sequence[SweepPoint]) -> list[PointResult]:
         points = list(points)
@@ -64,7 +57,8 @@ class MultiprocessingBackend(Backend):
             # One worker buys nothing over in-process execution; skip the
             # process machinery (and its pickling constraints) entirely.
             return [execute_point(point) for point in points]
-        context = multiprocessing.get_context(self.start_method)
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=jobs, mp_context=context
         ) as pool:
@@ -73,4 +67,4 @@ class MultiprocessingBackend(Backend):
             return list(pool.map(execute_point, points))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MultiprocessingBackend(jobs={self.jobs}, start_method={self.start_method!r})"
+        return f"MultiprocessingBackend(jobs={self.jobs})"

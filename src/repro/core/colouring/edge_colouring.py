@@ -50,6 +50,8 @@ def mapreduce_edge_colouring(
     ColouringResult
         A proper edge colouring with ``(group, local colour)`` colours.
     """
+    if not 0 <= mu < np.inf:
+        raise ValueError(f"mu must be non-negative and finite, got {mu}")
     n, m = graph.num_vertices, graph.num_edges
     if m == 0:
         return ColouringResult({}, num_groups=0, algorithm="mapreduce-edge-colouring")

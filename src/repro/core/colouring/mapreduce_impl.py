@@ -19,6 +19,8 @@ A preliminary round checks the failure condition ``|E_i| ≤ 13·n^{1+µ}``
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ...graphs.graph import Graph
@@ -27,19 +29,56 @@ from ...mapreduce.metrics import RunMetrics
 from ..local_ratio import mapreduce_impl as local_ratio_mpc
 from ..results import ColouringResult
 from .edge_colouring import mapreduce_edge_colouring
-from .vertex_colouring import default_num_groups, mapreduce_vertex_colouring
+from .vertex_colouring import mapreduce_vertex_colouring
 
 __all__ = ["mpc_vertex_colouring", "mpc_edge_colouring"]
 
 
-def _colour_context(graph: Graph, mu: float, kappa: int, algorithm: str) -> MPCContext:
-    """One machine per group, each with ``SPACE_SLACK · n^{1+µ}`` words.
+def _mpc_colouring(
+    graph: Graph,
+    mu: float,
+    rng: np.random.Generator,
+    num_groups: int | None,
+    colour: Callable[..., ColouringResult],
+    algorithm: str,
+    items: int,
+    rounds: tuple[str, str, str],
+) -> tuple[ColouringResult, RunMetrics]:
+    """Run one colouring algorithm and charge its three rounds.
 
-    The slack of 16 covers Lemma 6.2's group-size bound of 13·n^{1+µ}.
+    The rounds assign the ``items`` (vertices or edges) to groups, ship
+    each group to its machine, and colour the groups locally; ``rounds``
+    holds their descriptions.  There is one machine per group, each with
+    ``SPACE_SLACK · n^{1+µ}`` words: the slack of 16 covers Lemma 6.2's
+    group-size bound of 13·n^{1+µ}.
     """
+    result = colour(graph, mu, rng, num_groups=num_groups)
     n = max(2, graph.num_vertices)
     memory = int(np.ceil(local_ratio_mpc.SPACE_SLACK * n ** (1.0 + mu)))
-    return MPCContext(max(kappa, 1), memory, algorithm=algorithm)
+    ctx = MPCContext(max(result.num_groups, 1), memory, algorithm=algorithm)
+    group_loads = np.array([stats.sample_words for stats in result.iterations], dtype=np.int64)
+    assign, ship, colour_locally = rounds
+    ctx.parallel_round(
+        assign, phase="partition", machine_loads=group_loads, words_communicated=items
+    )
+    ctx.parallel_round(
+        ship,
+        phase="partition",
+        machine_loads=group_loads,
+        words_communicated=int(group_loads.sum()),
+    )
+    ctx.parallel_round(
+        colour_locally, phase="colour", machine_loads=group_loads, words_communicated=items
+    )
+    metrics = ctx.finish(
+        n=graph.num_vertices,
+        m=graph.num_edges,
+        mu=mu,
+        kappa=result.num_groups,
+        max_degree=graph.max_degree(),
+        colours_used=result.num_colours,
+    )
+    return result, metrics
 
 
 def mpc_vertex_colouring(
@@ -50,37 +89,15 @@ def mpc_vertex_colouring(
     num_groups: int | None = None,
 ) -> tuple[ColouringResult, RunMetrics]:
     """Theorem 6.4: ``(1 + o(1))∆`` vertex colouring in ``O(1)`` rounds."""
-    kappa = default_num_groups(graph, mu) if num_groups is None else max(1, int(num_groups))
-    result = mapreduce_vertex_colouring(graph, mu, rng, num_groups=kappa)
-    ctx = _colour_context(graph, mu, result.num_groups, "mpc-vertex-colouring")
-    group_loads = np.array([stats.sample_words for stats in result.iterations], dtype=np.int64)
-    ctx.parallel_round(
-        "assign groups and check |E_i| ≤ 13·n^(1+µ)",
-        phase="partition",
-        machine_loads=group_loads,
-        words_communicated=graph.num_vertices,
+    return _mpc_colouring(
+        graph, mu, rng, num_groups, mapreduce_vertex_colouring, "mpc-vertex-colouring",
+        graph.num_vertices,
+        (
+            "assign groups and check |E_i| ≤ 13·n^(1+µ)",
+            "ship within-group adjacency lists N(v) ∩ V_i to group machines",
+            "greedy (∆_i + 1)-colouring inside each group; emit (i, c_i(v))",
+        ),
     )
-    ctx.parallel_round(
-        "ship within-group adjacency lists N(v) ∩ V_i to group machines",
-        phase="partition",
-        machine_loads=group_loads,
-        words_communicated=int(group_loads.sum()),
-    )
-    ctx.parallel_round(
-        "greedy (∆_i + 1)-colouring inside each group; emit (i, c_i(v))",
-        phase="colour",
-        machine_loads=group_loads,
-        words_communicated=graph.num_vertices,
-    )
-    metrics = ctx.finish(
-        n=graph.num_vertices,
-        m=graph.num_edges,
-        mu=mu,
-        kappa=result.num_groups,
-        max_degree=graph.max_degree(),
-        colours_used=result.num_colours,
-    )
-    return result, metrics
 
 
 def mpc_edge_colouring(
@@ -91,34 +108,12 @@ def mpc_edge_colouring(
     num_groups: int | None = None,
 ) -> tuple[ColouringResult, RunMetrics]:
     """Theorem 6.6: ``(1 + o(1))∆`` edge colouring in ``O(1)`` rounds."""
-    kappa = default_num_groups(graph, mu) if num_groups is None else max(1, int(num_groups))
-    result = mapreduce_edge_colouring(graph, mu, rng, num_groups=kappa)
-    ctx = _colour_context(graph, mu, result.num_groups, "mpc-edge-colouring")
-    group_loads = np.array([stats.sample_words for stats in result.iterations], dtype=np.int64)
-    ctx.parallel_round(
-        "assign edge groups and check group sizes",
-        phase="partition",
-        machine_loads=group_loads,
-        words_communicated=graph.num_edges,
+    return _mpc_colouring(
+        graph, mu, rng, num_groups, mapreduce_edge_colouring, "mpc-edge-colouring",
+        graph.num_edges,
+        (
+            "assign edge groups and check group sizes",
+            "ship group subgraphs to group machines",
+            "local misra-gries colouring inside each group; emit (i, c_i(e))",
+        ),
     )
-    ctx.parallel_round(
-        "ship group subgraphs to group machines",
-        phase="partition",
-        machine_loads=group_loads,
-        words_communicated=int(group_loads.sum()),
-    )
-    ctx.parallel_round(
-        "local misra-gries colouring inside each group; emit (i, c_i(e))",
-        phase="colour",
-        machine_loads=group_loads,
-        words_communicated=graph.num_edges,
-    )
-    metrics = ctx.finish(
-        n=graph.num_vertices,
-        m=graph.num_edges,
-        mu=mu,
-        kappa=result.num_groups,
-        max_degree=graph.max_degree(),
-        colours_used=result.num_colours,
-    )
-    return result, metrics

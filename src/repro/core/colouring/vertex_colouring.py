@@ -100,8 +100,8 @@ def mapreduce_vertex_colouring(
         (``alive``) and the words it occupies on its machine
         (``sample_words``).
     """
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
+    if not 0 <= mu < np.inf:
+        raise ValueError(f"mu must be non-negative and finite, got {mu}")
     n = graph.num_vertices
     if n == 0:
         return ColouringResult({}, num_groups=0, algorithm="mapreduce-vertex-colouring")

@@ -23,15 +23,19 @@ its extra ``log(n)/(µ log m)`` factor comes from.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from ...graphs.distributed import DistributedGraph
 from ...graphs.graph import Graph
-from ...mapreduce.engine import MPCContext
 from ...mapreduce.metrics import RunMetrics
 from ...setcover.instance import SetCoverInstance
-from ..local_ratio import mapreduce_impl as local_ratio_mpc
-from ..local_ratio.mapreduce_impl import MPCParameters, mpc_parameters_for_graph
+from ..local_ratio.mapreduce_impl import (
+    MPCParameters,
+    mpc_parameters,
+    mpc_parameters_for_graph,
+    placement_loads,
+)
 from ..results import CliqueResult, IndependentSetResult, SetCoverResult
 from .maximal_clique import hungry_greedy_maximal_clique
 from .mis import hungry_greedy_mis
@@ -47,17 +51,21 @@ __all__ = [
 ]
 
 
-def _replay_hungry_greedy_rounds(
-    ctx: MPCContext,
-    worker_loads: np.ndarray,
-    iterations,
-    num_vertices: int,
-    num_edges: int,
-    num_machines: int,
-) -> None:
-    """Replay the four-round-per-iteration pattern described in the module docstring."""
+def _mpc_mis(
+    graph: Graph,
+    mu: float,
+    rng: np.random.Generator,
+    algorithm: Callable[[Graph, float, np.random.Generator], IndependentSetResult],
+    label: str,
+) -> tuple[IndependentSetResult, RunMetrics]:
+    """Run one sequential MIS algorithm (Algorithm 6 or 2), then replay each
+    sweep in the four-round pattern described in the module docstring."""
+    result = algorithm(graph, mu, rng)
+    params = mpc_parameters_for_graph(graph, mu)
+    ctx = params.context(label)
+    worker_loads = placement_loads(graph, params.num_machines, rng)
     max_worker = int(worker_loads.max()) if worker_loads.size else 0
-    for stats in iterations:
+    for stats in result.iterations:
         phase = stats.phase or f"iteration-{stats.iteration}"
         ctx.parallel_round(
             f"sweep {stats.iteration}: sample groups ({stats.sampled} vertices, "
@@ -75,14 +83,24 @@ def _replay_hungry_greedy_rounds(
             f"sweep {stats.iteration}: notify vertices of N+(I)",
             phase=phase,
             machine_loads=worker_loads,
-            words_communicated=num_vertices,
+            words_communicated=graph.num_vertices,
         )
         ctx.parallel_round(
             f"sweep {stats.iteration}: neighbours exchange alive bits (update d_I)",
             phase=phase,
             machine_loads=worker_loads,
-            words_communicated=2 * num_edges + num_machines,
+            words_communicated=2 * graph.num_edges + params.num_machines,
         )
+    metrics = ctx.finish(
+        n=graph.num_vertices,
+        m=graph.num_edges,
+        mu=mu,
+        c=params.c,
+        eta=params.eta,
+        num_machines=params.num_machines,
+        sweeps=len(result.iterations),
+    )
+    return result, metrics
 
 
 def mpc_maximal_independent_set(
@@ -91,33 +109,7 @@ def mpc_maximal_independent_set(
     rng: np.random.Generator,
 ) -> tuple[IndependentSetResult, RunMetrics]:
     """Theorem A.3: maximal independent set in ``O(c/µ)`` rounds, ``O(n^{1+µ})`` space."""
-    params = mpc_parameters_for_graph(graph, mu)
-    result = hungry_greedy_mis_improved(graph, mu, rng)
-    ctx = MPCContext(
-        params.num_machines,
-        params.memory_per_machine,
-        algorithm="mpc-mis-improved",
-        default_fanout=params.fanout,
-    )
-    dist = DistributedGraph(graph, params.num_machines, rng)
-    _replay_hungry_greedy_rounds(
-        ctx,
-        dist.total_loads(),
-        result.iterations,
-        graph.num_vertices,
-        graph.num_edges,
-        params.num_machines,
-    )
-    metrics = ctx.finish(
-        n=graph.num_vertices,
-        m=graph.num_edges,
-        mu=mu,
-        c=params.c,
-        eta=params.eta,
-        num_machines=params.num_machines,
-        sweeps=len(result.iterations),
-    )
-    return result, metrics
+    return _mpc_mis(graph, mu, rng, hungry_greedy_mis_improved, "mpc-mis-improved")
 
 
 def mpc_maximal_independent_set_simple(
@@ -126,33 +118,7 @@ def mpc_maximal_independent_set_simple(
     rng: np.random.Generator,
 ) -> tuple[IndependentSetResult, RunMetrics]:
     """Theorem 3.3: the simpler phase-by-phase MIS in ``O(1/µ²)`` rounds."""
-    params = mpc_parameters_for_graph(graph, mu)
-    result = hungry_greedy_mis(graph, mu, rng)
-    ctx = MPCContext(
-        params.num_machines,
-        params.memory_per_machine,
-        algorithm="mpc-mis-simple",
-        default_fanout=params.fanout,
-    )
-    dist = DistributedGraph(graph, params.num_machines, rng)
-    _replay_hungry_greedy_rounds(
-        ctx,
-        dist.total_loads(),
-        result.iterations,
-        graph.num_vertices,
-        graph.num_edges,
-        params.num_machines,
-    )
-    metrics = ctx.finish(
-        n=graph.num_vertices,
-        m=graph.num_edges,
-        mu=mu,
-        c=params.c,
-        eta=params.eta,
-        num_machines=params.num_machines,
-        sweeps=len(result.iterations),
-    )
-    return result, metrics
+    return _mpc_mis(graph, mu, rng, hungry_greedy_mis, "mpc-mis-simple")
 
 
 def mpc_maximal_clique(
@@ -166,16 +132,10 @@ def mpc_maximal_clique(
     (the central machine distributes the permutation ``σ`` and the active
     count ``k``).
     """
-    params = mpc_parameters_for_graph(graph, mu)
     result = hungry_greedy_maximal_clique(graph, mu, rng)
-    ctx = MPCContext(
-        params.num_machines,
-        params.memory_per_machine,
-        algorithm="mpc-maximal-clique",
-        default_fanout=params.fanout,
-    )
-    dist = DistributedGraph(graph, params.num_machines, rng)
-    worker_loads = dist.total_loads()
+    params = mpc_parameters_for_graph(graph, mu)
+    ctx = params.context("mpc-maximal-clique")
+    worker_loads = placement_loads(graph, params.num_machines, rng)
     max_worker = int(worker_loads.max()) if worker_loads.size else 0
     for stats in result.iterations:
         phase = stats.phase or f"sweep-{stats.iteration}"
@@ -218,16 +178,13 @@ def mpc_maximal_clique(
 # Greedy set cover (Theorem 4.6)
 # --------------------------------------------------------------------------- #
 def mpc_parameters_for_greedy_set_cover(instance: SetCoverInstance, mu: float) -> MPCParameters:
-    """MPC parameters for Algorithm 3: space ``O(m^{1+µ} log n)`` per machine."""
-    m = max(2, instance.num_elements)
-    n = max(2, instance.num_sets)
-    total = max(1, instance.total_size)
-    c = max(mu, np.log(total) / np.log(m) - 1.0)
-    eta = max(1, int(round(m ** (1.0 + mu))))
-    num_machines = max(1, int(np.ceil(total / eta)))
-    memory = int(np.ceil(local_ratio_mpc.SPACE_SLACK * eta * max(1.0, np.log(n + 1))))
-    fanout = max(2, int(round(m**mu)))
-    return MPCParameters(m, mu, float(c), eta, num_machines, memory, fanout)
+    """MPC parameters for Algorithm 3: space ``O(m^{1+µ} log n)`` per machine.
+
+    The space bound is in the ``m`` elements and the input is the
+    ``Σ|S|`` set entries, so those take the rule's ``n`` and ``m``.
+    """
+    log_n = max(1.0, np.log(max(2, instance.num_sets) + 1))
+    return mpc_parameters(instance.num_elements, instance.total_size, mu, log_n)
 
 
 def mpc_greedy_set_cover(
@@ -243,14 +200,9 @@ def mpc_greedy_set_cover(
     distribute the newly covered elements and an aggregation tree to compute
     the class sizes, each of depth ``O(log n / (µ log m))``.
     """
-    params = mpc_parameters_for_greedy_set_cover(instance, mu)
     result = hungry_greedy_set_cover(instance, mu, rng, epsilon=epsilon)
-    ctx = MPCContext(
-        params.num_machines,
-        params.memory_per_machine,
-        algorithm="mpc-greedy-set-cover",
-        default_fanout=params.fanout,
-    )
+    params = mpc_parameters_for_greedy_set_cover(instance, mu)
+    ctx = params.context("mpc-greedy-set-cover")
     # Sets are dealt round-robin, ~η words per machine; a set stores its
     # elements plus an alive bit.
     machine_of = np.arange(instance.num_sets) % params.num_machines

@@ -117,8 +117,8 @@ def hungry_greedy_maximal_clique(
         the number of *heavy* candidates — those whose insertion would
         disqualify many other candidates).
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     n = graph.num_vertices
     if n == 0:
         return CliqueResult([], algorithm="hungry-greedy-maximal-clique")

@@ -82,8 +82,8 @@ def hungry_greedy_mis(
         shipped to the central machine, ``selected`` how many vertices
         joined ``I``.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     n = graph.num_vertices
     if n == 0:
         return IndependentSetResult([], algorithm="hungry-greedy-mis")

@@ -53,8 +53,8 @@ def hungry_greedy_mis_improved(
         ``alive`` field is the number of alive edges ``|E_k|`` (the quantity
         Lemma A.2 shows decays geometrically).
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     n = graph.num_vertices
     if n == 0:
         return IndependentSetResult([], algorithm="hungry-greedy-mis-improved")

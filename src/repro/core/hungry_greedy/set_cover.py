@@ -105,8 +105,8 @@ def hungry_greedy_set_cover(
         The chosen sets and a per-inner-iteration trace (``alive`` is the
         potential ``Φ_k``, ``phase`` records the current threshold ``L``).
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     n, m = instance.num_sets, instance.num_elements

@@ -3,11 +3,13 @@
 Each driver runs the corresponding sequential algorithm, then charges each
 iteration's rounds to :class:`~repro.mapreduce.engine.MPCContext` from the
 algorithm's trace (:class:`~repro.core.results.IterationStats`).  The
-input's per-machine loads follow the paper's placement rule; each sampling
-iteration becomes a gather-to-central round, and the redistribution of the
-central machine's results becomes either direct rounds (vertex cover,
-matching — Theorems 2.4 / 5.6) or broadcast/aggregation trees of fan-out
-``n^µ`` (general set cover).  The returned
+input's per-machine loads follow the paper's placement rule
+(:func:`placement_loads`); each sampling iteration becomes a
+gather-to-central round, and the redistribution of the central machine's
+results becomes either direct rounds (vertex cover, matching — Theorems
+2.4 / 5.6) or broadcast/aggregation trees of fan-out ``n^µ`` (general set
+cover).  These drivers and the hungry-greedy ones take their parameters
+from one rule, :func:`mpc_parameters`.  The returned
 :class:`~repro.mapreduce.metrics.RunMetrics` therefore holds the quantities
 of Figure 1: number of rounds, maximum words per machine, and total
 communication.
@@ -24,10 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ...graphs.distributed import EDGE_WORDS, DistributedGraph
 from ...graphs.graph import Graph
 from ...mapreduce.engine import MPCContext
 from ...mapreduce.metrics import RunMetrics
+from ...mapreduce.partition import balanced_partition, random_partition
 from ...setcover.instance import SetCoverInstance
 from ..results import MatchingResult, SetCoverResult
 from .b_matching import randomized_local_ratio_b_matching
@@ -36,8 +38,10 @@ from .set_cover import randomized_local_ratio_set_cover
 
 __all__ = [
     "MPCParameters",
+    "mpc_parameters",
     "mpc_parameters_for_graph",
     "mpc_parameters_for_instance",
+    "placement_loads",
     "mpc_weighted_vertex_cover",
     "mpc_weighted_set_cover",
     "mpc_weighted_matching",
@@ -49,6 +53,9 @@ __all__ = [
 #: All ten ``mpc_*`` drivers read it when they run (the colouring and
 #: hungry-greedy drivers through this module), so it has one value.
 SPACE_SLACK = 16.0
+
+#: Words charged for storing one edge (two endpoints and one weight).
+EDGE_WORDS = 3
 
 
 @dataclass(frozen=True)
@@ -83,30 +90,60 @@ class MPCParameters:
     memory_per_machine: int
     fanout: int
 
+    def context(self, algorithm: str) -> MPCContext:
+        """A context with this run's machines, budget and tree fan-out."""
+        return MPCContext(
+            self.num_machines,
+            self.memory_per_machine,
+            algorithm=algorithm,
+            default_fanout=self.fanout,
+        )
 
-def mpc_parameters_for_graph(graph: Graph, mu: float) -> MPCParameters:
-    """Compute the MPC parameters for a graph problem with space ``O(n^{1+µ})``."""
-    n = max(2, graph.num_vertices)
-    m = max(1, graph.num_edges)
+
+def mpc_parameters(n: int, m: int, mu: float, words_per_item: float) -> MPCParameters:
+    """The one rule behind every driver's parameters.
+
+    ``n`` is the size the space bound is expressed in and ``m`` the number
+    of input items: ``c = log m / log n − 1`` (at least µ), ``η = n^{1+µ}``
+    items per machine, ``⌈m/η⌉`` machines, a budget of
+    ``SPACE_SLACK · η · words_per_item`` words, and fan-out ``n^µ``.
+    """
+    n = max(2, n)
+    m = max(1, m)
     c = max(mu, np.log(m) / np.log(n) - 1.0)
     eta = max(1, int(round(n ** (1.0 + mu))))
     num_machines = max(1, int(np.ceil(m / eta)))
-    memory = int(np.ceil(SPACE_SLACK * eta * EDGE_WORDS))
+    memory = int(np.ceil(SPACE_SLACK * eta * words_per_item))
     fanout = max(2, int(round(n**mu)))
     return MPCParameters(n, mu, float(c), eta, num_machines, memory, fanout)
+
+
+def mpc_parameters_for_graph(graph: Graph, mu: float) -> MPCParameters:
+    """MPC parameters for a graph problem: space ``O(n^{1+µ})`` edges per machine."""
+    return mpc_parameters(graph.num_vertices, graph.num_edges, mu, EDGE_WORDS)
 
 
 def mpc_parameters_for_instance(instance: SetCoverInstance, mu: float) -> MPCParameters:
     """MPC parameters for the ``f``-approximation: space ``O(f · n^{1+µ})`` per machine."""
-    n = max(2, instance.num_sets)
-    m = max(1, instance.num_elements)
-    f = max(1, instance.frequency)
-    c = max(mu, np.log(m) / np.log(n) - 1.0)
-    eta = max(1, int(round(n ** (1.0 + mu))))
-    num_machines = max(1, int(np.ceil(m / eta)))
-    memory = int(np.ceil(SPACE_SLACK * f * eta))
-    fanout = max(2, int(round(n**mu)))
-    return MPCParameters(n, mu, float(c), eta, num_machines, memory, fanout)
+    return mpc_parameters(instance.num_sets, instance.num_elements, mu, max(1, instance.frequency))
+
+
+def placement_loads(graph: Graph, num_machines: int, rng: np.random.Generator) -> np.ndarray:
+    """Words per machine of a graph's input placement (Theorems 2.4, 3.3, 5.6).
+
+    Edges go to machines in contiguous balanced blocks (the paper's
+    "assigned arbitrarily ... with ``n^{1+µ}`` per machine"), at
+    :data:`EDGE_WORDS` words each; each vertex, with its adjacency list
+    (one word per incident edge), goes to a machine drawn uniformly from
+    ``rng``.  The drivers declare these loads for the rounds that hold the
+    input.
+    """
+    edge_machine = balanced_partition(graph.num_edges, num_machines)
+    vertex_machine = random_partition(graph.num_vertices, num_machines, rng)
+    edge_loads = np.bincount(edge_machine, minlength=num_machines) * EDGE_WORDS
+    adjacency = np.bincount(vertex_machine[graph.edge_u], minlength=num_machines)
+    adjacency = adjacency + np.bincount(vertex_machine[graph.edge_v], minlength=num_machines)
+    return edge_loads + adjacency
 
 
 # --------------------------------------------------------------------------- #
@@ -138,17 +175,12 @@ def mpc_weighted_set_cover(
     gathered back through the matching aggregation tree, so each sampling
     iteration costs ``O(c/µ)`` rounds.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     params = mpc_parameters_for_instance(instance, mu)
     result = randomized_local_ratio_set_cover(instance, params.eta, rng)
 
-    ctx = MPCContext(
-        params.num_machines,
-        params.memory_per_machine,
-        algorithm="mpc-weighted-set-cover",
-        default_fanout=params.fanout,
-    )
+    ctx = params.context("mpc-weighted-set-cover")
     worker_loads = _element_loads(instance, params)
     cover_size = 0
     for stats in result.iterations:
@@ -202,21 +234,15 @@ def mpc_weighted_vertex_cover(
     summed at the central machine — a constant number of rounds per
     iteration instead of a broadcast tree.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     instance = SetCoverInstance.from_vertex_cover(graph, vertex_weights)
     params = mpc_parameters_for_instance(instance, mu)
     result = randomized_local_ratio_set_cover(instance, params.eta, rng)
     result.algorithm = "randomized-local-ratio-vertex-cover"
 
-    ctx = MPCContext(
-        params.num_machines,
-        params.memory_per_machine,
-        algorithm="mpc-weighted-vertex-cover",
-        default_fanout=params.fanout,
-    )
-    dist = DistributedGraph(graph, params.num_machines, rng)
-    worker_loads = dist.total_loads()
+    ctx = params.context("mpc-weighted-vertex-cover")
+    worker_loads = placement_loads(graph, params.num_machines, rng)
     for stats in result.iterations:
         phase = f"iteration-{stats.iteration}"
         ctx.parallel_round(
@@ -262,15 +288,19 @@ def mpc_weighted_vertex_cover(
 # --------------------------------------------------------------------------- #
 def _replay_matching_rounds(
     ctx: MPCContext,
-    dist: DistributedGraph,
-    iterations,
     graph: Graph,
     num_machines: int,
+    rng: np.random.Generator,
+    result: MatchingResult,
 ) -> None:
-    """Common round pattern for Algorithms 4 and 7 (Theorem 5.6's parallelization)."""
-    worker_loads = dist.total_loads()
+    """Common round pattern for Algorithms 4 and 7 (Theorem 5.6's parallelization).
+
+    Each sampling iteration takes four rounds; then the stack is gathered
+    and unwound on the central machine.
+    """
+    worker_loads = placement_loads(graph, num_machines, rng)
     max_worker = int(worker_loads.max()) if worker_loads.size else 0
-    for stats in iterations:
+    for stats in result.iterations:
         phase = f"iteration-{stats.iteration}"
         ctx.parallel_round(
             f"iteration {stats.iteration}: sample E'_v (|E_i|={stats.alive})",
@@ -296,6 +326,11 @@ def _replay_matching_rounds(
             machine_loads=worker_loads,
             words_communicated=2 * graph.num_edges + num_machines,
         )
+    ctx.gather_to_central(
+        EDGE_WORDS * max(1, result.stack_size),
+        f"unwind stack ({result.stack_size} edges) on central machine",
+        phase="unwind",
+    )
 
 
 def mpc_weighted_matching(
@@ -312,26 +347,15 @@ def mpc_weighted_matching(
     ``mu`` gives the ``O(log n)``-round, ``O(n)``-space configuration of
     Theorem C.2, as the ``fig1-matching-mu0`` row runs it.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     params = mpc_parameters_for_graph(graph, mu)
     if eta is None:
         eta = params.eta
     result = randomized_local_ratio_matching(graph, eta, rng)
 
-    ctx = MPCContext(
-        params.num_machines,
-        params.memory_per_machine,
-        algorithm="mpc-weighted-matching",
-        default_fanout=params.fanout,
-    )
-    dist = DistributedGraph(graph, params.num_machines, rng)
-    _replay_matching_rounds(ctx, dist, result.iterations, graph, params.num_machines)
-    ctx.gather_to_central(
-        EDGE_WORDS * max(1, result.stack_size),
-        f"unwind stack ({result.stack_size} edges) on central machine",
-        phase="unwind",
-    )
+    ctx = params.context("mpc-weighted-matching")
+    _replay_matching_rounds(ctx, graph, params.num_machines, rng, result)
     metrics = ctx.finish(
         n=graph.num_vertices,
         m=graph.num_edges,
@@ -360,8 +384,8 @@ def mpc_weighted_b_matching(
     as stated in the theorem.  ``mu`` must be positive: the ``c/µ`` round
     bound is undefined at 0.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive for the ε-adjusted reduction")
     params = mpc_parameters_for_graph(graph, mu)
@@ -372,19 +396,8 @@ def mpc_weighted_b_matching(
     params = replace(params, memory_per_machine=memory)
     result = randomized_local_ratio_b_matching(graph, b, params.eta, rng, epsilon=epsilon)
 
-    ctx = MPCContext(
-        params.num_machines,
-        params.memory_per_machine,
-        algorithm="mpc-weighted-b-matching",
-        default_fanout=params.fanout,
-    )
-    dist = DistributedGraph(graph, params.num_machines, rng)
-    _replay_matching_rounds(ctx, dist, result.iterations, graph, params.num_machines)
-    ctx.gather_to_central(
-        EDGE_WORDS * max(1, result.stack_size),
-        f"unwind stack ({result.stack_size} edges) on central machine",
-        phase="unwind",
-    )
+    ctx = params.context("mpc-weighted-b-matching")
+    _replay_matching_rounds(ctx, graph, params.num_machines, rng, result)
     metrics = ctx.finish(
         n=graph.num_vertices,
         m=graph.num_edges,

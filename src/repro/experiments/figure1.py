@@ -26,7 +26,7 @@ the guarantee.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from ..datasets import (
     scenario_params,
 )
 from ..graphs import (
+    Graph,
     densified_graph,
     is_b_matching,
     is_matching,
@@ -76,9 +77,11 @@ from ..graphs import (
     is_proper_vertex_colouring,
     is_vertex_cover,
 )
+from ..mapreduce import RunMetrics
 from ..registry import iter_algorithms, register_algorithm
 from ..registry.solve import _validate_scenario
 from ..setcover import (
+    SetCoverInstance,
     is_cover,
     random_coverage_instance,
     random_frequency_bounded_instance,
@@ -136,6 +139,75 @@ def _experiment_graph(
     return graph, graph.num_vertices, round(graph.densification_exponent(), 4)
 
 
+def _experiment_instance(
+    scenario: str | None,
+    rng: np.random.Generator,
+    experiment: str,
+    num_sets: int,
+    num_elements: int,
+    generate: Callable[[int, int], SetCoverInstance],
+) -> tuple[SetCoverInstance, int, int]:
+    """The set cover workload of one Figure-1 row; returns ``(instance, n, m)``.
+
+    Without a scenario this is ``generate(num_sets, num_elements)`` and the
+    sizes stay as given; with one, the scenario's instance is built from the
+    point RNG and the sizes are its number of sets and elements.
+    """
+    if scenario is None:
+        return generate(num_sets, num_elements), num_sets, num_elements
+    instance = build_scenario(scenario, rng, expect="setcover", context=experiment)
+    return instance, instance.num_sets, instance.num_elements
+
+
+# --------------------------------------------------------------------------- #
+# Records
+# --------------------------------------------------------------------------- #
+def _record(
+    experiment: str,
+    scenario: str | None,
+    parameters: Mapping[str, object],
+    bound: theory.TheoremBound,
+    metrics: RunMetrics,
+    quality: Mapping[str, float],
+    progress: Mapping[str, float],
+    *,
+    guarantee: str | None = "approximation",
+) -> ExperimentRecord:
+    """One row's record, before its baselines: the workload parameters, the
+    theorem's bounds, and the metrics in the order quality, ``rounds``,
+    progress, ``max_space_per_machine``.
+
+    ``guarantee`` names the bound that ``bound.approximation`` is recorded
+    under (``"colours"`` on the colouring rows), or is ``None`` on the rows
+    whose guarantee is maximality.
+    """
+    bounds = {} if guarantee is None else {guarantee: bound.approximation}
+    return ExperimentRecord(
+        experiment=experiment,
+        parameters={**parameters, **scenario_params(scenario)},
+        metrics={
+            **quality,
+            "rounds": float(metrics.num_rounds),
+            **{key: float(value) for key, value in progress.items()},
+            "max_space_per_machine": float(metrics.max_space_per_machine),
+        },
+        bounds={**bounds, "rounds": bound.rounds, "space_per_machine": bound.space_per_machine},
+    )
+
+
+def _lp_pair(record: ExperimentRecord, weight: float, lp: float) -> None:
+    """A cover row's LP lower bound on the optimum and the cover's ratio to it."""
+    record.metrics["lp_lower_bound"] = lp
+    record.metrics["ratio_vs_lp"] = minimization_ratio(weight, lp)
+
+
+def _optimum_pair(record: ExperimentRecord, weight: float, graph: Graph) -> None:
+    """The exact maximum matching weight and the answer's ratio to it."""
+    optimal = exact_matching(graph).weight
+    record.metrics["optimal_weight"] = optimal
+    record.metrics["ratio_vs_optimal"] = maximization_ratio(weight, optimal)
+
+
 # --------------------------------------------------------------------------- #
 # Covers
 # --------------------------------------------------------------------------- #
@@ -162,26 +234,14 @@ def vertex_cover_experiment(
     graph, n, c = _experiment_graph(scenario, rng, experiment="fig1-vertex-cover", n=n, c=c)
     vertex_weights = rng.uniform(*weight_range, size=n)
     result, metrics = mpc_weighted_vertex_cover(graph, vertex_weights, mu, rng)
-    bound = theory.vertex_cover_bound(n, graph.num_edges, mu)
-
-    record = ExperimentRecord(
-        experiment="fig1-vertex-cover",
-        parameters={"n": n, "m": graph.num_edges, "c": c, "mu": mu, **scenario_params(scenario)},
-        bounds={
-            "approximation": bound.approximation,
-            "rounds": bound.rounds,
-            "space_per_machine": bound.space_per_machine,
-        },
+    record = _record(
+        "fig1-vertex-cover", scenario, {"n": n, "m": graph.num_edges, "c": c, "mu": mu},
+        theory.vertex_cover_bound(n, graph.num_edges, mu), metrics,
+        {"weight": result.weight}, {"sampling_iterations": metrics.notes["sampling_iterations"]},
     )
-    record.metrics["weight"] = result.weight
-    record.metrics["rounds"] = float(metrics.num_rounds)
-    record.metrics["sampling_iterations"] = float(metrics.notes["sampling_iterations"])
-    record.metrics["max_space_per_machine"] = float(metrics.max_space_per_machine)
     record.metrics["total_communication"] = float(metrics.total_communication)
     if include_lp:
-        lp = lp_vertex_cover_bound(graph, vertex_weights)
-        record.metrics["lp_lower_bound"] = lp
-        record.metrics["ratio_vs_lp"] = minimization_ratio(result.weight, lp)
+        _lp_pair(record, result.weight, lp_vertex_cover_bound(graph, vertex_weights))
     # Baseline: unweighted filtering vertex cover (Lattanzi et al.), evaluated
     # on the same weights for a "who wins" comparison.
     baseline = filtering_vertex_cover(graph, max(1, int(n ** (1 + mu))), rng)
@@ -211,39 +271,20 @@ def set_cover_f_experiment(
     scenario: str | None = None,
 ) -> ExperimentRecord:
     """Figure 1, row "Set Cover / weighted / f / O((c/µ)²) / O(f·n^{1+µ})" (Theorem 2.4)."""
-    if scenario is None:
-        instance = random_frequency_bounded_instance(num_sets, num_elements, max_frequency, rng)
-    else:
-        instance = build_scenario(scenario, rng, expect="setcover", context="fig1-set-cover-f")
-        num_sets, num_elements = instance.num_sets, instance.num_elements
-    result, metrics = mpc_weighted_set_cover(instance, mu, rng)
-    bound = theory.set_cover_f_bound(num_sets, num_elements, instance.frequency, mu)
-
-    record = ExperimentRecord(
-        experiment="fig1-set-cover-f",
-        parameters={
-            "n": num_sets,
-            "m": num_elements,
-            "f": instance.frequency,
-            "mu": mu,
-            **scenario_params(scenario),
-        },
-        bounds={
-            "approximation": bound.approximation,
-            "rounds": bound.rounds,
-            "space_per_machine": bound.space_per_machine,
-        },
+    instance, num_sets, num_elements = _experiment_instance(
+        scenario, rng, "fig1-set-cover-f", num_sets, num_elements,
+        lambda sets, elements: random_frequency_bounded_instance(sets, elements, max_frequency, rng),
     )
-    record.metrics["weight"] = result.weight
-    record.metrics["rounds"] = float(metrics.num_rounds)
-    record.metrics["sampling_iterations"] = float(metrics.notes["sampling_iterations"])
-    record.metrics["max_space_per_machine"] = float(metrics.max_space_per_machine)
-    greedy = greedy_set_cover(instance)
-    record.metrics["greedy_weight"] = greedy.weight
+    result, metrics = mpc_weighted_set_cover(instance, mu, rng)
+    f = instance.frequency
+    record = _record(
+        "fig1-set-cover-f", scenario, {"n": num_sets, "m": num_elements, "f": f, "mu": mu},
+        theory.set_cover_f_bound(num_sets, num_elements, f, mu), metrics,
+        {"weight": result.weight}, {"sampling_iterations": metrics.notes["sampling_iterations"]},
+    )
+    record.metrics["greedy_weight"] = greedy_set_cover(instance).weight
     if include_lp:
-        lp = lp_set_cover_bound(instance)
-        record.metrics["lp_lower_bound"] = lp
-        record.metrics["ratio_vs_lp"] = minimization_ratio(result.weight, lp)
+        _lp_pair(record, result.weight, lp_set_cover_bound(instance))
     record.valid = is_cover(instance, result.chosen_sets)
     return record
 
@@ -269,45 +310,23 @@ def set_cover_greedy_experiment(
     scenario: str | None = None,
 ) -> ExperimentRecord:
     """Figure 1, row "Set Cover / weighted / (1+ε)ln∆" (Theorem 4.6)."""
-    if scenario is None:
-        instance = random_coverage_instance(num_sets, num_elements, rng, density=density)
-    else:
-        instance = build_scenario(
-            scenario, rng, expect="setcover", context="fig1-set-cover-greedy"
-        )
-        num_sets, num_elements = instance.num_sets, instance.num_elements
+    instance, num_sets, num_elements = _experiment_instance(
+        scenario, rng, "fig1-set-cover-greedy", num_sets, num_elements,
+        lambda sets, elements: random_coverage_instance(sets, elements, rng, density=density),
+    )
     result, metrics = mpc_greedy_set_cover(instance, mu, rng, epsilon=epsilon)
-    bound = theory.set_cover_greedy_bound(
-        num_sets, num_elements, instance.max_set_size, mu, epsilon, instance.weight_ratio
+    delta = instance.max_set_size
+    record = _record(
+        "fig1-set-cover-greedy", scenario,
+        {"n": num_sets, "m": num_elements, "delta": delta, "mu": mu, "epsilon": epsilon},
+        theory.set_cover_greedy_bound(num_sets, num_elements, delta, mu, epsilon, instance.weight_ratio),
+        metrics, {"weight": result.weight}, {"inner_iterations": metrics.notes["inner_iterations"]},
     )
-
-    record = ExperimentRecord(
-        experiment="fig1-set-cover-greedy",
-        parameters={
-            "n": num_sets,
-            "m": num_elements,
-            "delta": instance.max_set_size,
-            "mu": mu,
-            "epsilon": epsilon,
-            **scenario_params(scenario),
-        },
-        bounds={
-            "approximation": bound.approximation,
-            "rounds": bound.rounds,
-            "space_per_machine": bound.space_per_machine,
-        },
-    )
-    record.metrics["weight"] = result.weight
-    record.metrics["rounds"] = float(metrics.num_rounds)
-    record.metrics["inner_iterations"] = float(metrics.notes["inner_iterations"])
-    record.metrics["max_space_per_machine"] = float(metrics.max_space_per_machine)
     greedy = greedy_set_cover(instance)
     record.metrics["greedy_weight"] = greedy.weight
     record.metrics["weight_vs_greedy"] = minimization_ratio(result.weight, max(greedy.weight, 1e-12))
     if include_lp:
-        lp = lp_set_cover_bound(instance)
-        record.metrics["lp_lower_bound"] = lp
-        record.metrics["ratio_vs_lp"] = minimization_ratio(result.weight, lp)
+        _lp_pair(record, result.weight, lp_set_cover_bound(instance))
     record.valid = is_cover(instance, result.chosen_sets)
     return record
 
@@ -339,20 +358,12 @@ def mis_experiment(
         result, metrics = mpc_maximal_independent_set_simple(graph, mu, rng)
     else:
         result, metrics = mpc_maximal_independent_set(graph, mu, rng)
-    bound = theory.mis_bound(n, graph.num_edges, mu, simple=simple)
-
-    record = ExperimentRecord(
-        experiment="fig1-mis" + ("-simple" if simple else ""),
-        parameters={"n": n, "m": graph.num_edges, "c": c, "mu": mu, **scenario_params(scenario)},
-        bounds={
-            "rounds": bound.rounds,
-            "space_per_machine": bound.space_per_machine,
-        },
+    record = _record(
+        "fig1-mis" + ("-simple" if simple else ""), scenario,
+        {"n": n, "m": graph.num_edges, "c": c, "mu": mu},
+        theory.mis_bound(n, graph.num_edges, mu, simple=simple), metrics,
+        {"mis_size": float(result.size)}, {"sweeps": metrics.notes["sweeps"]}, guarantee=None,
     )
-    record.metrics["mis_size"] = float(result.size)
-    record.metrics["rounds"] = float(metrics.num_rounds)
-    record.metrics["sweeps"] = float(metrics.notes["sweeps"])
-    record.metrics["max_space_per_machine"] = float(metrics.max_space_per_machine)
     luby = luby_mis(graph, rng)
     record.metrics["luby_rounds"] = float(luby.num_iterations)
     record.metrics["luby_size"] = float(luby.size)
@@ -379,20 +390,11 @@ def maximal_clique_experiment(
     """Figure 1, row "Maximal Clique / O(1/µ) / O(n^{1+µ})" (Corollary B.1)."""
     graph, n, c = _experiment_graph(scenario, rng, experiment="fig1-maximal-clique", n=n, c=c)
     result, metrics = mpc_maximal_clique(graph, mu, rng)
-    bound = theory.maximal_clique_bound(n, mu)
-
-    record = ExperimentRecord(
-        experiment="fig1-maximal-clique",
-        parameters={"n": n, "m": graph.num_edges, "c": c, "mu": mu, **scenario_params(scenario)},
-        bounds={
-            "rounds": bound.rounds,
-            "space_per_machine": bound.space_per_machine,
-        },
+    record = _record(
+        "fig1-maximal-clique", scenario, {"n": n, "m": graph.num_edges, "c": c, "mu": mu},
+        theory.maximal_clique_bound(n, mu), metrics,
+        {"clique_size": float(result.size)}, {"sweeps": metrics.notes["sweeps"]}, guarantee=None,
     )
-    record.metrics["clique_size"] = float(result.size)
-    record.metrics["rounds"] = float(metrics.num_rounds)
-    record.metrics["sweeps"] = float(metrics.notes["sweeps"])
-    record.metrics["max_space_per_machine"] = float(metrics.max_space_per_machine)
     record.valid = is_maximal_clique(graph, result.vertices)
     return record
 
@@ -425,29 +427,16 @@ def matching_experiment(
         weighted=True, weight_range=weight_range,
     )
     result, metrics = mpc_weighted_matching(graph, mu, rng)
-    bound = theory.matching_bound(n, graph.num_edges, mu)
-
-    record = ExperimentRecord(
-        experiment="fig1-matching",
-        parameters={"n": n, "m": graph.num_edges, "c": c, "mu": mu, **scenario_params(scenario)},
-        bounds={
-            "approximation": bound.approximation,
-            "rounds": bound.rounds,
-            "space_per_machine": bound.space_per_machine,
-        },
+    record = _record(
+        "fig1-matching", scenario, {"n": n, "m": graph.num_edges, "c": c, "mu": mu},
+        theory.matching_bound(n, graph.num_edges, mu), metrics,
+        {"weight": result.weight}, {"sampling_iterations": metrics.notes["sampling_iterations"]},
     )
-    record.metrics["weight"] = result.weight
-    record.metrics["rounds"] = float(metrics.num_rounds)
-    record.metrics["sampling_iterations"] = float(metrics.notes["sampling_iterations"])
-    record.metrics["max_space_per_machine"] = float(metrics.max_space_per_machine)
-    greedy = greedy_matching(graph)
-    record.metrics["greedy_weight"] = greedy.weight
+    record.metrics["greedy_weight"] = greedy_matching(graph).weight
     filtering = filtering_unweighted_matching(graph, max(1, int(n ** (1 + mu))), rng)
     record.metrics["filtering_weight"] = filtering.weight
     if include_exact:
-        exact = exact_matching(graph)
-        record.metrics["optimal_weight"] = exact.weight
-        record.metrics["ratio_vs_optimal"] = maximization_ratio(result.weight, exact.weight)
+        _optimum_pair(record, result.weight, graph)
     else:
         lp = fractional_matching_bound(graph)
         record.metrics["lp_upper_bound"] = lp
@@ -481,24 +470,12 @@ def matching_mu0_experiment(
     # µ = 0 configuration: η = n.  We pass a tiny µ for the space accounting
     # (the cluster must hold the input) but force the sample budget to n.
     result, metrics = mpc_weighted_matching(graph, 0.05, rng, eta=n)
-    bound = theory.matching_mu0_bound(n, graph.num_edges)
-
-    record = ExperimentRecord(
-        experiment="fig1-matching-mu0",
-        parameters={"n": n, "m": graph.num_edges, "c": c, "eta": n, **scenario_params(scenario)},
-        bounds={
-            "approximation": bound.approximation,
-            "rounds": bound.rounds,
-            "space_per_machine": bound.space_per_machine,
-        },
+    record = _record(
+        "fig1-matching-mu0", scenario, {"n": n, "m": graph.num_edges, "c": c, "eta": n},
+        theory.matching_mu0_bound(n, graph.num_edges), metrics,
+        {"weight": result.weight}, {"sampling_iterations": metrics.notes["sampling_iterations"]},
     )
-    record.metrics["weight"] = result.weight
-    record.metrics["rounds"] = float(metrics.num_rounds)
-    record.metrics["sampling_iterations"] = float(metrics.notes["sampling_iterations"])
-    record.metrics["max_space_per_machine"] = float(metrics.max_space_per_machine)
-    exact = exact_matching(graph)
-    record.metrics["optimal_weight"] = exact.weight
-    record.metrics["ratio_vs_optimal"] = maximization_ratio(result.weight, exact.weight)
+    _optimum_pair(record, result.weight, graph)
     record.valid = is_matching(graph, result.edge_ids)
     return record
 
@@ -529,28 +506,12 @@ def b_matching_experiment(
         weighted=True, weight_range=weight_range,
     )
     result, metrics = mpc_weighted_b_matching(graph, b, mu, rng, epsilon=epsilon)
-    bound = theory.b_matching_bound(n, graph.num_edges, b, mu, epsilon)
-
-    record = ExperimentRecord(
-        experiment="fig1-b-matching",
-        parameters={
-            "n": n,
-            "m": graph.num_edges,
-            "c": c,
-            "b": b,
-            "mu": mu,
-            "epsilon": epsilon,
-            **scenario_params(scenario),
-        },
-        bounds={
-            "approximation": bound.approximation,
-            "rounds": bound.rounds,
-            "space_per_machine": bound.space_per_machine,
-        },
+    record = _record(
+        "fig1-b-matching", scenario,
+        {"n": n, "m": graph.num_edges, "c": c, "b": b, "mu": mu, "epsilon": epsilon},
+        theory.b_matching_bound(n, graph.num_edges, b, mu, epsilon), metrics,
+        {"weight": result.weight}, {},
     )
-    record.metrics["weight"] = result.weight
-    record.metrics["rounds"] = float(metrics.num_rounds)
-    record.metrics["max_space_per_machine"] = float(metrics.max_space_per_machine)
     greedy = greedy_b_matching(graph, b)
     record.metrics["greedy_weight"] = greedy.weight
     record.metrics["ratio_vs_greedy"] = maximization_ratio(result.weight, greedy.weight)
@@ -582,31 +543,15 @@ def vertex_colouring_experiment(
     graph, n, c = _experiment_graph(scenario, rng, experiment="fig1-vertex-colouring", n=n, c=c)
     result, metrics = mpc_vertex_colouring(graph, mu, rng)
     delta = graph.max_degree()
-    bound = theory.colouring_bound(n, graph.num_edges, delta, mu)
-
-    record = ExperimentRecord(
-        experiment="fig1-vertex-colouring",
-        parameters={
-            "n": n,
-            "m": graph.num_edges,
-            "c": c,
-            "mu": mu,
-            "delta": delta,
-            **scenario_params(scenario),
-        },
-        bounds={
-            "colours": bound.approximation,
-            "rounds": bound.rounds,
-            "space_per_machine": bound.space_per_machine,
-        },
+    record = _record(
+        "fig1-vertex-colouring", scenario,
+        {"n": n, "m": graph.num_edges, "c": c, "mu": mu, "delta": delta},
+        theory.colouring_bound(n, graph.num_edges, delta, mu), metrics,
+        {"colours_used": float(result.num_colours),
+         "colours_over_delta": float(result.num_colours) / max(1, delta)},
+        {"num_groups": result.num_groups}, guarantee="colours",
     )
-    record.metrics["colours_used"] = float(result.num_colours)
-    record.metrics["colours_over_delta"] = float(result.num_colours) / max(1, delta)
-    record.metrics["rounds"] = float(metrics.num_rounds)
-    record.metrics["num_groups"] = float(result.num_groups)
-    record.metrics["max_space_per_machine"] = float(metrics.max_space_per_machine)
-    baseline = greedy_colouring(graph)
-    record.metrics["greedy_colours"] = float(baseline.num_colours)
+    record.metrics["greedy_colours"] = float(greedy_colouring(graph).num_colours)
     record.valid = is_proper_vertex_colouring(graph, result.colours)
     return record
 
@@ -632,29 +577,14 @@ def edge_colouring_experiment(
     graph, n, c = _experiment_graph(scenario, rng, experiment="fig1-edge-colouring", n=n, c=c)
     result, metrics = mpc_edge_colouring(graph, mu, rng)
     delta = graph.max_degree()
-    bound = theory.colouring_bound(n, graph.num_edges, delta, mu, edges=True)
-
-    record = ExperimentRecord(
-        experiment="fig1-edge-colouring",
-        parameters={
-            "n": n,
-            "m": graph.num_edges,
-            "c": c,
-            "mu": mu,
-            "delta": delta,
-            **scenario_params(scenario),
-        },
-        bounds={
-            "colours": bound.approximation,
-            "rounds": bound.rounds,
-            "space_per_machine": bound.space_per_machine,
-        },
+    record = _record(
+        "fig1-edge-colouring", scenario,
+        {"n": n, "m": graph.num_edges, "c": c, "mu": mu, "delta": delta},
+        theory.colouring_bound(n, graph.num_edges, delta, mu, edges=True), metrics,
+        {"colours_used": float(result.num_colours),
+         "colours_over_delta": float(result.num_colours) / max(1, delta)},
+        {"num_groups": result.num_groups}, guarantee="colours",
     )
-    record.metrics["colours_used"] = float(result.num_colours)
-    record.metrics["colours_over_delta"] = float(result.num_colours) / max(1, delta)
-    record.metrics["rounds"] = float(metrics.num_rounds)
-    record.metrics["num_groups"] = float(result.num_groups)
-    record.metrics["max_space_per_machine"] = float(metrics.max_space_per_machine)
     baseline = misra_gries_edge_colouring(graph)
     record.metrics["misra_gries_colours"] = float(len(set(baseline.values())))
     record.valid = is_proper_edge_colouring(graph, result.colours)

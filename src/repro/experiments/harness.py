@@ -35,14 +35,6 @@ class ExperimentRecord:
     valid: bool = True
     notes: dict[str, object] = field(default_factory=dict)
 
-    def as_row(self) -> dict[str, object]:
-        """Flatten into a single dict suitable for table rendering."""
-        row: dict[str, object] = {"experiment": self.experiment, "valid": self.valid}
-        row.update({f"param:{k}": v for k, v in self.parameters.items()})
-        row.update({k: v for k, v in self.metrics.items()})
-        row.update({f"bound:{k}": v for k, v in self.bounds.items()})
-        return row
-
 
 def aggregate_records(records: Sequence[ExperimentRecord]) -> ExperimentRecord:
     """Aggregate several trial records of the same experiment into one.

@@ -295,6 +295,35 @@ class TestCliRegistryCommands:
             with pytest.raises(ValueError, match="mu must be positive"):
                 main(["solve", row, "-p", f"mu={mu}"])
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["fig1-vertex-cover"],
+            ["fig1-set-cover-f"],
+            ["fig1-set-cover-greedy"],
+            ["fig1-mis"],
+            ["fig1-mis", "-p", "simple=true"],
+            ["fig1-maximal-clique"],
+            ["fig1-matching"],
+            ["fig1-b-matching"],
+            ["fig1-vertex-colouring"],
+            ["fig1-edge-colouring"],
+        ],
+        ids=lambda params: "-".join(p for p in params if p != "-p"),
+    )
+    @pytest.mark.parametrize("mu", ["NaN", "Infinity", "-0.5"])
+    def test_solve_rejects_malformed_mu(self, params, mu):
+        # A malformed µ is refused up front, never reported as a broken
+        # space or sampling claim (MemoryExceededError, AlgorithmFailureError)
+        # or as a failed integer conversion.
+        with pytest.raises(ValueError, match="mu must be (positive|non-negative) and finite"):
+            main(["solve", *params, "-p", f"mu={mu}"])
+
+    @pytest.mark.parametrize("row", ["fig1-vertex-colouring", "fig1-edge-colouring"])
+    def test_colouring_rows_accept_zero_mu(self, row, capsys):
+        assert main(["solve", row, "-p", "mu=0"]) == 0
+        assert json.loads(capsys.readouterr().out)["records"][0]["valid"] is True
+
     def test_solve_rejects_zero_epsilon_for_b_matching(self):
         # The ε-adjusted reduction's space budget takes log(1/δ), δ = ε/(1+ε).
         with pytest.raises(ValueError, match="epsilon must be positive"):

@@ -35,15 +35,3 @@ class TestAggregateRecords:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             aggregate_records([])
-
-
-class TestRecordFlattening:
-    def test_as_row_namespacing(self):
-        record = ExperimentRecord(
-            "e", parameters={"n": 5}, metrics={"rounds": 3.0}, bounds={"rounds": 2.0}
-        )
-        row = record.as_row()
-        assert row["param:n"] == 5
-        assert row["rounds"] == 3.0
-        assert row["bound:rounds"] == 2.0
-        assert row["experiment"] == "e"

@@ -45,8 +45,8 @@ def _record_digest(records) -> str:
     )
 
 
-def _reference_grid(algorithm: str):
-    """The first grid of a row that takes ``include_lp`` or ``include_exact``."""
+def _first_grid(algorithm: str):
+    """The first grid that sweeps ``algorithm``'s row; its cells run no reference."""
     return next(grid for grids in GRIDS.values() for grid in grids if grid.algorithm == algorithm)
 
 
@@ -105,7 +105,7 @@ def _case(name: str):
         return run_figure1(SEEDS[0], cells=[("fig1-mis", {"simple": True})])
     if name.startswith("scenario-"):
         return run_figure1(SEEDS[0], scenario=name[len("scenario-"):])
-    return run_figure1(SEEDS[0], cells=_reference_grid(name[len("grid-"):]).cells())
+    return run_figure1(SEEDS[0], cells=_first_grid(name[len("grid-"):]).cells())
 
 
 @pytest.mark.parametrize("name", list(CASE_DIGESTS))

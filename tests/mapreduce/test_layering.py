@@ -6,9 +6,8 @@ one of them back into the substrate would make the bottom of the layer
 map depend on its top.
 
 Below it sit ``kernels/``, ``graphs/``, ``setcover/`` and ``datasets/``.
-They import three names from the substrate, the exceptions
-docs/ARCHITECTURE.md names: ``DistributedGraph`` draws its partition with
-``repro.mapreduce.partition``, and the set cover instance and the dataset
+They import one name from the substrate, in the two exceptions
+docs/ARCHITECTURE.md names: the set cover instance and the dataset
 ingester raise ``InfeasibleInstanceError``.  Any other import into the
 substrate from below fails here.
 """
@@ -32,10 +31,6 @@ BELOW = ("kernels", "graphs", "setcover", "datasets")
 
 #: The upward imports into ``repro.mapreduce`` from the layers below it.
 UPWARD_EXCEPTIONS = {
-    "graphs/distributed.py": [
-        "repro.mapreduce.partition.balanced_partition",
-        "repro.mapreduce.partition.random_partition",
-    ],
     "setcover/instance.py": ["repro.mapreduce.exceptions.InfeasibleInstanceError"],
     "datasets/ingest.py": ["repro.mapreduce.exceptions.InfeasibleInstanceError"],
 }
